@@ -48,8 +48,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from run_benchmarks import machine_context, same_machine
 
-from repro.cluster.scenario import ScenarioConfig
-from repro.parallel import ScenarioSpec, fig7_units, run_sharded, run_units
+from repro.cluster import ScenarioConfig, ScenarioSpec
+from repro.experiments.fig7 import fig7_units
+from repro.parallel import run_sharded, run_units
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 

@@ -1,9 +1,9 @@
-"""Cluster assembly: nodes, scenarios, scaling patterns, sweeps."""
+"""Cluster assembly: nodes, scenario specs and builds, scaling patterns."""
 
 from .node import InitiatorNode, PROTOCOL_OPF, PROTOCOL_SPDK, PROTOCOLS, TargetNode
 from .scaling import ScalePoint, build_scaleout, pattern1, pattern2, tenants_for_node
 from .scenario import Scenario, ScenarioConfig, ScenarioResult
-from .sweep import compare_protocols, sweep
+from .spec import ScenarioSpec, TenantPlacement
 
 __all__ = [
     "InitiatorNode",
@@ -14,11 +14,11 @@ __all__ = [
     "Scenario",
     "ScenarioConfig",
     "ScenarioResult",
+    "ScenarioSpec",
     "TargetNode",
+    "TenantPlacement",
     "build_scaleout",
-    "compare_protocols",
     "pattern1",
     "pattern2",
-    "sweep",
     "tenants_for_node",
 ]

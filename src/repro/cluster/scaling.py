@@ -21,6 +21,7 @@ from ..core.flags import Priority
 from ..errors import ConfigError
 from ..workloads.mixes import LS_QUEUE_DEPTH, TC_QUEUE_DEPTH, TenantSpec
 from .scenario import Scenario, ScenarioConfig
+from .spec import ScenarioSpec
 
 
 def tenants_for_node(
@@ -62,16 +63,12 @@ def build_scaleout(
     initiators_per_node: int,
     include_ls: bool = True,
 ) -> Scenario:
-    """N initiator-nodes, N target-nodes, pairwise wiring."""
-    if n_node_pairs < 1:
-        raise ConfigError("need at least one node pair")
-    scenario = Scenario(config)
-    for pair in range(n_node_pairs):
-        tnode = scenario.add_target_node(name=f"target{pair}")
-        inode = scenario.add_initiator_node(name=f"client{pair}")
-        for spec in tenants_for_node(pair, initiators_per_node, config.op_mix, include_ls):
-            scenario.add_tenant(spec, inode, tnode)
-    return scenario
+    """N initiator-nodes, N target-nodes, pairwise wiring
+    (:meth:`ScenarioSpec.scaleout <repro.cluster.spec.ScenarioSpec.scaleout>`),
+    built."""
+    return ScenarioSpec.scaleout(
+        config, n_node_pairs, initiators_per_node, include_ls
+    ).build()
 
 
 @dataclass

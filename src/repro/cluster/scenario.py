@@ -570,25 +570,13 @@ class Scenario:
         self._scripted.append((float(delay_us), fn))
 
     # -- convenience builders ---------------------------------------------------------
-    @classmethod
-    def two_sided(
-        cls,
-        config: ScenarioConfig,
-        tenants: List[TenantSpec],
-        n_target_nodes: int = 1,
-        one_node_per_tenant: bool = True,
-    ) -> "Scenario":
-        """The Figure 6/7 shape: one target node, each tenant on its own
-        initiator node (or all on one node when ``one_node_per_tenant`` is
-        False); tenants round-robin over target nodes."""
-        scenario = cls(config)
-        targets = [scenario.add_target_node() for _ in range(n_target_nodes)]
-        if not one_node_per_tenant:
-            shared = scenario.add_initiator_node()
-        for i, spec in enumerate(tenants):
-            node = scenario.add_initiator_node() if one_node_per_tenant else shared
-            scenario.add_tenant(spec, node, targets[i % n_target_nodes])
-        return scenario
+    @staticmethod
+    def two_sided(config: ScenarioConfig, tenants: List[TenantSpec]) -> "Scenario":
+        """The Figure 6/7 shape (:meth:`ScenarioSpec.two_sided
+        <repro.cluster.spec.ScenarioSpec.two_sided>`), built."""
+        from .spec import ScenarioSpec
+
+        return ScenarioSpec.two_sided(config, tenants).build()
 
     # -- execution -----------------------------------------------------------------------
     def run(self) -> ScenarioResult:

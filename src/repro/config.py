@@ -16,6 +16,11 @@ from .net.tcp import TcpConfig
 from .ssd.latency import CHAMELEON_SSD, CLOUDLAB_SSD, SsdProfile
 
 
+#: Hard sanity cap on any worker pool: the campaign runner's processes and
+#: the simulation service's slicing threads (a sweep never needs more).
+MAX_WORKERS = 64
+
+
 @dataclass(frozen=True)
 class HardwarePreset:
     """One testbed row of Table I."""

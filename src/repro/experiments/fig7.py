@@ -1,9 +1,10 @@
 """Figure 7: throughput and p99.99 tail latency across LS:TC ratios.
 
 The full grid is 7 ratios x {10, 25, 100} Gbps x {read, 50:50, write}
-x {SPDK, NVMe-oPF}; every point is one scenario run.  Throughput is the
-aggregate of the throughput-critical initiators (7a-c); tail latency is
-the pooled p99.99 of the latency-sensitive initiators (7d-f).
+x {SPDK, NVMe-oPF}; every point is one scenario run, one work unit of
+:func:`fig7_units`.  Throughput is the aggregate of the
+throughput-critical initiators (7a-c); tail latency is the pooled p99.99
+of the latency-sensitive initiators (7d-f).
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..cluster.scenario import Scenario, ScenarioConfig
 from ..core.window import select_window
 from ..metrics.report import format_table, improvement_pct, reduction_pct
-from ..workloads.mixes import PAPER_RATIOS, tenants_for_ratio
+from ..parallel.pool import run_campaign
+from ..parallel.units import KIND_SCENARIO, WorkUnit
+from ..workloads.mixes import PAPER_RATIOS
 from .calibration import NETWORK_SPEEDS
 
 _MIX_NAMES = {"read": "read", "rw50": "mixed 50:50", "write": "write"}
@@ -30,47 +32,74 @@ class Fig7Point:
     ls_tail_us: Optional[float]
 
 
+def fig7_units(
+    ratios: Sequence[str] = PAPER_RATIOS,
+    speeds: Sequence[float] = NETWORK_SPEEDS,
+    mixes: Sequence[str] = ("read", "rw50", "write"),
+    total_ops: int = 600,
+    seed: int = 1,
+) -> List[WorkUnit]:
+    """The Figure 7 grid: one scenario unit per cell per protocol."""
+    units: List[WorkUnit] = []
+    for op_mix in mixes:
+        for gbps in speeds:
+            for ratio in ratios:
+                n_tc = int(ratio.split(":")[1])
+                window = select_window(
+                    "mixed" if op_mix == "rw50" else op_mix,
+                    gbps,
+                    tc_initiators=max(1, n_tc),
+                )
+                for protocol in ("spdk", "nvme-opf"):
+                    units.append(
+                        WorkUnit(
+                            unit_id=f"fig7/{op_mix}/{gbps:g}G/{ratio}/{protocol}",
+                            kind=KIND_SCENARIO,
+                            payload={
+                                "config": {
+                                    "protocol": protocol,
+                                    "network_gbps": gbps,
+                                    "op_mix": op_mix,
+                                    "total_ops": total_ops,
+                                    "window_size": window,
+                                    "seed": seed,
+                                },
+                                "ratio": ratio,
+                            },
+                        )
+                    )
+    return units
+
+
 def run_fig7(
     ratios: Sequence[str] = PAPER_RATIOS,
     speeds: Sequence[float] = NETWORK_SPEEDS,
     mixes: Sequence[str] = ("read", "rw50", "write"),
     total_ops: int = 600,
     seed: int = 1,
-    auto_window: bool = True,
+    workers: int = 0,
     print_table: bool = False,
 ) -> List[Fig7Point]:
-    """Run the Figure 7 grid; returns one point per cell per protocol."""
-    points: List[Fig7Point] = []
-    for op_mix in mixes:
-        for gbps in speeds:
-            for ratio in ratios:
-                n_tc = int(ratio.split(":")[1])
-                window = (
-                    select_window(
-                        "mixed" if op_mix == "rw50" else op_mix,
-                        gbps,
-                        tc_initiators=max(1, n_tc),
-                    )
-                    if auto_window
-                    else 32
-                )
-                for protocol in ("spdk", "nvme-opf"):
-                    cfg = ScenarioConfig(
-                        protocol=protocol,
-                        network_gbps=gbps,
-                        op_mix=op_mix,
-                        total_ops=total_ops,
-                        window_size=window,
-                        seed=seed,
-                    )
-                    sc = Scenario.two_sided(cfg, tenants_for_ratio(ratio, op_mix=op_mix))
-                    res = sc.run()
-                    points.append(
-                        Fig7Point(
-                            ratio, gbps, op_mix, protocol,
-                            res.tc_throughput_mbps, res.ls_tail_us,
-                        )
-                    )
+    """Run the Figure 7 grid; returns one point per cell per protocol.
+
+    ``workers`` > 1 fans the cells out to that many processes; the points
+    are identical either way.
+    """
+    units = fig7_units(ratios, speeds, mixes, total_ops, seed)
+    campaign = run_campaign(units, workers)
+    points = []
+    for unit, result in zip(units, campaign.results):
+        config = unit.payload["config"]
+        points.append(
+            Fig7Point(
+                unit.payload["ratio"],
+                config["network_gbps"],
+                config["op_mix"],
+                config["protocol"],
+                result.data["tc_throughput_mbps"],
+                result.data["ls_tail_us"],
+            )
+        )
     if print_table:
         print(format_fig7(points))
     return points

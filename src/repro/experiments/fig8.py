@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..cluster.scaling import ScalePoint, pattern1, pattern2
+from ..cluster.scaling import ScalePoint
 from ..metrics.report import format_table, improvement_pct
+from ..parallel.pool import run_campaign
+from ..parallel.units import KIND_FIG8_CURVE, WorkUnit
 
 
 @dataclass
@@ -35,6 +37,39 @@ _PANELS = {
 }
 
 
+def fig8_units(
+    mixes: Sequence[str] = ("read", "rw50", "write"),
+    patterns: Sequence[int] = (1, 2),
+    n_node_pairs: int = 5,
+    per_node_range: Optional[List[int]] = None,
+    pairs_range: Optional[List[int]] = None,
+    total_ops: int = 600,
+    seed: int = 1,
+) -> List[WorkUnit]:
+    """The Figure 8 grid: one unit per curve (one protocol of one panel)."""
+    units: List[WorkUnit] = []
+    for op_mix in mixes:
+        for pattern in patterns:
+            for protocol in ("spdk", "nvme-opf"):
+                units.append(
+                    WorkUnit(
+                        unit_id=f"fig8/{op_mix}/p{pattern}/{protocol}",
+                        kind=KIND_FIG8_CURVE,
+                        payload={
+                            "pattern": pattern,
+                            "protocol": protocol,
+                            "op_mix": op_mix,
+                            "n_node_pairs": n_node_pairs,
+                            "per_node_range": per_node_range,
+                            "pairs_range": pairs_range,
+                            "total_ops": total_ops,
+                            "seed": seed,
+                        },
+                    )
+                )
+    return units
+
+
 def run_fig8(
     mixes: Sequence[str] = ("read", "rw50", "write"),
     patterns: Sequence[int] = (1, 2),
@@ -43,32 +78,26 @@ def run_fig8(
     pairs_range: Optional[List[int]] = None,
     total_ops: int = 600,
     seed: int = 1,
+    workers: int = 0,
     print_table: bool = False,
 ) -> List[Fig8Curve]:
-    curves: List[Fig8Curve] = []
-    for op_mix in mixes:
-        for pattern in patterns:
-            for protocol in ("spdk", "nvme-opf"):
-                if pattern == 1:
-                    points = pattern1(
-                        protocol,
-                        op_mix,
-                        n_node_pairs=n_node_pairs,
-                        initiators_per_node_range=per_node_range,
-                        total_ops=total_ops,
-                        seed=seed,
-                    )
-                else:
-                    points = pattern2(
-                        protocol,
-                        op_mix,
-                        node_pairs_range=pairs_range,
-                        total_ops=total_ops,
-                        seed=seed,
-                    )
-                curves.append(
-                    Fig8Curve(_PANELS[(pattern, op_mix)], op_mix, pattern, protocol, points)
-                )
+    """Run the Figure 8 curves; ``workers`` > 1 fans them out to processes."""
+    units = fig8_units(
+        mixes, patterns, n_node_pairs, per_node_range, pairs_range, total_ops, seed
+    )
+    campaign = run_campaign(units, workers)
+    curves = []
+    for unit, result in zip(units, campaign.results):
+        payload = unit.payload
+        curves.append(
+            Fig8Curve(
+                _PANELS[(payload["pattern"], payload["op_mix"])],
+                payload["op_mix"],
+                payload["pattern"],
+                payload["protocol"],
+                [ScalePoint(**p) for p in result.data["points"]],
+            )
+        )
     if print_table:
         print(format_fig8(curves))
     return curves

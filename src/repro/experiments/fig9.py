@@ -27,6 +27,8 @@ from ..metrics.collector import Collector
 from ..metrics.report import format_table, improvement_pct
 from ..net.topology import Fabric
 from ..nvmeof.discovery import DiscoveryService
+from ..parallel.pool import run_campaign
+from ..parallel.units import KIND_FIG9_POINT, WorkUnit
 from ..simcore.engine import Environment
 from ..simcore.rng import RandomStreams
 from ..workloads.h5bench import (
@@ -132,7 +134,11 @@ def run_h5bench_cluster(
     return bandwidth, mean_lat
 
 
-def run_fig9(
+#: Figure 9 panel of each (pattern, mode).
+_PANELS = {(2, "write"): "a", (2, "read"): "b", (1, "write"): "c", (1, "read"): "d"}
+
+
+def fig9_units(
     modes: Sequence[str] = ("write", "read"),
     patterns: Sequence[int] = (1, 2),
     n_node_pairs: int = 4,
@@ -142,23 +148,16 @@ def run_fig9(
     network_gbps: float = 25.0,
     dataset_load_us: float = 25_000.0,
     seed: int = 1,
-    print_table: bool = False,
-) -> List[Fig9Point]:
-    """Run the Figure 9 panels (scaled particle counts).
-
-    ``dataset_load_us`` models h5bench's dataset loading between read
-    timesteps (§V-E "Discussion on h5bench overhead") — it is what keeps
-    read bandwidth, and oPF's read-side gain, below the write numbers.
-    """
-    points: List[Fig9Point] = []
-    panel_map = {(2, "write"): "a", (2, "read"): "b", (1, "write"): "c", (1, "read"): "d"}
+) -> List[WorkUnit]:
+    """The Figure 9 grid: one unit per h5bench cluster point."""
+    units: List[WorkUnit] = []
     for mode in modes:
-        bench = H5BenchConfig(
-            mode=mode,
-            particles_per_rank=particles_per_rank,
-            timesteps=timesteps,
-            dataset_load_us=dataset_load_us,
-        )
+        bench = {
+            "mode": mode,
+            "particles_per_rank": particles_per_rank,
+            "timesteps": timesteps,
+            "dataset_load_us": dataset_load_us,
+        }
         for pattern in patterns:
             if pattern == 2:
                 grid = [(pairs, ranks_per_node_max) for pairs in range(1, n_node_pairs + 1)]
@@ -170,21 +169,71 @@ def run_fig9(
                 ]
             for protocol in ("spdk", "nvme-opf"):
                 for pairs, per_node in grid:
-                    bw, lat = run_h5bench_cluster(
-                        protocol, bench, pairs, per_node,
-                        network_gbps=network_gbps, seed=seed,
-                    )
-                    points.append(
-                        Fig9Point(
-                            panel=panel_map[(pattern, mode)],
-                            mode=mode,
-                            pattern=pattern,
-                            protocol=protocol,
-                            total_ranks=pairs * per_node,
-                            bandwidth_mbps=bw,
-                            mean_latency_us=lat,
+                    units.append(
+                        WorkUnit(
+                            unit_id=f"fig9/{mode}/p{pattern}/{protocol}/{pairs}x{per_node}",
+                            kind=KIND_FIG9_POINT,
+                            payload={
+                                "bench": bench,
+                                "protocol": protocol,
+                                "pairs": pairs,
+                                "per_node": per_node,
+                                "network_gbps": network_gbps,
+                                "seed": seed,
+                                "pattern": pattern,
+                            },
                         )
                     )
+    return units
+
+
+def run_fig9(
+    modes: Sequence[str] = ("write", "read"),
+    patterns: Sequence[int] = (1, 2),
+    n_node_pairs: int = 4,
+    ranks_per_node_max: int = 10,
+    particles_per_rank: int = 256 * 1024,
+    timesteps: int = 2,
+    network_gbps: float = 25.0,
+    dataset_load_us: float = 25_000.0,
+    seed: int = 1,
+    workers: int = 0,
+    print_table: bool = False,
+) -> List[Fig9Point]:
+    """Run the Figure 9 panels (scaled particle counts).
+
+    ``dataset_load_us`` models h5bench's dataset loading between read
+    timesteps (§V-E "Discussion on h5bench overhead") — it is what keeps
+    read bandwidth, and oPF's read-side gain, below the write numbers.
+    ``workers`` > 1 fans the points out to that many processes.
+    """
+    units = fig9_units(
+        modes,
+        patterns,
+        n_node_pairs,
+        ranks_per_node_max,
+        particles_per_rank,
+        timesteps,
+        network_gbps,
+        dataset_load_us,
+        seed,
+    )
+    campaign = run_campaign(units, workers)
+    points = []
+    for unit, result in zip(units, campaign.results):
+        payload = unit.payload
+        mode = payload["bench"]["mode"]
+        points.append(
+            Fig9Point(
+                panel=_PANELS[(payload["pattern"], mode)],
+                mode=mode,
+                pattern=payload["pattern"],
+                protocol=payload["protocol"],
+                total_ranks=payload["pairs"] * payload["per_node"],
+                bandwidth_mbps=result.data["bandwidth_mbps"],
+                mean_latency_us=result.data["mean_latency_us"],
+            )
+        )
     if print_table:
         print(format_fig9(points))
     return points

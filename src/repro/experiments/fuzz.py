@@ -16,7 +16,6 @@ on, so a nightly-CI failure reproduces locally from just the seed.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from collections import Counter
@@ -25,12 +24,18 @@ from typing import List, Optional
 
 from ..errors import ConfigError, ReproError
 from ..metrics.report import format_table
+from ..parallel.pool import check_cli_workers, run_campaign
+from ..parallel.units import KIND_FUZZ_BLOCK, WorkUnit
 from ..scenarios.compiler import replay
 from ..scenarios.generate import GeneratorConfig, generate_program
 
 #: Sampled determinism audit: every Nth program is replayed twice and the
 #: two digests must be byte-identical.
 DETERMINISM_STRIDE = 25
+
+#: Seeds per work unit: big enough to amortize process dispatch, small
+#: enough to load-balance 8 workers.
+FUZZ_CHUNK_SIZE = 16
 
 
 @dataclass
@@ -62,22 +67,37 @@ class FuzzResult:
         return [f.seed for f in self.failures]
 
 
-def validate_campaign_args(
-    n_programs: object, base_seed: object, workers: object
-) -> None:
-    """Validate campaign arguments, naming the offending key precisely."""
+def fuzz_units(
+    n_programs: int,
+    base_seed: int = 0,
+    determinism_stride: int = DETERMINISM_STRIDE,
+    generator_config: Optional[GeneratorConfig] = None,
+) -> List[WorkUnit]:
+    """Contiguous seed blocks covering ``[base_seed, base_seed+n_programs)``."""
     if not isinstance(n_programs, int) or isinstance(n_programs, bool) or n_programs < 1:
-        raise ConfigError(
-            f"key 'count' must be a positive integer (got {n_programs!r})"
-        )
+        raise ConfigError(f"key 'count' must be a positive integer (got {n_programs!r})")
     if not isinstance(base_seed, int) or isinstance(base_seed, bool) or base_seed < 0:
         raise ConfigError(
             f"key 'base_seed' must be a non-negative integer (got {base_seed!r})"
         )
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 0:
-        raise ConfigError(
-            f"key 'workers' must be a non-negative integer (got {workers!r})"
+    units = []
+    end = base_seed + n_programs
+    for start in range(base_seed, end, FUZZ_CHUNK_SIZE):
+        count = min(FUZZ_CHUNK_SIZE, end - start)
+        units.append(
+            WorkUnit(
+                unit_id=f"fuzz/{start:08d}+{count}",
+                kind=KIND_FUZZ_BLOCK,
+                payload={
+                    "start": start,
+                    "count": count,
+                    "base_seed": base_seed,
+                    "determinism_stride": determinism_stride,
+                    "generator_config": generator_config,
+                },
+            )
         )
+    return units
 
 
 def run_fuzz(
@@ -92,38 +112,18 @@ def run_fuzz(
 
     Failures are collected, not raised, so one bad seed never hides the
     rest of the campaign; the result lists every failing seed with its
-    one-command repro.  ``workers > 1`` fans seed blocks out to a process
-    pool (``repro.parallel``); the merged result is field-for-field
-    identical to a serial campaign.
+    one-command repro.  ``workers`` > 1 fans the seed blocks out to that
+    many processes; blocks merge in seed order, so the result is the same
+    either way.
     """
-    validate_campaign_args(n_programs, base_seed, workers)
-    if workers > 1:
-        from ..parallel.sweeps import run_fuzz_parallel
-
-        return run_fuzz_parallel(
-            n_programs,
-            base_seed=base_seed,
-            generator_config=generator_config,
-            determinism_stride=determinism_stride,
-            workers=workers,
-            print_table=print_table,
-        )
-    result = FuzzResult(base_seed=base_seed, n_programs=n_programs)
+    units = fuzz_units(n_programs, base_seed, determinism_stride, generator_config)
     started = time.time()
-    for seed in range(base_seed, base_seed + n_programs):
-        try:
-            program = generate_program(seed, generator_config)
-            result.action_counts.update(a.op for a in program.actions)
-            run = replay(program)
-            if determinism_stride and (seed - base_seed) % determinism_stride == 0:
-                result.determinism_checks += 1
-                again = replay(generate_program(seed, generator_config))
-                if again.digest() != run.digest():
-                    result.failures.append(
-                        FuzzFailure(seed, "nondeterminism", "same-seed digests differ")
-                    )
-        except ReproError as exc:
-            result.failures.append(FuzzFailure(seed, type(exc).__name__, str(exc)))
+    campaign = run_campaign(units, workers)
+    result = FuzzResult(base_seed=base_seed, n_programs=n_programs)
+    for block in campaign.results:  # submission order == ascending seeds
+        result.action_counts.update(block.data["action_counts"])
+        result.determinism_checks += block.data["determinism_checks"]
+        result.failures.extend(FuzzFailure(*f) for f in block.data["failures"])
     result.elapsed_s = time.time() - started
 
     if print_table:
@@ -131,7 +131,8 @@ def run_fuzz(
             [op, count] for op, count in sorted(result.action_counts.items())
         ]
         print(
-            f"fuzz campaign: {n_programs} programs from seed {base_seed}, "
+            f"fuzz campaign: {n_programs} programs from seed {base_seed} "
+            f"({len(units)} blocks, {workers} workers), "
             f"{result.determinism_checks} determinism audits, "
             f"{len(result.failures)} failure(s), {result.elapsed_s:.1f}s"
         )
@@ -187,15 +188,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
             repro_seed(args.seed)
             return 0
-        # CLI-only cap: oversubscribing the pool never helps — the workers
-        # are CPU-bound simulators — it only adds scheduler noise.  Library
-        # callers (tests, campaign scripts) may exceed it deliberately.
-        ncpu = os.cpu_count() or 1
-        if isinstance(args.workers, int) and args.workers > ncpu:
-            raise ConfigError(
-                f"key 'workers' must be <= the machine's CPU count {ncpu} "
-                f"(got {args.workers!r})"
-            )
+        check_cli_workers(args.workers)
         result = run_fuzz(
             n_programs=args.count,
             base_seed=args.base_seed,

@@ -1,8 +1,8 @@
-"""Measurement: collectors, percentiles, time series, report tables."""
+"""Measurement: collectors, percentiles, export, report tables."""
 
 from .collector import Collector, InitiatorSummary
 from .events import EventCounter
-from .export import read_csv, rows_for, to_row, write_csv, write_json
+from .export import rows_for, to_row, write_csv
 from .percentile import LatencyDistribution, P2Quantile, exact_percentile
 from .report import (
     FairnessIndex,
@@ -12,10 +12,8 @@ from .report import (
     reduction_pct,
     speedup,
 )
-from .timeseries import BinnedSeries
 
 __all__ = [
-    "BinnedSeries",
     "Collector",
     "EventCounter",
     "FairnessIndex",
@@ -26,11 +24,9 @@ __all__ = [
     "format_table",
     "improvement_pct",
     "jain_fairness",
-    "read_csv",
     "reduction_pct",
     "rows_for",
     "speedup",
     "to_row",
     "write_csv",
-    "write_json",
 ]

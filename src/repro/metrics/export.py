@@ -1,9 +1,9 @@
-"""Result export: CSV/JSON serialisation of scenario and figure outputs.
+"""Result export: CSV serialisation of scenario and figure outputs.
 
 The figure harnesses print human tables; downstream analysis (plotting,
 regression tracking) wants machine-readable rows.  This module converts
-dataclass-ish result objects into dict rows and writes CSV/JSON without
-taking a pandas dependency.
+dataclass-ish result objects into dict rows and writes CSV without taking
+a pandas dependency.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import csv
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Sequence, Union
 
 from ..errors import ConfigError
 
@@ -68,21 +68,3 @@ def write_csv(path: Union[str, Path], objects: Sequence[Any]) -> Path:
         writer.writeheader()
         writer.writerows(rows)
     return path
-
-
-def write_json(path: Union[str, Path], objects: Sequence[Any],
-               meta: Optional[Dict[str, Any]] = None) -> Path:
-    """Write result objects (plus optional run metadata) as JSON."""
-    if not objects:
-        raise ConfigError("nothing to export")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"meta": meta or {}, "rows": rows_for(objects)}
-    path.write_text(json.dumps(payload, indent=2, default=str))
-    return path
-
-
-def read_csv(path: Union[str, Path]) -> List[Dict[str, str]]:
-    """Read back an exported CSV (strings; callers cast as needed)."""
-    with Path(path).open(newline="") as fh:
-        return list(csv.DictReader(fh))

@@ -9,39 +9,32 @@ and merges the results deterministically: merge order is keyed by
 work-unit id, never by completion order, so a parallel campaign's output
 is byte-for-byte identical to a serial one (the differential test suite
 pins this under shuffled completion order and worker crash/retry).
+
+The figure and fuzz unit lists live with their experiments
+(``repro.experiments.fig7.fig7_units`` and friends); ``run_sharded``
+splits a single :class:`~repro.cluster.spec.ScenarioSpec` instead.
 """
 
 from .pool import (
     MAX_WORKERS,
     CampaignResult,
+    check_cli_workers,
     merge_results,
+    run_campaign,
     run_units,
 )
 from .shards import (
-    ScenarioSpec,
     ShardAssignment,
     ShardPlan,
     ShardedRunReport,
-    TenantPlacement,
     partition,
     run_sharded,
 )
 from .sweeps import (
     FAULT_MATRIX,
-    FUZZ_CHUNK_SIZE,
-    FaultMatrixCell,
+    FAULT_MATRIX_POLICY,
     fault_matrix_units,
-    fig7_units,
-    fig8_units,
-    fig9_units,
-    fuzz_units,
     program_units,
-    run_fault_matrix_parallel,
-    run_fig7_parallel,
-    run_fig8_parallel,
-    run_fig9_parallel,
-    run_fuzz_parallel,
-    run_programs_parallel,
 )
 from .units import (
     KIND_FIG8_CURVE,
@@ -60,8 +53,7 @@ from .units import (
 __all__ = [
     "CampaignResult",
     "FAULT_MATRIX",
-    "FUZZ_CHUNK_SIZE",
-    "FaultMatrixCell",
+    "FAULT_MATRIX_POLICY",
     "KIND_FIG8_CURVE",
     "KIND_FIG9_POINT",
     "KIND_FUZZ_BLOCK",
@@ -70,29 +62,19 @@ __all__ = [
     "MAX_WORKERS",
     "UnitResult",
     "WorkUnit",
+    "check_cli_workers",
     "execute_unit",
     "fault_matrix_units",
-    "fig7_units",
-    "fig8_units",
-    "fig9_units",
-    "fuzz_units",
     "known_kinds",
     "merge_results",
     "program_units",
     "register_executor",
-    "run_fault_matrix_parallel",
-    "run_fig7_parallel",
-    "run_fig8_parallel",
-    "run_fig9_parallel",
-    "run_fuzz_parallel",
-    "run_programs_parallel",
+    "run_campaign",
     "run_sharded",
     "run_units",
-    "ScenarioSpec",
     "ShardAssignment",
     "ShardPlan",
     "ShardedRunReport",
-    "TenantPlacement",
     "partition",
     "unregister_executor",
 ]

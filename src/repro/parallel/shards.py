@@ -1,11 +1,12 @@
 """Intra-scenario parallel simulation: shard one scenario by initiator node.
 
-A :class:`ScenarioSpec` is a picklable, declarative description of one
-scenario (node declarations + tenant placements).  :func:`run_sharded`
-partitions it into per-shard :class:`~repro.cluster.scenario.Scenario`
-instances, runs them in forked worker processes, and merges the shard
-payloads into one :class:`~repro.cluster.scenario.ScenarioResult` that is
-bit-identical to ``spec.build().run()``.
+A :class:`~repro.cluster.spec.ScenarioSpec` is a picklable, declarative
+description of one scenario (node declarations + tenant placements).
+:func:`run_sharded` partitions it into per-shard
+:class:`~repro.cluster.scenario.Scenario` instances, runs them in forked
+worker processes, and merges the shard payloads into one
+:class:`~repro.cluster.scenario.ScenarioResult` that is bit-identical to
+``spec.build().run()``.
 
 Two sharded modes, picked by :func:`partition`:
 
@@ -63,183 +64,27 @@ from functools import partial
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..cluster.node import InitiatorNode, TargetNode
 from ..cluster.scenario import (
     ResultAggregates,
     Scenario,
-    ScenarioConfig,
     ScenarioResult,
     assemble_result,
 )
+from ..cluster.spec import ScenarioSpec
 from ..config import network_tuning
 from ..core.flags import Priority
-from ..errors import CampaignError, ConfigError
+from ..errors import CampaignError
 from ..faults.injector import Injector
 from ..metrics.collector import Collector, _Record
 from ..net.boundary import ExportLink, export_downlink, export_uplink, inject_messages
 from ..net.tcp import TcpSocket
 from ..nvmeof.transport import PduTransport
 from ..simcore.engine import Environment, Infinity
-from ..workloads.mixes import TenantSpec
 
 logger = logging.getLogger("repro.parallel.shards")
 
 #: Fault kinds that force the serial path regardless of topology.
 _GATED_FAULT_KINDS = ("link.loss",)
-
-
-# -- declarative scenario description ------------------------------------------------
-@dataclass(frozen=True)
-class TenantPlacement:
-    """One tenant declaration: which initiator node talks to which target.
-
-    ``index`` is the global declaration position — it pins the tenant id
-    (``index``) and TCP connection id (``index + 1``) a serial build would
-    have drawn from the running counters.
-    """
-
-    spec: TenantSpec
-    initiator_node: str
-    target_node: str
-    nsid: int
-    index: int
-
-
-@dataclass
-class ScenarioSpec:
-    """Picklable declarative form of a scenario build.
-
-    ``node_order`` is the exact declaration sequence — tuples of
-    ``(kind, name, n_ssds)`` with kind ``"target"`` or ``"initiator"``
-    (``n_ssds`` is 0 for initiator nodes) — because construction order is
-    allocation order and therefore determinism-relevant.
-    """
-
-    config: ScenarioConfig
-    node_order: Tuple[Tuple[str, str, int], ...]
-    placements: Tuple[TenantPlacement, ...]
-
-    def __post_init__(self) -> None:
-        self.node_order = tuple(tuple(n) for n in self.node_order)
-        self.placements = tuple(self.placements)
-        seen = set()
-        targets = set()
-        initiators = set()
-        for kind, name, _n_ssds in self.node_order:
-            if kind not in ("target", "initiator"):
-                raise ConfigError(f"unknown node kind {kind!r} for node {name!r}")
-            if name in seen:
-                raise ConfigError(f"duplicate node name {name!r}")
-            seen.add(name)
-            (targets if kind == "target" else initiators).add(name)
-        names = set()
-        for pos, placement in enumerate(self.placements):
-            if placement.index != pos:
-                raise ConfigError(
-                    f"placement {placement.spec.name!r} has index "
-                    f"{placement.index}, expected declaration position {pos}"
-                )
-            if placement.spec.name in names:
-                raise ConfigError(f"duplicate tenant name {placement.spec.name!r}")
-            names.add(placement.spec.name)
-            if placement.initiator_node not in initiators:
-                raise ConfigError(
-                    f"tenant {placement.spec.name!r} references unknown initiator "
-                    f"node {placement.initiator_node!r}"
-                )
-            if placement.target_node not in targets:
-                raise ConfigError(
-                    f"tenant {placement.spec.name!r} references unknown target "
-                    f"node {placement.target_node!r}"
-                )
-
-    # -- derived views --------------------------------------------------------------
-    @property
-    def target_node_names(self) -> List[str]:
-        return [name for kind, name, _ in self.node_order if kind == "target"]
-
-    @property
-    def initiator_node_names(self) -> List[str]:
-        return [name for kind, name, _ in self.node_order if kind == "initiator"]
-
-    @property
-    def has_tc(self) -> bool:
-        return any(p.spec.priority is Priority.THROUGHPUT for p in self.placements)
-
-    @property
-    def has_ls(self) -> bool:
-        return any(p.spec.priority is Priority.LATENCY for p in self.placements)
-
-    # -- builders -------------------------------------------------------------------
-    @classmethod
-    def scaleout(
-        cls,
-        config: ScenarioConfig,
-        n_node_pairs: int,
-        initiators_per_node: int,
-        include_ls: bool = True,
-    ) -> "ScenarioSpec":
-        """Declarative twin of :func:`repro.cluster.scaling.build_scaleout`
-        (same interleaved declaration order, so the serial build is
-        bit-identical to the legacy builder)."""
-        from ..cluster.scaling import tenants_for_node
-
-        if n_node_pairs < 1:
-            raise ConfigError("need at least one node pair")
-        node_order: List[Tuple[str, str, int]] = []
-        placements: List[TenantPlacement] = []
-        for pair in range(n_node_pairs):
-            node_order.append(("target", f"target{pair}", 1))
-            node_order.append(("initiator", f"client{pair}", 0))
-            for tenant in tenants_for_node(
-                pair, initiators_per_node, config.op_mix, include_ls
-            ):
-                placements.append(
-                    TenantPlacement(
-                        tenant, f"client{pair}", f"target{pair}", 1, len(placements)
-                    )
-                )
-        return cls(config, tuple(node_order), tuple(placements))
-
-    @classmethod
-    def two_sided(
-        cls,
-        config: ScenarioConfig,
-        tenants: List[TenantSpec],
-        n_target_nodes: int = 1,
-        one_node_per_tenant: bool = True,
-    ) -> "ScenarioSpec":
-        """Declarative twin of :meth:`repro.cluster.scenario.Scenario.two_sided`."""
-        node_order: List[Tuple[str, str, int]] = [
-            ("target", f"target{i}", 1) for i in range(n_target_nodes)
-        ]
-        if not one_node_per_tenant:
-            node_order.append(("initiator", "client0", 0))
-        placements: List[TenantPlacement] = []
-        for i, tenant in enumerate(tenants):
-            if one_node_per_tenant:
-                inode = f"client{i}"
-                node_order.append(("initiator", inode, 0))
-            else:
-                inode = "client0"
-            placements.append(
-                TenantPlacement(tenant, inode, f"target{i % n_target_nodes}", 1, i)
-            )
-        return cls(config, tuple(node_order), tuple(placements))
-
-    def build(self) -> Scenario:
-        """Serial build — the reference path the sharded run must match."""
-        sc = Scenario(self.config)
-        tmap: Dict[str, TargetNode] = {}
-        imap: Dict[str, InitiatorNode] = {}
-        for kind, name, n_ssds in self.node_order:
-            if kind == "target":
-                tmap[name] = sc.add_target_node(name, n_ssds)
-            else:
-                imap[name] = sc.add_initiator_node(name)
-        for p in self.placements:
-            sc.add_tenant(p.spec, imap[p.initiator_node], tmap[p.target_node], p.nsid)
-        return sc
 
 
 # -- partitioning --------------------------------------------------------------------
@@ -472,28 +317,10 @@ class _RemoteNode:
         self.name = name
 
 
-def _instantiate_nodes(
-    spec: ScenarioSpec, config: ScenarioConfig, node_set: set
-) -> Tuple[Scenario, Dict[str, TargetNode], Dict[str, InitiatorNode]]:
-    """Build a shard Scenario with its owned nodes, in global declaration
-    order (construction order is allocation order)."""
-    sc = Scenario(config)
-    tmap: Dict[str, TargetNode] = {}
-    imap: Dict[str, InitiatorNode] = {}
-    for kind, name, n_ssds in spec.node_order:
-        if name not in node_set:
-            continue
-        if kind == "target":
-            tmap[name] = sc.add_target_node(name, n_ssds)
-        else:
-            imap[name] = sc.add_initiator_node(name)
-    return sc, tmap, imap
-
-
 def _build_component_shard(
     spec: ScenarioSpec, assignment: ShardAssignment, local_ordinals: FrozenSet[int]
 ) -> Scenario:
-    sc, tmap, imap = _instantiate_nodes(spec, spec.config, set(assignment.nodes))
+    sc, tmap, imap = spec.instantiate_nodes(assignment.nodes)
     if spec.config.chaos is not None and len(spec.config.chaos):
         sc._injector_factory = partial(_ShardInjector, local_ordinals=local_ordinals)
     for pi in assignment.placement_indices:
@@ -516,7 +343,7 @@ def _build_windowed_shard(spec: ScenarioSpec, plan: ShardPlan, shard_idx: int):
     """
     assignment = plan.shards[shard_idx]
     node_set = set(assignment.nodes)
-    sc, tmap, imap = _instantiate_nodes(spec, spec.config, node_set)
+    sc, tmap, imap = spec.instantiate_nodes(node_set)
     cfg = spec.config
     initiators = spec.initiator_node_names
     uplink_index = {name: 2 * i for i, name in enumerate(initiators)}

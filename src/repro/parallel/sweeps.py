@@ -1,466 +1,29 @@
-"""Experiment-level parallel drivers: figures, fuzz campaigns, programs.
+"""Campaign units that are not a figure grid: fault-matrix cells, programs.
 
-Each ``*_units`` builder walks the *same* grid, in the *same* order, with
-the *same* knob derivations as its serial twin in ``repro.experiments``,
-so the work units it emits are an exact decomposition of the serial run.
-The ``run_*_parallel`` drivers fan those units out through
-:func:`~repro.parallel.pool.run_units` and rebuild the serial harness's
-return values from the merged results — the differential test suite pins
-value- and digest-equality between the two paths.
+The figure and fuzz grids live next to their experiments
+(``repro.experiments.fig7|8|9|fuzz``); this module holds the two unit
+lists that have no experiment of their own — the canonical single-fault
+chaos matrix and the registered scenario-program library.  Run either
+through :func:`~repro.parallel.pool.run_units`.
 """
 
 from __future__ import annotations
 
-import time
-from collections import Counter
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..cluster.scaling import ScalePoint
-from ..core.window import select_window
 from ..errors import ConfigError
 from ..faults.recovery import RetryPolicy
 from ..faults.schedule import FaultSchedule
-from ..scenarios.compiler import ProgramRunEnvelope
 from ..scenarios.library import register_library_programs
 from ..scenarios.program import DEFAULT_REGISTRY, ProgramRegistry
-from .pool import run_units
-from .units import (
-    KIND_FIG8_CURVE,
-    KIND_FIG9_POINT,
-    KIND_FUZZ_BLOCK,
-    KIND_PROGRAM,
-    KIND_SCENARIO,
-    WorkUnit,
-)
-
-#: Default seeds-per-unit for parallel fuzz campaigns: big enough to
-#: amortize process dispatch, small enough to load-balance 8 workers.
-FUZZ_CHUNK_SIZE = 16
-
-
-# -- Figure 7 -----------------------------------------------------------------
-
-
-def fig7_units(
-    ratios: Optional[Sequence[str]] = None,
-    speeds: Optional[Sequence[float]] = None,
-    mixes: Sequence[str] = ("read", "rw50", "write"),
-    total_ops: int = 600,
-    seed: int = 1,
-    auto_window: bool = True,
-) -> List[WorkUnit]:
-    """One unit per Figure-7 cell, mirroring ``run_fig7``'s loop order."""
-    from ..experiments.calibration import NETWORK_SPEEDS
-    from ..workloads.mixes import PAPER_RATIOS
-
-    ratios = list(ratios if ratios is not None else PAPER_RATIOS)
-    speeds = list(speeds if speeds is not None else NETWORK_SPEEDS)
-    units: List[WorkUnit] = []
-    for op_mix in mixes:
-        for gbps in speeds:
-            for ratio in ratios:
-                n_tc = int(ratio.split(":")[1])
-                window = (
-                    select_window(
-                        "mixed" if op_mix == "rw50" else op_mix,
-                        gbps,
-                        tc_initiators=max(1, n_tc),
-                    )
-                    if auto_window
-                    else 32
-                )
-                for protocol in ("spdk", "nvme-opf"):
-                    units.append(
-                        WorkUnit(
-                            unit_id=f"fig7/{op_mix}/{gbps:g}G/{ratio}/{protocol}",
-                            kind=KIND_SCENARIO,
-                            payload={
-                                "config": {
-                                    "protocol": protocol,
-                                    "network_gbps": gbps,
-                                    "op_mix": op_mix,
-                                    "total_ops": total_ops,
-                                    "window_size": window,
-                                    "seed": seed,
-                                },
-                                "ratio": ratio,
-                                "meta": {
-                                    "ratio": ratio,
-                                    "network_gbps": gbps,
-                                    "op_mix": op_mix,
-                                    "protocol": protocol,
-                                },
-                            },
-                        )
-                    )
-    return units
-
-
-def run_fig7_parallel(
-    ratios: Optional[Sequence[str]] = None,
-    speeds: Optional[Sequence[float]] = None,
-    mixes: Sequence[str] = ("read", "rw50", "write"),
-    total_ops: int = 600,
-    seed: int = 1,
-    auto_window: bool = True,
-    workers: int = 0,
-    print_table: bool = False,
-):
-    """Parallel ``run_fig7``: same points, same order, same values."""
-    from ..experiments.fig7 import Fig7Point, format_fig7
-
-    units = fig7_units(
-        ratios=ratios,
-        speeds=speeds,
-        mixes=mixes,
-        total_ops=total_ops,
-        seed=seed,
-        auto_window=auto_window,
-    )
-    campaign = run_units(units, workers=workers)
-    campaign.raise_on_failure()
-    points = []
-    for unit, result in zip(units, campaign.results):
-        meta = unit.payload["meta"]
-        points.append(
-            Fig7Point(
-                meta["ratio"],
-                meta["network_gbps"],
-                meta["op_mix"],
-                meta["protocol"],
-                result.data["tc_throughput_mbps"],
-                result.data["ls_tail_us"],
-            )
-        )
-    if print_table:
-        print(format_fig7(points))
-    return points
-
-
-# -- Figure 8 -----------------------------------------------------------------
-
-
-def fig8_units(
-    mixes: Sequence[str] = ("read", "rw50", "write"),
-    patterns: Sequence[int] = (1, 2),
-    n_node_pairs: int = 5,
-    per_node_range: Optional[List[int]] = None,
-    pairs_range: Optional[List[int]] = None,
-    total_ops: int = 600,
-    seed: int = 1,
-) -> List[WorkUnit]:
-    """One unit per Figure-8 curve (one protocol of one panel)."""
-    units: List[WorkUnit] = []
-    for op_mix in mixes:
-        for pattern in patterns:
-            for protocol in ("spdk", "nvme-opf"):
-                units.append(
-                    WorkUnit(
-                        unit_id=f"fig8/{op_mix}/p{pattern}/{protocol}",
-                        kind=KIND_FIG8_CURVE,
-                        payload={
-                            "pattern": pattern,
-                            "protocol": protocol,
-                            "op_mix": op_mix,
-                            "n_node_pairs": n_node_pairs,
-                            "per_node_range": per_node_range,
-                            "pairs_range": pairs_range,
-                            "total_ops": total_ops,
-                            "seed": seed,
-                        },
-                    )
-                )
-    return units
-
-
-def run_fig8_parallel(
-    mixes: Sequence[str] = ("read", "rw50", "write"),
-    patterns: Sequence[int] = (1, 2),
-    n_node_pairs: int = 5,
-    per_node_range: Optional[List[int]] = None,
-    pairs_range: Optional[List[int]] = None,
-    total_ops: int = 600,
-    seed: int = 1,
-    workers: int = 0,
-    print_table: bool = False,
-):
-    """Parallel ``run_fig8``: same curves, same order, same values."""
-    from ..experiments.fig8 import _PANELS, Fig8Curve, format_fig8
-
-    units = fig8_units(
-        mixes=mixes,
-        patterns=patterns,
-        n_node_pairs=n_node_pairs,
-        per_node_range=per_node_range,
-        pairs_range=pairs_range,
-        total_ops=total_ops,
-        seed=seed,
-    )
-    campaign = run_units(units, workers=workers)
-    campaign.raise_on_failure()
-    curves = []
-    for unit, result in zip(units, campaign.results):
-        payload = unit.payload
-        curves.append(
-            Fig8Curve(
-                _PANELS[(payload["pattern"], payload["op_mix"])],
-                payload["op_mix"],
-                payload["pattern"],
-                payload["protocol"],
-                [ScalePoint(**p) for p in result.data["points"]],
-            )
-        )
-    if print_table:
-        print(format_fig8(curves))
-    return curves
-
-
-# -- Figure 9 -----------------------------------------------------------------
-
-
-def fig9_units(
-    modes: Sequence[str] = ("write", "read"),
-    patterns: Sequence[int] = (1, 2),
-    n_node_pairs: int = 4,
-    ranks_per_node_max: int = 10,
-    particles_per_rank: int = 256 * 1024,
-    timesteps: int = 2,
-    network_gbps: float = 25.0,
-    dataset_load_us: float = 25_000.0,
-    seed: int = 1,
-) -> List[WorkUnit]:
-    """One unit per Figure-9 cluster point, mirroring ``run_fig9``."""
-    units: List[WorkUnit] = []
-    for mode in modes:
-        bench = {
-            "mode": mode,
-            "particles_per_rank": particles_per_rank,
-            "timesteps": timesteps,
-            "dataset_load_us": dataset_load_us,
-        }
-        for pattern in patterns:
-            if pattern == 2:
-                grid = [(pairs, ranks_per_node_max) for pairs in range(1, n_node_pairs + 1)]
-            else:
-                step = max(1, ranks_per_node_max // 4)
-                grid = [
-                    (n_node_pairs, per_node)
-                    for per_node in range(step, ranks_per_node_max + 1, step)
-                ]
-            for protocol in ("spdk", "nvme-opf"):
-                for pairs, per_node in grid:
-                    units.append(
-                        WorkUnit(
-                            unit_id=f"fig9/{mode}/p{pattern}/{protocol}/{pairs}x{per_node}",
-                            kind=KIND_FIG9_POINT,
-                            payload={
-                                "bench": bench,
-                                "protocol": protocol,
-                                "pairs": pairs,
-                                "per_node": per_node,
-                                "network_gbps": network_gbps,
-                                "seed": seed,
-                                "meta": {
-                                    "mode": mode,
-                                    "pattern": pattern,
-                                    "protocol": protocol,
-                                    "total_ranks": pairs * per_node,
-                                },
-                            },
-                        )
-                    )
-    return units
-
-
-def run_fig9_parallel(
-    modes: Sequence[str] = ("write", "read"),
-    patterns: Sequence[int] = (1, 2),
-    n_node_pairs: int = 4,
-    ranks_per_node_max: int = 10,
-    particles_per_rank: int = 256 * 1024,
-    timesteps: int = 2,
-    network_gbps: float = 25.0,
-    dataset_load_us: float = 25_000.0,
-    seed: int = 1,
-    workers: int = 0,
-    print_table: bool = False,
-):
-    """Parallel ``run_fig9``: same points, same order, same values."""
-    from ..experiments.fig9 import Fig9Point, format_fig9
-
-    panel_map = {(2, "write"): "a", (2, "read"): "b", (1, "write"): "c", (1, "read"): "d"}
-    units = fig9_units(
-        modes=modes,
-        patterns=patterns,
-        n_node_pairs=n_node_pairs,
-        ranks_per_node_max=ranks_per_node_max,
-        particles_per_rank=particles_per_rank,
-        timesteps=timesteps,
-        network_gbps=network_gbps,
-        dataset_load_us=dataset_load_us,
-        seed=seed,
-    )
-    campaign = run_units(units, workers=workers)
-    campaign.raise_on_failure()
-    points = []
-    for unit, result in zip(units, campaign.results):
-        meta = unit.payload["meta"]
-        points.append(
-            Fig9Point(
-                panel=panel_map[(meta["pattern"], meta["mode"])],
-                mode=meta["mode"],
-                pattern=meta["pattern"],
-                protocol=meta["protocol"],
-                total_ranks=meta["total_ranks"],
-                bandwidth_mbps=result.data["bandwidth_mbps"],
-                mean_latency_us=result.data["mean_latency_us"],
-            )
-        )
-    if print_table:
-        print(format_fig9(points))
-    return points
-
-
-# -- fuzz campaigns -----------------------------------------------------------
-
-
-def fuzz_units(
-    n_programs: int,
-    base_seed: int = 0,
-    chunk_size: int = FUZZ_CHUNK_SIZE,
-    determinism_stride: int = 25,
-    generator_config=None,
-) -> List[WorkUnit]:
-    """Contiguous seed blocks covering ``[base_seed, base_seed+n_programs)``."""
-    if not isinstance(n_programs, int) or isinstance(n_programs, bool) or n_programs < 1:
-        raise ConfigError(f"key 'count' must be a positive integer (got {n_programs!r})")
-    if not isinstance(base_seed, int) or isinstance(base_seed, bool) or base_seed < 0:
-        raise ConfigError(
-            f"key 'base_seed' must be a non-negative integer (got {base_seed!r})"
-        )
-    if not isinstance(chunk_size, int) or isinstance(chunk_size, bool) or chunk_size < 1:
-        raise ConfigError(
-            f"key 'chunk_size' must be a positive integer (got {chunk_size!r})"
-        )
-    units = []
-    for start in range(base_seed, base_seed + n_programs, chunk_size):
-        count = min(chunk_size, base_seed + n_programs - start)
-        units.append(
-            WorkUnit(
-                unit_id=f"fuzz/{start:08d}+{count}",
-                kind=KIND_FUZZ_BLOCK,
-                payload={
-                    "start": start,
-                    "count": count,
-                    "base_seed": base_seed,
-                    "determinism_stride": determinism_stride,
-                    "generator_config": generator_config,
-                },
-            )
-        )
-    return units
-
-
-def run_fuzz_parallel(
-    n_programs: int,
-    base_seed: int = 0,
-    generator_config=None,
-    determinism_stride: int = 25,
-    chunk_size: int = FUZZ_CHUNK_SIZE,
-    workers: int = 0,
-    print_table: bool = False,
-):
-    """Parallel fuzz campaign, field-for-field identical to ``run_fuzz``.
-
-    Blocks merge in seed order regardless of completion order: action
-    counts sum, determinism audits sum, and failures come back sorted by
-    seed with their one-command repros intact.
-    """
-    from ..experiments.fuzz import FuzzFailure, FuzzResult
-
-    units = fuzz_units(
-        n_programs,
-        base_seed=base_seed,
-        chunk_size=chunk_size,
-        determinism_stride=determinism_stride,
-        generator_config=generator_config,
-    )
-    started = time.time()
-    campaign = run_units(units, workers=workers)
-    campaign.raise_on_failure()  # unit-level crashes, not per-seed findings
-    merged = FuzzResult(base_seed=base_seed, n_programs=n_programs)
-    for result in campaign.results:  # submission order == ascending seeds
-        merged.action_counts.update(Counter(result.data["action_counts"]))
-        merged.determinism_checks += result.data["determinism_checks"]
-        for seed, kind, message in result.data["failures"]:
-            merged.failures.append(FuzzFailure(seed, kind, message))
-    merged.elapsed_s = time.time() - started
-
-    if print_table:
-        from ..metrics.report import format_table
-
-        rows = [[op, count] for op, count in sorted(merged.action_counts.items())]
-        print(
-            f"fuzz campaign: {n_programs} programs from seed {base_seed} "
-            f"({len(units)} blocks, {workers} workers), "
-            f"{merged.determinism_checks} determinism audits, "
-            f"{len(merged.failures)} failure(s), {merged.elapsed_s:.1f}s"
-        )
-        print(format_table(["action", "count"], rows))
-        for failure in merged.failures:
-            print(
-                f"FAIL seed {failure.seed} [{failure.kind}]: {failure.message}\n"
-                f"  repro: {failure.repro_command()}"
-            )
-    return merged
-
-
-# -- registered scenario programs ---------------------------------------------
-
-
-def program_units(
-    names: Optional[Sequence[str]] = None,
-    registry: Optional[ProgramRegistry] = None,
-    check_invariants: bool = True,
-) -> List[WorkUnit]:
-    """One unit per registered program (default: the whole library)."""
-    registry = registry if registry is not None else register_library_programs(DEFAULT_REGISTRY)
-    names = list(names) if names is not None else registry.names()
-    units = []
-    for name in names:
-        program = registry.get(name)  # raises, naming unknown programs
-        units.append(
-            WorkUnit(
-                unit_id=f"program/{name}",
-                kind=KIND_PROGRAM,
-                payload={
-                    "program": program.to_dict(),
-                    "check_invariants": check_invariants,
-                },
-            )
-        )
-    return units
-
-
-def run_programs_parallel(
-    names: Optional[Sequence[str]] = None,
-    registry: Optional[ProgramRegistry] = None,
-    workers: int = 0,
-    check_invariants: bool = True,
-) -> List[ProgramRunEnvelope]:
-    """Replay registered programs in parallel; envelopes in name order."""
-    units = program_units(names=names, registry=registry, check_invariants=check_invariants)
-    campaign = run_units(units, workers=workers)
-    campaign.raise_on_failure()
-    return [ProgramRunEnvelope(**r.data["envelope"]) for r in campaign.results]
+from .units import KIND_PROGRAM, KIND_SCENARIO, WorkUnit
 
 
 # -- fault-matrix cells -------------------------------------------------------
 
-#: The canonical single-fault matrix on the golden Figure-7 cell (the same
-#: schedule shapes the chaos suite pins; component names match the
-#: two_sided topology: client0/sw/target0 with tenants ls0, tc0, tc1).
+#: The canonical single-fault matrix on the golden Figure-7 cell (the chaos
+#: suite runs these same schedules; component names match the two_sided
+#: topology: client0/sw/target0 with tenants ls0, tc0, tc1).
 FAULT_MATRIX = {
     "link_flap": lambda s: s.link_flap("sw->client0", 300.0, 150.0),
     "link_degrade": lambda s: s.link_degrade("client0->sw", 300.0, 300.0, scale=0.25),
@@ -524,36 +87,28 @@ def fault_matrix_units(
     return units
 
 
-@dataclass
-class FaultMatrixCell:
-    """One merged fault-matrix verdict."""
-
-    kind: str
-    digest_sha256: str
-    failed_ops: int
-    goodput_ops: int
+# -- registered scenario programs ---------------------------------------------
 
 
-def run_fault_matrix_parallel(
-    kinds: Optional[Sequence[str]] = None,
-    total_ops: int = 200,
-    seed: int = 1,
-    workers: int = 0,
-) -> List[FaultMatrixCell]:
-    """Run the fault matrix as a campaign; cells in kind order."""
-    import hashlib
-
-    units = fault_matrix_units(kinds=kinds, total_ops=total_ops, seed=seed)
-    campaign = run_units(units, workers=workers)
-    campaign.raise_on_failure()
-    cells = []
-    for unit, result in zip(units, campaign.results):
-        cells.append(
-            FaultMatrixCell(
-                kind=unit.unit_id.split("/", 1)[1],
-                digest_sha256=hashlib.sha256(result.digest.encode()).hexdigest(),
-                failed_ops=result.data["failed_ops"],
-                goodput_ops=result.data["goodput_ops"],
+def program_units(
+    names: Optional[Sequence[str]] = None,
+    registry: Optional[ProgramRegistry] = None,
+    check_invariants: bool = True,
+) -> List[WorkUnit]:
+    """One unit per registered program (default: the whole library)."""
+    registry = registry if registry is not None else register_library_programs(DEFAULT_REGISTRY)
+    names = list(names) if names is not None else registry.names()
+    units = []
+    for name in names:
+        program = registry.get(name)  # raises, naming unknown programs
+        units.append(
+            WorkUnit(
+                unit_id=f"program/{name}",
+                kind=KIND_PROGRAM,
+                payload={
+                    "program": program.to_dict(),
+                    "check_invariants": check_invariants,
+                },
             )
         )
-    return cells
+    return units

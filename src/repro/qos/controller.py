@@ -161,7 +161,11 @@ class QosController:
         for handle in self.handles:
             sample = handle.telemetry.snapshot(now, self.interval_us)
             violated = self._judge(handle, sample.smoothed_mbps, sample.recent_peak_us)
-            if handle.slo is not None and handle.telemetry.total_ops >= WARMUP_OPS:
+            if handle.slo is None:
+                # A cleared SLO stops billing: seal any open violation
+                # interval where the last tracked tick ended.
+                self.report.untrack(handle.name)
+            elif handle.telemetry.total_ops >= WARMUP_OPS:
                 self.report.track(handle.name, now, self.interval_us, violated)
             views.append(
                 TenantView(

@@ -48,7 +48,7 @@ class ControllerAction:
 class SloTrack:
     """Attainment bookkeeping for one tenant's SLO."""
 
-    __slots__ = ("tracked_us", "violated_us", "intervals", "_open_since")
+    __slots__ = ("tracked_us", "violated_us", "intervals", "_open_since", "_last_mark")
 
     def __init__(self) -> None:
         self.tracked_us = 0.0
@@ -56,9 +56,11 @@ class SloTrack:
         #: Closed violation intervals [(start_us, end_us), ...].
         self.intervals: List[Tuple[float, float]] = []
         self._open_since: Optional[float] = None
+        self._last_mark = 0.0
 
     def mark(self, now: float, interval_us: float, violated: bool) -> None:
         """Attribute the tick interval ending at ``now``."""
+        self._last_mark = now
         self.tracked_us += interval_us
         if violated:
             self.violated_us += interval_us
@@ -72,6 +74,11 @@ class SloTrack:
         if self._open_since is not None:
             self.intervals.append((self._open_since, now))
             self._open_since = None
+
+    def pause(self) -> None:
+        """Tracking stopped (the SLO was cleared): close any open violation
+        interval where the last tracked tick ended, not at a later close."""
+        self.close(self._last_mark)
 
     def attainment(self) -> Optional[float]:
         """Fraction of tracked time within the SLO (None = never tracked)."""
@@ -110,6 +117,12 @@ class QosReport:
 
     def track(self, tenant: str, now: float, interval_us: float, violated: bool) -> None:
         self.tracks.setdefault(tenant, SloTrack()).mark(now, interval_us, violated)
+
+    def untrack(self, tenant: str) -> None:
+        """The tenant's SLO is gone: seal its open violation interval."""
+        track = self.tracks.get(tenant)
+        if track is not None:
+            track.pause()
 
     def close(self, now: float) -> None:
         for track in self.tracks.values():

@@ -4,9 +4,10 @@ The compiler walks a validated :class:`~repro.scenarios.program
 .ScenarioProgram` once with a time cursor and lowers each action onto the
 scenario machinery it already has:
 
-* ``tenant_join`` / ``usage_burst`` become :class:`TenantSpec` declarations
-  (arrival staged via ``start_delay_us``; bursts ride the base tenant's
-  initiator node and target),
+* ``tenant_join`` / ``usage_burst`` become tenant placements on a
+  :class:`~repro.cluster.spec.ScenarioSpec` (arrival staged via
+  ``start_delay_us``; each join gets its own initiator node, bursts ride
+  the base tenant's initiator node and target),
 * ``fault_inject`` actions become one :class:`FaultSchedule` replayed by
   the :mod:`repro.faults` injector, armed at workload onset so fault times
   share the program's time base,
@@ -23,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..cluster.scenario import Scenario, ScenarioResult
+from ..cluster.scenario import Scenario, ScenarioConfig, ScenarioResult
+from ..cluster.spec import ScenarioSpec, TenantPlacement
 from ..core.flags import Priority
 from ..errors import ScenarioProgramError
 from ..faults.schedule import FaultSchedule
@@ -118,12 +120,11 @@ class CompiledProgram:
         self.program = program
         self.checkpoints: List[CheckpointRecord] = []
         schedule = self._compile_faults(program)
-        self.scenario = Scenario(
+        self._lower_actions(
             program.scenario_config(chaos=schedule, chaos_epoch="workload")
             if schedule is not None
             else program.scenario_config()
         )
-        self._lower_actions()
         self._ran = False
 
     # -- lowering ---------------------------------------------------------------
@@ -144,14 +145,17 @@ class CompiledProgram:
                 )
         return schedule if len(schedule) else None
 
-    def _lower_actions(self) -> None:
+    def _lower_actions(self, config: ScenarioConfig) -> None:
+        """Build the program's topology as a :class:`ScenarioSpec` into
+        ``self.scenario``, then register its scripted actions on it."""
         program = self.program
-        scenario = self.scenario
-        targets = [
-            scenario.add_target_node(n_ssds=program.n_ssds)
-            for _ in range(program.n_target_nodes)
+        node_order = [
+            ("target", f"target{i}", program.n_ssds)
+            for i in range(program.n_target_nodes)
         ]
-        placement: Dict[str, Tuple[object, object]] = {}
+        placements: List[TenantPlacement] = []
+        placement: Dict[str, Tuple[str, str]] = {}
+        scripted = []
         cursor = 0.0
         joins = 0
         bursts = 0
@@ -170,9 +174,10 @@ class CompiledProgram:
                     start_delay_us=cursor,
                     total_ops=action.total_ops,
                 )
-                node = scenario.add_initiator_node()
-                target = targets[joins % len(targets)]
-                scenario.add_tenant(spec, node, target)
+                node = f"client{joins}"
+                target = f"target{joins % program.n_target_nodes}"
+                node_order.append(("initiator", node, 0))
+                placements.append(TenantPlacement(spec, node, target, 1, len(placements)))
                 placement[action.tenant] = (node, target)
                 joins += 1
             elif isinstance(action, UsageBurst):
@@ -185,16 +190,17 @@ class CompiledProgram:
                     start_delay_us=cursor,
                     total_ops=action.ops,
                 )
-                scenario.add_tenant(spec, node, target)
+                placements.append(TenantPlacement(spec, node, target, 1, len(placements)))
                 bursts += 1
-            elif isinstance(
-                action, (TenantLeave, SetWindow, SloChange, Checkpoint, AssertInvariant)
-            ):
-                self.schedule_action(action, cursor)
+            elif isinstance(action, self.SCRIPTED_OPS):
+                scripted.append((action, cursor))
             elif isinstance(action, FaultInject):
                 pass  # lowered into the chaos schedule above
             else:  # pragma: no cover - the vocabulary is closed
                 raise ScenarioProgramError(f"cannot lower {type(action).__name__}")
+        self.scenario = ScenarioSpec(config, node_order, placements).build()
+        for action, at_us in scripted:
+            self.schedule_action(action, at_us)
 
     #: Action ops that lower to a scripted callback (schedulable mid-session).
     SCRIPTED_OPS = (TenantLeave, SetWindow, SloChange, Checkpoint, AssertInvariant)

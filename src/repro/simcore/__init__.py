@@ -8,20 +8,14 @@ Public surface::
     env.run(until=1000.0)
 
 The engine uses generator-based processes with SimPy-compatible semantics
-(events, conditions, interrupts, stores, resources) implemented in-tree so
+(events, conditions, interrupts, stores) implemented in-tree so
 the reproduction has no external runtime dependencies.
 """
 
 from .engine import Environment, Infinity
 from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout, NORMAL, URGENT
 from .process import Interrupt, Process
-from .resources import (
-    Container,
-    PriorityItem,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from .resources import Store
 from .rng import RandomStreams, ScopedStreams, lognormal_with_mean
 from .trace import NULL_TRACER, TraceRecord, Tracer
 from .monitor import Sampler
@@ -31,18 +25,14 @@ __all__ = [
     "AnyOf",
     "Condition",
     "ConditionValue",
-    "Container",
     "Environment",
     "Event",
     "Infinity",
     "Interrupt",
     "NORMAL",
     "NULL_TRACER",
-    "PriorityItem",
-    "PriorityStore",
     "Process",
     "RandomStreams",
-    "Resource",
     "Sampler",
     "ScopedStreams",
     "Store",

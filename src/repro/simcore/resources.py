@@ -1,23 +1,13 @@
 """Shared-resource primitives built on the event core.
 
-Provides the handful of synchronisation constructs the protocol stack needs:
-
-* :class:`Store` — FIFO buffer of Python objects with blocking put/get.
-* :class:`PriorityStore` — like :class:`Store` but gets return the smallest
-  item first (items must be orderable; see :class:`PriorityItem`).
-* :class:`Resource` — counted resource with FIFO request/release semantics
-  (used for CPU cores and SSD channels).
-* :class:`Container` — continuous level (used for byte-counted buffers).
-
-All blocking operations return events that a process yields.  Requests are
+:class:`Store` is a FIFO buffer of Python objects with blocking put/get.
+Both operations return events that a process yields, and requests are
 serviced in FIFO order to keep runs deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
-from itertools import count
 from typing import TYPE_CHECKING, Any, Deque, List
 
 from ..errors import SimulationError
@@ -124,193 +114,6 @@ class Store:
                     self._get_waiters.popleft()
                     continue
                 if self._do_get(head):
-                    self._get_waiters.popleft()
-                    progress = True
-                    continue
-                break
-
-
-class PriorityItem:
-    """Orderable wrapper pairing a numeric priority with an arbitrary item.
-
-    Lower ``priority`` sorts first; ties resolve by insertion order, so the
-    store remains FIFO within a priority class.
-    """
-
-    __slots__ = ("priority", "seq", "item")
-    _seq = count()
-
-    def __init__(self, priority: float, item: Any) -> None:
-        self.priority = priority
-        self.seq = next(PriorityItem._seq)
-        self.item = item
-
-    def __lt__(self, other: "PriorityItem") -> bool:
-        return (self.priority, self.seq) < (other.priority, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"PriorityItem(priority={self.priority}, item={self.item!r})"
-
-
-class PriorityStore(Store):
-    """A :class:`Store` whose ``get`` returns the smallest item first."""
-
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self.items) < self.capacity:
-            heappush(self.items, event.item)
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if self.items:
-            event.succeed(heappop(self.items))
-            return True
-        return False
-
-
-class ResourceRequest(Event):
-    """Pending claim on a :class:`Resource` slot.  Use as a context manager."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-        resource._waiters.append(self)
-        resource._trigger()
-
-    def __enter__(self) -> "ResourceRequest":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.resource.release(self)
-
-
-class Resource:
-    """Counted resource: at most ``capacity`` concurrent holders, FIFO grant."""
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        if capacity <= 0:
-            raise SimulationError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.users: List[ResourceRequest] = []
-        self._waiters: Deque[ResourceRequest] = deque()
-
-    @property
-    def count(self) -> int:
-        """Number of current holders."""
-        return len(self.users)
-
-    @property
-    def queued(self) -> int:
-        """Number of requests still waiting for a slot."""
-        return len(self._waiters)
-
-    def request(self) -> ResourceRequest:
-        """Claim a slot (yieldable event)."""
-        return ResourceRequest(self)
-
-    def release(self, request: ResourceRequest) -> None:
-        """Release a previously granted slot (idempotent for unknown requests)."""
-        try:
-            self.users.remove(request)
-        except ValueError:
-            # Releasing an un-granted (e.g. interrupted) request just
-            # withdraws it from the wait queue.
-            try:
-                self._waiters.remove(request)
-            except ValueError:
-                pass
-        self._trigger()
-
-    def _trigger(self) -> None:
-        while self._waiters and len(self.users) < self.capacity:
-            head = self._waiters.popleft()
-            if head.triggered:
-                continue
-            self.users.append(head)
-            head.succeed()
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise SimulationError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        container._put_waiters.append(self)
-        container._trigger()
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise SimulationError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        container._get_waiters.append(self)
-        container._trigger()
-
-
-class Container:
-    """A continuous level between 0 and ``capacity`` with blocking put/get."""
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise SimulationError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise SimulationError("init must lie within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = init
-        self._put_waiters: Deque[ContainerPut] = deque()
-        self._get_waiters: Deque[ContainerGet] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        return ContainerGet(self, amount)
-
-    def _trigger(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            while self._put_waiters:
-                head = self._put_waiters[0]
-                if head.triggered:
-                    self._put_waiters.popleft()
-                    continue
-                if self._level + head.amount <= self.capacity:
-                    self._level += head.amount
-                    head.succeed()
-                    self._put_waiters.popleft()
-                    progress = True
-                    continue
-                break
-            while self._get_waiters:
-                head = self._get_waiters[0]
-                if head.triggered:
-                    self._get_waiters.popleft()
-                    continue
-                if self._level >= head.amount:
-                    self._level -= head.amount
-                    head.succeed()
                     self._get_waiters.popleft()
                     progress = True
                     continue

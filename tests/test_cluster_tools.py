@@ -1,4 +1,6 @@
-"""Tests for scaling builders, sweeps, and the experiments harnesses."""
+"""Tests for scale-out topologies, scaling patterns and the experiments harnesses."""
+
+import hashlib
 
 import pytest
 
@@ -6,10 +8,8 @@ from repro.cluster import (
     Scenario,
     ScenarioConfig,
     build_scaleout,
-    compare_protocols,
     pattern1,
     pattern2,
-    sweep,
     tenants_for_node,
 )
 from repro.errors import ConfigError
@@ -51,6 +51,24 @@ def test_build_scaleout_wiring():
         build_scaleout(cfg, 0, 1)
 
 
+#: sha256 of ``metrics_digest()`` for a 2-pair x 3-initiator scale-out
+#: (one LS + two TC tenants per node, rw50, 60 ops, seed 1).  It pins the
+#: interleaved target/client/tenant construction order of the scale-out
+#: topology; a drift means that order (or the simulation) changed.
+SCALEOUT_DIGEST_SHA256 = {
+    "spdk": "90377468a700cdcb192d7c256aa001404e242c16ddc4eb88e3710316a49ab53f",
+    "nvme-opf": "11cf15a61fa1c9df06318dc218fd4e4d936d8f3f4068ccc0c408eebd086a2a89",
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(SCALEOUT_DIGEST_SHA256))
+def test_build_scaleout_digest_is_pinned(protocol):
+    cfg = ScenarioConfig(protocol=protocol, network_gbps=100.0, op_mix="rw50",
+                         total_ops=60, window_size=32, seed=1)
+    digest = build_scaleout(cfg, 2, 3, include_ls=True).run().metrics_digest()
+    assert hashlib.sha256(digest.encode()).hexdigest() == SCALEOUT_DIGEST_SHA256[protocol]
+
+
 def test_pattern1_point_counts():
     points = pattern1("spdk", "read", n_node_pairs=2,
                       initiators_per_node_range=[1, 2], total_ops=40)
@@ -64,46 +82,6 @@ def test_pattern2_point_counts():
     assert [p.total_initiators for p in points] == [2, 4]
     # Adding a node pair adds hardware: throughput roughly scales.
     assert points[1].throughput_mbps > points[0].throughput_mbps * 1.5
-
-
-# ---------------------------------------------------------------- sweep ----
-def test_sweep_grid_applies_config_fields():
-    base = ScenarioConfig(protocol="spdk", total_ops=40, warmup_us=0)
-    points = sweep(base, {"network_gbps": [25.0, 100.0]}, ratio="0:1")
-    assert len(points) == 2
-    assert {p[0]["network_gbps"] for p in points} == {25.0, 100.0}
-    assert all(p[1].tc_throughput_mbps > 0 for p in points)
-
-
-def test_sweep_empty_grid_rejected():
-    base = ScenarioConfig(protocol="spdk", total_ops=10)
-    with pytest.raises(ConfigError):
-        sweep(base, {})
-
-
-def test_sweep_custom_builder_receives_extras():
-    base = ScenarioConfig(protocol="spdk", total_ops=30, warmup_us=0)
-    seen = []
-
-    def build(cfg, extra):
-        seen.append(extra)
-        from repro.workloads import tenants_for_ratio
-
-        return Scenario.two_sided(cfg, tenants_for_ratio(extra["ratio"]))
-
-    points = sweep(base, {"ratio": ["0:1", "0:2"]}, build=build)
-    assert len(points) == 2
-    assert seen == [{"ratio": "0:1"}, {"ratio": "0:2"}]
-
-
-def test_compare_protocols_pairs_points():
-    base = ScenarioConfig(total_ops=40, warmup_us=0)
-    rows = compare_protocols(base, {"op_mix": ["read"]}, ratio="0:1")
-    assert len(rows) == 1
-    params, spdk, opf = rows[0]
-    assert params == {"op_mix": "read"}
-    assert spdk.protocol == "spdk"
-    assert opf.protocol == "nvme-opf"
 
 
 # ------------------------------------------------------------ experiments ----

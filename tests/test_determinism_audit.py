@@ -47,7 +47,6 @@ ALLOWED = {
     "scenarios/generate.py",
     "parallel/pool.py",
     "parallel/shards.py",
-    "parallel/sweeps.py",
     "parallel/units.py",
 }
 

@@ -1,12 +1,13 @@
-"""Tests for result export (CSV/JSON) and per-tenant reporting."""
+"""Tests for result export (CSV) and per-tenant reporting."""
 
+import csv
 import json
 from dataclasses import dataclass
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.metrics import read_csv, rows_for, to_row, write_csv, write_json
+from repro.metrics import rows_for, to_row, write_csv
 
 
 @dataclass
@@ -47,29 +48,24 @@ def test_rows_for_unifies_headers():
     assert rows_for([]) == []
 
 
+def _read_csv(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_write_and_read_csv(tmp_path):
     points = [FakePoint("p1", 1.0, []), FakePoint("p2", 2.0, [3])]
     path = write_csv(tmp_path / "out" / "points.csv", points)
     assert path.exists()
-    back = read_csv(path)
+    back = _read_csv(path)
     assert len(back) == 2
     assert back[0]["name"] == "p1"
     assert float(back[1]["value"]) == 2.0
 
 
-def test_write_json(tmp_path):
-    path = write_json(tmp_path / "r.json", [FakePoint("p", 1.0, [])],
-                      meta={"seed": 1})
-    payload = json.loads(path.read_text())
-    assert payload["meta"]["seed"] == 1
-    assert payload["rows"][0]["name"] == "p"
-
-
 def test_export_empty_rejected(tmp_path):
     with pytest.raises(ConfigError):
         write_csv(tmp_path / "x.csv", [])
-    with pytest.raises(ConfigError):
-        write_json(tmp_path / "x.json", [])
 
 
 def test_export_figure_points_roundtrip(tmp_path):
@@ -78,7 +74,7 @@ def test_export_figure_points_roundtrip(tmp_path):
 
     points = run_fig6c(windows=(16,), total_ops=64)
     path = write_csv(tmp_path / "fig6c.csv", points)
-    back = read_csv(path)
+    back = _read_csv(path)
     assert len(back) == len(points)
     assert {row["label"] for row in back} == {p.label for p in points}
 

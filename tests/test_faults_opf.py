@@ -13,14 +13,10 @@ and tenant fairness within tolerance of the calm run.
 import pytest
 
 from repro.faults import FaultSchedule, RetryPolicy
+from repro.parallel import FAULT_MATRIX, FAULT_MATRIX_POLICY
 from tests.conftest import build_fig7_cell
 
-POLICY = RetryPolicy(
-    timeout_us=400.0,
-    backoff_base_us=50.0,
-    reconnect_delay_us=50.0,
-    handshake_timeout_us=200.0,
-)
+POLICY = RetryPolicy(**FAULT_MATRIX_POLICY)
 
 
 def _storm_schedule():
@@ -120,34 +116,18 @@ class TestOpfDisconnectResync:
         assert one.metrics_digest() == two.metrics_digest()
 
 
-#: One schedule per fault kind (targets exist in the two_sided topology).
-_MATRIX = {
-    "link_flap": lambda s: s.link_flap("sw->client0", 300.0, 150.0),
-    "link_degrade": lambda s: s.link_degrade("client0->sw", 300.0, 300.0, scale=0.25),
-    "link_loss_burst": lambda s: s.link_loss_burst("sw->client0", 300.0, 300.0, p=0.3),
-    "nic_down": lambda s: s.nic_down("client0", 300.0, 150.0),
-    "switch_pressure": lambda s: s.switch_pressure("sw", 300.0, 400.0, scale=0.25),
-    "ssd_latency_spike": lambda s: s.ssd_latency_spike(
-        "target0/ssd0", 300.0, 300.0, scale=8.0
-    ),
-    "ssd_transient_error": lambda s: s.ssd_transient_error("target0/ssd0", 300.0, 200.0),
-    "target_crash": lambda s: s.target_crash("target0", 300.0, 400.0),
-    "qpair_disconnect": lambda s: s.qpair_disconnect("tc0", 300.0),
-}
-
-
 class TestOpfFaultMatrix:
-    @pytest.mark.parametrize("kind", sorted(_MATRIX))
+    @pytest.mark.parametrize("kind", sorted(FAULT_MATRIX))
     def test_single_fault_completes_cleanly(self, kind):
-        schedule = _MATRIX[kind](FaultSchedule())
+        schedule = FAULT_MATRIX[kind](FaultSchedule())
         scenario = _build(schedule, POLICY)
         result = scenario.run()
         assert result.fault_events[f"fault/{schedule.events[0].kind}/inject"] == 1
         assert result.failed_ops == 0
         _assert_windows_clean(scenario)
 
-    @pytest.mark.parametrize("kind", sorted(_MATRIX))
+    @pytest.mark.parametrize("kind", sorted(FAULT_MATRIX))
     def test_single_fault_digest_is_seed_stable(self, kind):
-        one = _run(_MATRIX[kind](FaultSchedule()), POLICY)
-        two = _run(_MATRIX[kind](FaultSchedule()), POLICY)
+        one = _run(FAULT_MATRIX[kind](FaultSchedule()), POLICY)
+        two = _run(FAULT_MATRIX[kind](FaultSchedule()), POLICY)
         assert one.metrics_digest() == two.metrics_digest()

@@ -1,4 +1,4 @@
-"""Tests for collectors, percentiles, time series, and report tables."""
+"""Tests for collectors, percentiles, and report tables."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.core.flags import Priority
 from repro.errors import ConfigError
 from repro.metrics import (
-    BinnedSeries,
     Collector,
     LatencyDistribution,
     P2Quantile,
@@ -168,33 +167,6 @@ def test_collector_counts_failures():
     collector = Collector(env)
     collector.record("a", make_request(status=0x80, completed=1.0))
     assert collector.summary("a").failed == 1
-
-
-# ------------------------------------------------------------- timeseries ----
-def test_binned_series_accumulates():
-    series = BinnedSeries(bin_width_us=10.0)
-    series.add(1.0, 5.0)
-    series.add(9.0, 5.0)
-    series.add(15.0, 2.0)
-    assert series.nbins == 2
-    assert list(series.sums()) == [10.0, 2.0]
-    assert list(series.counts()) == [2, 1]
-    assert list(series.rates_per_us()) == [1.0, 0.2]
-
-
-def test_binned_series_validation():
-    with pytest.raises(ConfigError):
-        BinnedSeries(0)
-    series = BinnedSeries(10.0)
-    with pytest.raises(ConfigError):
-        series.add(-1.0)
-
-
-def test_binned_series_steady_state_cv():
-    series = BinnedSeries(1.0)
-    for t in range(10):
-        series.add(t + 0.5, 100.0)  # perfectly flat
-    assert series.steady_state_cv() == pytest.approx(0.0)
 
 
 # ----------------------------------------------------------------- report ----

@@ -3,9 +3,11 @@
 The headline guarantee of the parallel runner: fanning work out to a
 process pool changes *nothing* about the results.  Every suite here pins
 byte-for-byte equality between a serial (``workers=0``, in-process) run
-and a pooled run — for a Figure-7 sweep, the pinned 20-seed fuzz corpus,
-a chaos fault-matrix cell, and the golden-pinned library program — plus
-a Hypothesis proof that the merge is invariant under completion order.
+and a pooled run — for the Figure 7/8/9 harnesses and the fuzz campaign
+(each of which is one unit list run through ``run_campaign``), the pinned
+20-seed fuzz corpus, a chaos fault-matrix cell, and the golden-pinned
+library program — plus a Hypothesis proof that the merge is invariant
+under completion order.
 
 The pool size comes from ``REPRO_TEST_WORKERS`` (CI sets 4; the default
 of 2 keeps single-core dev boxes fast).  Determinism must hold for any
@@ -23,21 +25,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CampaignError, ConfigError
+from repro.experiments.fig7 import fig7_units, run_fig7
+from repro.experiments.fig8 import fig8_units, run_fig8
+from repro.experiments.fig9 import fig9_units, run_fig9
+from repro.experiments.fuzz import fuzz_units, run_fuzz
 from repro.parallel import (
+    FAULT_MATRIX,
     CampaignResult,
     UnitResult,
     WorkUnit,
     fault_matrix_units,
-    fig7_units,
     merge_results,
+    program_units,
     register_executor,
-    run_fig7_parallel,
-    run_programs_parallel,
     run_units,
 )
-from repro.parallel.sweeps import fuzz_units, run_fuzz_parallel
-from repro.experiments.fig7 import run_fig7
-from repro.experiments.fuzz import run_fuzz
+from repro.scenarios.compiler import ProgramRunEnvelope
 from tests.test_golden_regression import GOLDEN_OPF_DIGEST_SHA256
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
@@ -74,7 +77,7 @@ class TestFig7Differential:
 
     def test_points_match_the_serial_harness_exactly(self):
         serial_points = run_fig7(**self.GRID)
-        pooled_points = run_fig7_parallel(workers=WORKERS, print_table=True, **self.GRID)
+        pooled_points = run_fig7(workers=WORKERS, print_table=True, **self.GRID)
         assert pooled_points == serial_points
 
     def test_unit_digest_matches_a_direct_scenario_run(self):
@@ -113,11 +116,8 @@ class TestFig8Fig9Differential:
     )
 
     def test_fig8_curves_match_the_serial_harness_exactly(self):
-        from repro.experiments.fig8 import run_fig8
-        from repro.parallel.sweeps import fig8_units, run_fig8_parallel
-
         serial_curves = run_fig8(**self.FIG8)
-        pooled_curves = run_fig8_parallel(workers=WORKERS, print_table=True, **self.FIG8)
+        pooled_curves = run_fig8(workers=WORKERS, print_table=True, **self.FIG8)
         assert pooled_curves == serial_curves
         units = fig8_units(**self.FIG8)
         assert (
@@ -126,11 +126,8 @@ class TestFig8Fig9Differential:
         )
 
     def test_fig9_points_match_the_serial_harness_exactly(self):
-        from repro.experiments.fig9 import run_fig9
-        from repro.parallel.sweeps import fig9_units, run_fig9_parallel
-
         serial_points = run_fig9(**self.FIG9)
-        pooled_points = run_fig9_parallel(workers=WORKERS, print_table=True, **self.FIG9)
+        pooled_points = run_fig9(workers=WORKERS, print_table=True, **self.FIG9)
         assert pooled_points == serial_points
         units = fig9_units(**self.FIG9)
         assert (
@@ -148,7 +145,7 @@ class TestFuzzDifferential:
         seeds = [entry["seed"] for entry in corpus]
         assert seeds == sorted(seeds)
         n = max(seeds) + 1
-        units = fuzz_units(n, base_seed=min(seeds), chunk_size=7, determinism_stride=0)
+        units = fuzz_units(n, base_seed=min(seeds), determinism_stride=0)
         campaign = run_units(units, workers=WORKERS)
         campaign.raise_on_failure()
         by_seed = {}
@@ -165,9 +162,7 @@ class TestFuzzDifferential:
 
     def test_parallel_fuzz_result_is_field_identical_to_serial(self):
         serial = run_fuzz(n_programs=30, base_seed=0)
-        pooled = run_fuzz_parallel(
-            30, base_seed=0, chunk_size=8, workers=WORKERS, print_table=True
-        )
+        pooled = run_fuzz(n_programs=30, base_seed=0, workers=WORKERS, print_table=True)
         assert dict(pooled.action_counts) == dict(serial.action_counts)
         assert pooled.determinism_checks == serial.determinism_checks
         assert [(f.seed, f.kind, f.message) for f in pooled.failures] == [
@@ -177,11 +172,24 @@ class TestFuzzDifferential:
         assert pooled.base_seed == serial.base_seed
         assert pooled.n_programs == serial.n_programs
 
-    def test_run_fuzz_workers_flag_routes_through_the_pool(self):
-        serial = run_fuzz(n_programs=12, base_seed=5)
-        pooled = run_fuzz(n_programs=12, base_seed=5, workers=WORKERS)
-        assert dict(pooled.action_counts) == dict(serial.action_counts)
-        assert pooled.determinism_checks == serial.determinism_checks
+    def test_run_fuzz_workers_flag_routes_through_the_pool(self, monkeypatch):
+        """``workers`` keeps its command-line meaning: 0 and 1 run the
+        units in-process, N > 1 on a pool of N."""
+        import repro.parallel.pool as pool
+
+        seen = []
+        real = pool.run_units
+
+        def spy(units, workers=0, **kwargs):
+            seen.append(workers)
+            return real(units, workers=workers, **kwargs)
+
+        monkeypatch.setattr(pool, "run_units", spy)
+        results = [run_fuzz(n_programs=12, base_seed=5, workers=w) for w in (0, 1, WORKERS)]
+        assert seen == [0, 0, WORKERS if WORKERS > 1 else 0]
+        for result in results[1:]:
+            assert dict(result.action_counts) == dict(results[0].action_counts)
+            assert result.determinism_checks == results[0].determinism_checks
 
 
 # -- chaos fault-matrix cells --------------------------------------------------
@@ -200,16 +208,23 @@ class TestFaultMatrixDifferential:
         assert pooled.results[0].data["failed_ops"] == 0
 
     def test_full_matrix_runs_every_fault_kind_in_kind_order(self):
-        from repro.parallel import FAULT_MATRIX, run_fault_matrix_parallel
-
-        cells = run_fault_matrix_parallel(total_ops=100)
-        assert [c.kind for c in cells] == sorted(FAULT_MATRIX)
-        for cell in cells:
-            assert len(cell.digest_sha256) == 64
-            assert cell.goodput_ops > 0
+        campaign = run_units(fault_matrix_units(total_ops=100), workers=WORKERS)
+        campaign.raise_on_failure()
+        assert [r.unit_id for r in campaign.results] == [
+            f"faults/{kind}" for kind in sorted(FAULT_MATRIX)
+        ]
+        for result in campaign.results:
+            assert result.data["goodput_ops"] > 0
 
 
 # -- golden pins ---------------------------------------------------------------
+
+
+def _library_envelope(name):
+    """Replay one library program in a worker process."""
+    campaign = run_units(program_units(names=[name]), workers=WORKERS)
+    campaign.raise_on_failure()
+    return ProgramRunEnvelope(**campaign.results[0].data["envelope"])
 
 
 class TestGoldenPins:
@@ -217,17 +232,17 @@ class TestGoldenPins:
         """The library fig7 program replayed in a *worker process* must
         reproduce the digest pinned before chaos hardening landed — the
         strongest cross-process determinism statement we can make."""
-        envelopes = run_programs_parallel(names=["fig7-opf-1to2"], workers=WORKERS)
-        assert envelopes[0].digest_sha256 == GOLDEN_OPF_DIGEST_SHA256
+        envelope = _library_envelope("fig7-opf-1to2")
+        assert envelope.digest_sha256 == GOLDEN_OPF_DIGEST_SHA256
 
     def test_envelope_matches_in_process_replay(self):
         from repro.scenarios import replay
         from repro.scenarios.library import fig7_cell_program
 
-        envelopes = run_programs_parallel(names=["fig7-opf-1to2"], workers=WORKERS)
+        envelope = _library_envelope("fig7-opf-1to2")
         run = replay(fig7_cell_program())
-        assert envelopes[0].digest == run.digest()
-        assert envelopes[0].signature_sha256 == hashlib.sha256(
+        assert envelope.digest == run.digest()
+        assert envelope.signature_sha256 == hashlib.sha256(
             run.program.signature().encode()
         ).hexdigest()
 
@@ -342,8 +357,14 @@ class TestValidation:
             fuzz_units(0)
         with pytest.raises(ConfigError, match="'base_seed'"):
             fuzz_units(10, base_seed=-1)
-        with pytest.raises(ConfigError, match="'chunk_size'"):
-            fuzz_units(10, chunk_size=0)
+
+    def test_failing_cell_is_a_campaign_error_naming_its_unit(self):
+        with pytest.raises(CampaignError, match="fig7/read/10G/1:1/spdk"):
+            run_fig7(ratios=("1:1",), speeds=(10.0,), mixes=("read",), total_ops=0)
+
+    def test_bool_workers_is_rejected_by_the_harnesses(self):
+        with pytest.raises(ConfigError, match="'workers'"):
+            run_fuzz(n_programs=1, workers=True)
 
     def test_fuzz_cli_validates_workers_and_seed_range(self):
         from repro.experiments.fuzz import main

@@ -619,6 +619,26 @@ class TestController:
         assert track.tracked_us == 100.0
         controller.stop()
 
+    def test_cleared_slo_closes_its_violation_at_the_last_tracked_tick(self):
+        """Clearing an SLO mid-violation seals the open interval where the
+        last tracked tick ended; it must not stay open until the stop."""
+        env = Environment()
+        floor = TenantSlo("tc0", throughput_floor_mbps=1e9)  # always breached
+        handle = _handle(slo=floor)
+        for _ in range(WARMUP_OPS):
+            handle.telemetry.observe(50.0, 4096)
+        controller = self._controller(env, StaticPolicy(), [handle])
+        controller.start()
+        env.run(until=250.0)  # ticks at 100, 200: violated
+        handle.slo = None
+        env.run(until=450.0)  # ticks at 300, 400: untracked
+        handle.slo = floor
+        env.run(until=650.0)  # ticks at 500, 600: violated again
+        controller.stop()
+        track = controller.report.tracks["tc0"]
+        assert track.violated_us == 400.0
+        assert controller.report.violations("tc0") == [(0.0, 200.0), (400.0, 650.0)]
+
 
 # ---------------------------------------------------------------------------
 # Report accounting

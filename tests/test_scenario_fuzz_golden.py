@@ -54,3 +54,15 @@ def test_pinned_seed_reproduces_program_and_digest(entry):
     assert digest_sha == entry["digest_sha256"], (
         "replay digest drifted — compiler/engine behaviour changed for this seed"
     )
+
+
+#: Seeds whose programs clear a tenant's SLO (``slo_change`` with no
+#: bounds) while a violation interval is open.  The interval must close at
+#: the tenant's last tracked tick, or ``slo-accounting`` finds the closed
+#: intervals far longer than the billed violation time.
+SLO_CLEARED_MID_VIOLATION_SEEDS = (3153, 3865, 4753, 5754)
+
+
+@pytest.mark.parametrize("seed", SLO_CLEARED_MID_VIOLATION_SEEDS)
+def test_slo_cleared_mid_violation_replays_clean(seed):
+    replay(generate_program(seed), check_invariants=True)

@@ -16,9 +16,9 @@ import os
 
 import pytest
 
-from repro.cluster.scenario import ScenarioConfig
+from repro.cluster import ScenarioConfig, ScenarioSpec
 from repro.faults import FaultSchedule, RetryPolicy
-from repro.parallel import ScenarioSpec, partition, run_sharded
+from repro.parallel import partition, run_sharded
 from repro.workloads.mixes import tenants_for_ratio
 
 SHARD_COUNTS = (1, 2, 4)

@@ -1,16 +1,9 @@
-"""Tests for Store / PriorityStore / Resource / Container."""
+"""Tests for Store."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simcore import (
-    Container,
-    Environment,
-    PriorityItem,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from repro.simcore import Environment, Store
 
 
 # ---------------------------------------------------------------- Store ----
@@ -112,219 +105,6 @@ def test_store_len():
     env.process(proc(env))
     env.run()
     assert len(store) == 2
-
-
-# -------------------------------------------------------- PriorityStore ----
-def test_priority_store_orders_items():
-    env = Environment()
-    store = PriorityStore(env)
-    out = []
-
-    def producer(env):
-        yield store.put(PriorityItem(5, "low"))
-        yield store.put(PriorityItem(1, "high"))
-        yield store.put(PriorityItem(3, "mid"))
-
-    def consumer(env):
-        yield env.timeout(1.0)
-        for _ in range(3):
-            item = yield store.get()
-            out.append(item.item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert out == ["high", "mid", "low"]
-
-
-def test_priority_item_fifo_within_class():
-    a = PriorityItem(1, "first")
-    b = PriorityItem(1, "second")
-    assert a < b
-
-
-# ------------------------------------------------------------- Resource ----
-def test_resource_limits_concurrency():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    active = []
-    peak = []
-
-    def worker(env, tag):
-        with res.request() as req:
-            yield req
-            active.append(tag)
-            peak.append(len(active))
-            yield env.timeout(10.0)
-            active.remove(tag)
-
-    for tag in range(5):
-        env.process(worker(env, tag))
-    env.run()
-    assert max(peak) == 2
-
-
-def test_resource_fifo_grant_order():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    order = []
-
-    def worker(env, tag):
-        with res.request() as req:
-            yield req
-            order.append(tag)
-            yield env.timeout(1.0)
-
-    for tag in range(4):
-        env.process(worker(env, tag))
-    env.run()
-    assert order == [0, 1, 2, 3]
-
-
-def test_resource_release_on_context_exit():
-    env = Environment()
-    res = Resource(env, capacity=1)
-
-    def worker(env):
-        with res.request() as req:
-            yield req
-            yield env.timeout(1.0)
-
-    env.process(worker(env))
-    env.run()
-    assert res.count == 0
-    assert res.queued == 0
-
-
-def test_resource_counts():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    snapshots = []
-
-    def holder(env):
-        with res.request() as req:
-            yield req
-            yield env.timeout(10.0)
-            snapshots.append((res.count, res.queued))
-
-    def waiter(env):
-        yield env.timeout(1.0)
-        with res.request() as req:
-            yield req
-
-    env.process(holder(env))
-    env.process(waiter(env))
-    env.run()
-    assert snapshots == [(1, 1)]
-
-
-# ------------------------------------------------------------ Container ----
-def test_container_levels():
-    env = Environment()
-    tank = Container(env, capacity=100.0, init=50.0)
-
-    def proc(env):
-        yield tank.get(30.0)
-        assert tank.level == 20.0
-        yield tank.put(70.0)
-        assert tank.level == 90.0
-
-    env.process(proc(env))
-    env.run()
-    assert tank.level == 90.0
-
-
-def test_container_get_blocks_until_enough():
-    env = Environment()
-    tank = Container(env, capacity=100.0, init=0.0)
-
-    def consumer(env):
-        yield tank.get(10.0)
-        return env.now
-
-    def producer(env):
-        for _ in range(10):
-            yield env.timeout(1.0)
-            yield tank.put(1.0)
-
-    p = env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert p.value == 10.0
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=10.0, init=10.0)
-
-    def producer(env):
-        yield tank.put(5.0)
-        return env.now
-
-    def consumer(env):
-        yield env.timeout(3.0)
-        yield tank.get(5.0)
-
-    p = env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert p.value == 3.0
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Container(env, capacity=0.0)
-    with pytest.raises(SimulationError):
-        Container(env, capacity=10.0, init=11.0)
-    tank = Container(env, capacity=10.0)
-    with pytest.raises(SimulationError):
-        tank.put(0.0)
-    with pytest.raises(SimulationError):
-        tank.get(-1.0)
-
-
-def test_interrupted_waiter_releases_resource_slot():
-    """A process interrupted while waiting must not leak its queue slot."""
-    from repro.simcore import Interrupt
-
-    env = Environment()
-    res = Resource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        with res.request() as req:
-            yield req
-            yield env.timeout(10.0)
-            order.append("holder-done")
-
-    def victim(env):
-        try:
-            with res.request() as req:
-                yield req
-                order.append("victim-ran")  # pragma: no cover - must not run
-        except Interrupt:
-            order.append("victim-interrupted")
-
-    def third(env):
-        yield env.timeout(2.0)
-        with res.request() as req:
-            yield req
-            order.append("third-ran")
-
-    env.process(holder(env))
-    v = env.process(victim(env))
-    env.process(third(env))
-
-    def interrupter(env):
-        yield env.timeout(1.0)
-        v.interrupt()
-
-    env.process(interrupter(env))
-    env.run()
-    assert "victim-interrupted" in order
-    assert "third-ran" in order  # the slot was not leaked
-    assert res.count == 0
 
 
 def test_store_get_cancel():
