@@ -16,11 +16,13 @@ start method makes them visible inside worker processes.
 """
 
 import os
+import pickle
+import traceback
 
 import pytest
 
 from repro.errors import CampaignError, ConfigError, InvariantViolation
-from repro.parallel import WorkUnit, register_executor, run_units
+from repro.parallel import WorkUnit, register_executor, run_campaign, run_units
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 
@@ -220,3 +222,49 @@ class TestFuzzCampaignFailureReporting:
         from repro.experiments.fuzz import main
 
         assert main(["--count", "3"]) == 0
+
+
+class TestCampaignErrorCarriesTheCause:
+    """``run_campaign`` (every figure and fuzz campaign) fails naming the
+    unit and chains the unit's own exception, so a simulator bug keeps
+    its traceback whichever way the campaign ran."""
+
+    def test_in_process_failure_runs_once_and_chains_its_exception(self):
+        units = _steady_units(1) + [WorkUnit("bad/raiser", "test-always-raises", {})]
+        with pytest.raises(
+            CampaignError, match=r"bad/raiser \[RuntimeError after 1 attempt"
+        ) as exc_info:
+            run_campaign(units, workers=1)
+        cause = exc_info.value.__cause__
+        assert isinstance(cause, RuntimeError)
+        assert "_always_raises" in "".join(traceback.format_tb(cause.__traceback__))
+
+    def test_in_process_domain_failure_chains_its_exception(self):
+        unit = WorkUnit(
+            "fuzz/seed-0042",
+            "test-breaches-invariant",
+            {"where": "program fuzz-0042", "seed": 42},
+        )
+        with pytest.raises(CampaignError, match="fuzz/seed-0042") as exc_info:
+            run_campaign([unit], workers=0)
+        assert isinstance(exc_info.value.__cause__, InvariantViolation)
+
+    def test_pooled_failure_chains_the_worker_traceback(self):
+        with pytest.raises(
+            CampaignError, match=r"bad/raiser \[RuntimeError after 2 attempt"
+        ) as exc_info:
+            run_campaign(
+                [WorkUnit("bad/raiser", "test-always-raises", {})],
+                workers=max(WORKERS, 2),
+            )
+        cause = exc_info.value.__cause__
+        assert isinstance(cause, RuntimeError)
+        assert "_always_raises" in str(cause.__cause__)
+
+    def test_the_cause_does_not_cross_a_process_boundary(self):
+        campaign = run_units([WorkUnit("bad/raiser", "test-always-raises", {})])
+        failed = campaign.result_for("bad/raiser")
+        assert isinstance(failed.cause, RuntimeError)
+        copy = pickle.loads(pickle.dumps(failed))
+        assert copy.cause is None
+        assert copy == failed
