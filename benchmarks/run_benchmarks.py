@@ -123,11 +123,13 @@ def bench_engine_generator(n: int) -> dict:
 
 
 def bench_engine_callbacks(n: int) -> dict:
-    """Batched callback dispatch: ``call_later_batch`` + same-timestamp drain.
+    """Batched callback dispatch: ``call_later_batch``.
 
     This is the shape the hot layers actually use after the batched/array
-    refactor — a layer completes a window of items at one timestamp and the
-    engine dispatches them back-to-back without per-item heap traffic.  On
+    refactor — a layer completes a window of items at one timestamp and
+    ``call_later_batch`` puts them on one heap entry, which the engine
+    dispatches back-to-back without per-item heap traffic.  (Each batch sits
+    at its own timestamp, so the speed comes from the batch entry alone.)  On
     kernels without batching it falls back to the chained-scalar loop so the
     same script can record pre-refactor sections.
     """

@@ -15,7 +15,7 @@ exclude a configurable warmup interval.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..config import network_tuning, preset_for_network
 from ..core.flags import Priority
@@ -32,6 +32,7 @@ from ..qos.slo import SloSet, TenantSlo
 from ..qos.telemetry import TelemetryHub
 from ..qos.throttle import TokenBucket
 from ..simcore.engine import Environment
+from ..simcore.events import Event
 from ..simcore.rng import RandomStreams
 from ..ssd.ftl import FtlConfig
 from ..units import BLOCK_4K
@@ -310,28 +311,11 @@ class ScenarioResult:
 @dataclass
 class _Prepared:
     """Live handles produced by :meth:`Scenario._prepare` and consumed by
-    the run-lifecycle stages (serial ``run()``, the sharded workers, and the
-    service layer's budgeted sessions)."""
+    :meth:`Scenario.lifecycle` (and the windowed shard worker)."""
 
     connect_events: List[object]
-    start_delays: List[float]
     tc_generators: List[PerfGenerator]
     ls_generators: List[PerfGenerator]
-
-
-@dataclass
-class _RunPhase:
-    """Measurement-window bookkeeping between workload launch and quiesce.
-
-    Produced by :meth:`Scenario._on_connected`, consumed by
-    :meth:`Scenario._on_quota_done` — the two lifecycle hooks shared by the
-    blocking ``run()`` and the incremental session driver
-    (``repro.service.session``), so both execute the identical transition
-    code at the identical engine state."""
-
-    workload_start: float
-    marker_armed: List[bool]
-    quota_barrier: object  # AllOf over the quota generators' done events
 
 
 @dataclass
@@ -497,11 +481,13 @@ class Scenario:
         #: faults).  None = the plain Injector.
         self._injector_factory: Optional[Callable] = None
         self._ran = False
-        #: Set by :meth:`_launch_workload`: scripted actions registered after
-        #: this point could never fire, so :meth:`at_workload_time` rejects
-        #: them.  (Between ``_prepare`` and launch they are still legal — the
-        #: service layer injects mid-session actions in that gap.)
-        self._workload_launched = False
+        #: Clock at workload launch (the handshake-complete anchor), set by
+        #: :meth:`_launch_workload`; None before.  Scripted actions
+        #: registered after launch could never fire, so
+        #: :meth:`at_workload_time` rejects them.  (Between ``_prepare`` and
+        #: launch they are still legal — the service layer injects
+        #: mid-session actions in that gap.)
+        self.workload_start: Optional[float] = None
 
     # -- construction ----------------------------------------------------------------
     def add_target_node(self, name: Optional[str] = None, n_ssds: int = 1) -> TargetNode:
@@ -561,7 +547,7 @@ class Scenario:
         callbacks fire in registration order, after any same-time staged
         tenant start.
         """
-        if self._workload_launched:
+        if self.workload_start is not None:
             raise ConfigError(
                 "scenario already ran; script actions before the workload launches"
             )
@@ -580,72 +566,76 @@ class Scenario:
 
     # -- execution -----------------------------------------------------------------------
     def run(self) -> ScenarioResult:
-        prep = self._prepare()
         env = self.env
-
-        # Handshakes first, then workloads, then the measurement window.
-        env.run(until=env.all_of(prep.connect_events))
-        phase = self._on_connected(prep)
-        env.run(until=phase.quota_barrier)
-        self._on_quota_done(prep, phase)
-        env.run()
+        for _phase, barrier in self.lifecycle():
+            env.run(until=barrier)
         return self._build_result()
 
-    def _on_connected(self, prep: "_Prepared") -> "_RunPhase":
-        """Handshake-complete transition: launch the workload, arm the
-        warmup marker, and build the quota barrier.
+    def lifecycle(self) -> Iterator[Tuple[str, Optional[Event]]]:
+        """The run's phase machine: connect → launch → quota → quiesce → drain.
 
-        Shared verbatim by ``run()`` and the budgeted session driver: every
-        engine allocation here (the marker process, the barrier condition)
-        happens at the same simulated time and in the same order regardless
-        of which driver reached the transition, so sequence numbers — and
-        therefore replay order — are identical."""
+        A resumable generator of ``(phase, barrier)`` pairs, the one copy
+        every driver steps: the blocking :meth:`run`
+        (``env.run(until=barrier)``), the service layer's budgeted sessions
+        (``env.advance`` slices), and the component shard worker (which
+        advances to the global anchor between the barrier and the next
+        step).  The driver dispatches until ``barrier`` is processed — or,
+        for ``None``, until the queue drains — then resumes the generator,
+        which performs the next transition.  Every engine allocation a
+        transition makes therefore happens at the same simulated time and
+        in the same order whichever driver reached it, so sequence numbers,
+        and with them replay order, are identical.
+
+        The first step builds every live component (:meth:`_prepare`).
+        """
         env = self.env
         cfg = self.config
-        workload_start = env.now
-        self._launch_workload(prep)
+        collector = self.collector
+        prep = self._prepare()
+        yield "connect", env.all_of(prep.connect_events)
 
-        marker_armed = [True]
+        # Handshakes done: launch the workload, arm the warmup marker, and
+        # wait for the quota generators.
+        self._launch_workload()
+        workload_start = self.workload_start
+        marker_armed = True
 
         def warmup_marker(env):
             yield env.timeout(cfg.warmup_us)
-            if marker_armed[0]:
-                self.collector.start_measuring()
+            if marker_armed:
+                collector.start_measuring()
 
         env.process(warmup_marker(env))
+        quota_gens = prep.tc_generators or prep.ls_generators
+        yield "workload", env.all_of([g.done for g in quota_gens])
 
-        quota_gens = prep.tc_generators if prep.tc_generators else prep.ls_generators
-        return _RunPhase(
-            workload_start=workload_start,
-            marker_armed=marker_armed,
-            quota_barrier=env.all_of([g.done for g in quota_gens]),
-        )
-
-    def _on_quota_done(self, prep: "_Prepared", phase: "_RunPhase") -> None:
-        """Quota-complete transition: close the measurement window and
-        quiesce (the final ``env.run()`` drain is the caller's)."""
-        env = self.env
-        # Disarm the marker: if the whole run fit inside the warmup it must
-        # not clobber the window during the quiesce phase below.
-        phase.marker_armed[0] = False
-        self.collector.stop_measuring()
+        # Quota done.  Disarm the marker: if the whole run fit inside the
+        # warmup it must not clobber the window during the quiesce below.
+        marker_armed = False
+        collector.stop_measuring()
         # Guard against degenerate measurement windows.  Coalesced
         # completions land in window-sized bursts, so a window that covers
         # only a sliver of the run (warmup ~ run length) would measure one
         # burst and report a nonsense rate.  Fall back to the full workload
         # interval when the warmup consumed most of the run.
-        workload_duration = env.now - phase.workload_start
-        if self.collector.elapsed_us() < 0.3 * workload_duration:
-            self.collector.set_window(phase.workload_start, env.now)
-        self.collector.ensure_window(fallback_start=phase.workload_start)
+        if collector.elapsed_us() < 0.3 * (env.now - workload_start):
+            collector.set_window(workload_start, env.now)
+        collector.ensure_window(fallback_start=workload_start)
 
-        # Quiesce: stop open-ended tenants and let in-flight work land.
-        self._quiesce(prep)
+        # Quiesce: stop open-ended tenants so the drain runs dry.  The
+        # controller stops first — a still-armed tick would reschedule
+        # itself forever and the drain would never finish.
+        if self.qos_controller is not None:
+            self.qos_controller.stop()
+        if prep.tc_generators:
+            for gen in prep.ls_generators:
+                gen.stop()
+        yield "drain", None
 
     def _prepare(self) -> "_Prepared":
         """Build every live component up to (but excluding) the handshakes.
 
-        Shared by the serial ``run()`` path and the sharded workers: all
+        Shared by :meth:`lifecycle` and the windowed shard worker: all
         construction-order-sensitive allocation (tenant ids, connection ids,
         RNG stream derivation, event sequence numbers) happens here in
         declaration order, so a per-shard build that pins the global ids via
@@ -677,7 +667,6 @@ class Scenario:
 
         # Instantiate initiators + workloads.
         connect_events = []
-        start_delays: List[float] = []
         tc_generators: List[PerfGenerator] = []
         ls_generators: List[PerfGenerator] = []
         for spec, inode, tnode, nsid in self._tenant_assignments:
@@ -719,7 +708,6 @@ class Scenario:
                     )
                 )
             connect_events.append(initiator.connect())
-            start_delays.append(spec.start_delay_us)
             is_ls = spec.priority is Priority.LATENCY
             if spec.total_ops is not None:
                 total = spec.total_ops
@@ -768,25 +756,25 @@ class Scenario:
 
         return _Prepared(
             connect_events=connect_events,
-            start_delays=start_delays,
             tc_generators=tc_generators,
             ls_generators=ls_generators,
         )
 
-    def _launch_workload(self, prep: "_Prepared") -> None:
+    def _launch_workload(self) -> None:
         """Arm everything that starts at workload onset (``env.now`` = the
-        handshake-complete anchor).  Sharded workers call this after
+        handshake-complete anchor).  Sharded workers reach this after
         advancing their clock to the *global* anchor H*, so the engine
         allocations here happen at the same simulated time — and therefore
         the same relative order — as the serial run."""
         cfg = self.config
         env = self.env
-        self._workload_launched = True
+        self.workload_start = env.now
         if self.injector is not None and cfg.chaos_epoch == "workload":
             self.injector.start()
         if self.qos_controller is not None:
             self.qos_controller.start()
-        for gen, delay in zip(self.generators, prep.start_delays):
+        for gen, (spec, _i, _t, _n) in zip(self.generators, self._tenant_assignments):
+            delay = spec.start_delay_us
             if delay > 0.0:
                 # Staged arrival (e.g. a mid-run TC burst): the generator's
                 # done event exists from construction, so quota accounting
@@ -798,16 +786,6 @@ class Scenario:
         # a same-time join fires before any leave/actuator touching it.
         for delay, fn in self._scripted:
             env.call_later(delay, _invoke_scripted, fn)
-
-    def _quiesce(self, prep: "_Prepared") -> None:
-        """Stop open-ended tenants so the final drain runs dry.  The
-        controller stops first — a still-armed tick would reschedule itself
-        forever and the drain would never finish."""
-        if self.qos_controller is not None:
-            self.qos_controller.stop()
-        if prep.tc_generators:
-            for gen in prep.ls_generators:
-                gen.stop()
 
     # -- chaos wiring ----------------------------------------------------------------------
     def _build_injector(self, schedule: "FaultSchedule") -> "Injector":

@@ -21,10 +21,6 @@ class SimulationError(ReproError):
     """Errors raised by the discrete-event core (``repro.simcore``)."""
 
 
-class StopSimulation(SimulationError):
-    """Internal control-flow signal used by ``Environment.run(until=...)``."""
-
-
 class ProtocolError(ReproError):
     """NVMe-oF / NVMe-oPF protocol violations (bad PDU, unknown CID, ...)."""
 

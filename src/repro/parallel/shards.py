@@ -15,10 +15,12 @@ Two sharded modes, picked by :func:`partition`:
   shard simulates whole components; there is *no* cross-shard traffic, so
   synchronization reduces to three barriers that pin the global workload
   anchors: handshake-complete ``H* = max(h_s)``, quota-complete
-  ``T* = max(T_s)``, and the final drain.  Workers advance to the exact
+  ``T* = max(T_s)``, and the final drain.  Workers step the serial run's
+  own lifecycle (:meth:`Scenario.lifecycle
+  <repro.cluster.scenario.Scenario.lifecycle>`), advancing to the exact
   global times with ``env.run(until=...)`` (an URGENT marker, so no
-  same-timestamp event is stolen) and then launch/quiesce synchronously —
-  replicating the serial run's synchronous call order at those instants.
+  same-timestamp event is stolen) before each transition — so launch and
+  quiesce run the serial code at those instants.
 
 * **windowed** — a single connected component (shared target/switch) is cut
   at the switch: client uplinks live in the client shards, switch egress
@@ -57,6 +59,7 @@ completions tie across components.
 from __future__ import annotations
 
 import logging
+import math
 import multiprocessing
 import traceback
 from dataclasses import dataclass, field
@@ -105,15 +108,14 @@ class ShardPlan:
     shards: List[ShardAssignment] = field(default_factory=list)
     fallback_reason: Optional[str] = None
     lookahead_us: Optional[float] = None
-    global_has_tc: bool = False
     #: Per-shard sets of *global* fault ordinals the shard applies
     #: (components mode; every shard replays the full timeout chain so
     #: sequence allocation matches serial, but only applies its own faults).
     local_fault_ordinals: Optional[List[FrozenSet[int]]] = None
 
 
-def _serial_plan(reason: str, spec: ScenarioSpec) -> ShardPlan:
-    return ShardPlan(mode="serial", fallback_reason=reason, global_has_tc=spec.has_tc)
+def _serial_plan(reason: str) -> ShardPlan:
+    return ShardPlan(mode="serial", fallback_reason=reason)
 
 
 def _attribute_fault(spec: ScenarioSpec, fault) -> Tuple[Optional[str], Optional[str]]:
@@ -181,9 +183,9 @@ def partition(
     """Decide the execution mode and assign nodes/tenants to shards."""
     cfg = spec.config
     if shards <= 1:
-        return _serial_plan("requested shards <= 1", spec)
+        return _serial_plan("requested shards <= 1")
     if cfg.qos_enabled:
-        return _serial_plan("QoS control plane is scenario-global", spec)
+        return _serial_plan("QoS control plane is scenario-global")
     if spec.has_tc and spec.has_ls:
         # The TC-quota -> LS-stop quiesce is a same-instant global mutation:
         # serial stops every LS generator at the heap position of the final
@@ -195,8 +197,7 @@ def partition(
         return _serial_plan(
             "TC+LS tenant mix couples the global TC-quota instant to the LS "
             "stop (quiesce); T*-co-timed events cannot be ordered across "
-            "shards",
-            spec,
+            "shards"
         )
 
     fault_nodes: List[str] = []
@@ -205,7 +206,7 @@ def partition(
         for fault in chaos.ordered():
             node, reason = _attribute_fault(spec, fault)
             if reason is not None:
-                return _serial_plan(reason, spec)
+                return _serial_plan(reason)
             fault_nodes.append(node)
 
     comps = _connected_components(spec)
@@ -241,28 +242,25 @@ def partition(
         return ShardPlan(
             mode="components",
             shards=assignments,
-            global_has_tc=spec.has_tc,
             local_fault_ordinals=ordinals,
         )
 
     # Single connected component: windowed mode, heavily gated.
     if fault_nodes or (chaos is not None and len(chaos)):
-        return _serial_plan(
-            "windowed (single-component) sharding does not support chaos", spec
-        )
+        return _serial_plan("windowed (single-component) sharding does not support chaos")
     if cfg.transport == "rdma":
-        return _serial_plan("windowed sharding does not support RDMA transport", spec)
+        return _serial_plan("windowed sharding does not support RDMA transport")
     phys = network_tuning(cfg.network_gbps).propagation_us
     if lookahead_us is not None:
         if lookahead_us <= 0:
-            return _serial_plan("lookahead override is zero", spec)
+            return _serial_plan("lookahead override is zero")
         phys = min(phys, lookahead_us)
     if phys <= 0:
-        return _serial_plan("fabric propagation gives zero lookahead", spec)
+        return _serial_plan("fabric propagation gives zero lookahead")
     initiators = spec.initiator_node_names
     k = min(shards, 1 + len(initiators))
     if k < 2:
-        return _serial_plan("not enough initiator nodes to shard", spec)
+        return _serial_plan("not enough initiator nodes to shard")
     bins = [[] for _ in range(k - 1)]
     loads = [0] * (k - 1)
     for name in sorted(initiators, key=lambda n: (-tenant_count.get(n, 0), pos[n])):
@@ -280,7 +278,6 @@ def partition(
     return ShardPlan(
         mode="windowed",
         shards=assignments,
-        global_has_tc=spec.has_tc,
         lookahead_us=phys,
     )
 
@@ -424,6 +421,12 @@ def _shard_payload(sc: Scenario) -> dict:
     }
 
 
+#: Components-mode anchors: after the lifecycle barrier of ``phase`` the
+#: worker reports its local milestone and waits for the global anchor —
+#: H* once the handshakes are done, T* once the quota is.
+_ANCHORS = {"connect": ("handshake", "launch"), "workload": ("quota", "quiesce")}
+
+
 def _component_worker(conn, spec: ScenarioSpec, plan: ShardPlan, shard_idx: int) -> None:
     assignment = plan.shards[shard_idx]
     ordinals = (
@@ -433,62 +436,19 @@ def _component_worker(conn, spec: ScenarioSpec, plan: ShardPlan, shard_idx: int)
     )
     sc = _build_component_shard(spec, assignment, ordinals)
     env = sc.env
-    prep = sc._prepare()
-    env.run(until=env.all_of(prep.connect_events))
-    conn.send(("handshake", env.now))
-
-    op, h_star = conn.recv()
-    assert op == "launch", op
-    env.run(until=h_star)
-    sc._launch_workload(prep)
-    quota_gens = prep.tc_generators if plan.global_has_tc else prep.ls_generators
-    if quota_gens:
-        env.run(until=env.all_of([g.done for g in quota_gens]))
-        conn.send(("quota", env.now))
-    else:
-        conn.send(("quota", None))
-
-    op, t_star = conn.recv()
-    assert op == "quiesce", op
-    env.run(until=t_star)
-    # Serial _quiesce, but with the *global* TC-presence flag: an LS-only
-    # shard must still stop its open-ended tenants at the global T*.
-    if sc.qos_controller is not None:  # pragma: no cover - gated to serial
-        sc.qos_controller.stop()
-    if plan.global_has_tc:
-        for gen in prep.ls_generators:
-            gen.stop()
-    env.run()
+    # The serial lifecycle, with each local milestone swapped for the global
+    # anchor: the next transition (launch, quiesce) runs at exactly H* / T*.
+    # Sharded plans never mix TC and LS tenants, so the shard-local quota
+    # barrier and quiesce are the global ones.
+    for phase, barrier in sc.lifecycle():
+        env.run(until=barrier)
+        if barrier is not None:
+            report, expect = _ANCHORS[phase]
+            conn.send((report, env.now))
+            op, anchor = conn.recv()
+            assert op == expect, op
+            env.run(until=anchor)
     conn.send(("payload", _shard_payload(sc)))
-
-
-def _step_window(env, w_end: float, watch: list, quota_watch: list):
-    """Process events strictly below ``w_end``.
-
-    Stops early (mid-window) the step after the shard's handshake milestone
-    fires — the worker must not run past its local anchor until the global
-    ``H*`` is known.  The quota milestone is recorded but non-stopping
-    (nothing happens at ``T*`` in windowed mode: quiesce is gated to be a
-    no-op and the measurement window is applied post-hoc).
-    """
-    processed = 0
-    fired_h = None
-    quota_t = None
-    step = env.step
-    peek = env.peek
-    while peek() < w_end:
-        step()
-        processed += 1
-        w = watch[0]
-        if w is not None and w.callbacks is None:
-            watch[0] = None
-            fired_h = env.now
-            break
-        q = quota_watch[0]
-        if q is not None and q.callbacks is None:
-            quota_watch[0] = None
-            quota_t = env.now
-    return processed, fired_h, quota_t
 
 
 def _drain_exports(exports: List[ExportLink]) -> list:
@@ -502,12 +462,12 @@ def _drain_exports(exports: List[ExportLink]) -> list:
 def _windowed_worker(conn, spec: ScenarioSpec, plan: ShardPlan, shard_idx: int) -> None:
     sc, exports, sinks = _build_windowed_shard(spec, plan, shard_idx)
     env = sc.env
-    watch: list = [None]
-    quota_watch: list = [None]
+    handshake = None
     prep = None
+    quota_times: List[float] = []
     if shard_idx != 0:
         prep = sc._prepare()
-        watch[0] = env.all_of(prep.connect_events)
+        handshake = env.all_of(prep.connect_events)
     conn.send(("ready", env.peek()))
     while True:
         cmd = conn.recv()
@@ -516,7 +476,23 @@ def _windowed_worker(conn, spec: ScenarioSpec, plan: ShardPlan, shard_idx: int) 
             _, w_end, msgs = cmd
             if msgs:
                 inject_messages(env, msgs, sinks)
-            processed, fired_h, quota_t = _step_window(env, w_end, watch, quota_watch)
+            # Entries strictly below ``w_end`` (a cap at or below the clock
+            # leaves none), stopping early right after the handshake
+            # milestone: the worker must not run past its local anchor until
+            # the global H* is known.  The quota milestone is recorded (by a
+            # callback) but non-stopping — nothing happens at T* in windowed
+            # mode: quiesce is gated to be a no-op and the measurement window
+            # is applied post-hoc.
+            processed = 0
+            if w_end > env.now:
+                processed = env.advance(
+                    until_time=math.nextafter(w_end, -math.inf), stop=handshake
+                )
+            fired_h = None
+            if handshake is not None and handshake.processed:
+                handshake = None
+                fired_h = env.now
+            quota_t = quota_times.pop() if quota_times else None
             conn.send(
                 ("win", env.peek(), processed, _drain_exports(exports), fired_h, quota_t)
             )
@@ -525,10 +501,11 @@ def _windowed_worker(conn, spec: ScenarioSpec, plan: ShardPlan, shard_idx: int) 
             if msgs:
                 inject_messages(env, msgs, sinks)
             env.run(until=h_star)
-            sc._launch_workload(prep)
-            gens = prep.tc_generators if plan.global_has_tc else prep.ls_generators
-            if gens:
-                quota_watch[0] = env.all_of([g.done for g in gens])
+            sc._launch_workload()
+            # Sharded plans never mix TC and LS tenants: the shard's quota
+            # generators are the global ones.
+            quota = env.all_of([g.done for g in prep.tc_generators or prep.ls_generators])
+            quota.callbacks.append(lambda _event: quota_times.append(env.now))
             conn.send(("launched", env.peek(), _drain_exports(exports)))
         elif op == "finalize":
             conn.send(("payload", _shard_payload(sc)))
@@ -617,20 +594,14 @@ def _coordinate_components(workers: List[_Worker], timers: _Timers):
     h_star = max(h_local)
     for w in workers:
         w.send(("launch", h_star))
-    t_local = [timers.blocked(w.recv, "quota")[1] for w in workers]
-    times = [t for t in t_local if t is not None]
-    if not times:
-        raise CampaignError("no shard reported a quota milestone")
-    t_star = max(times)
+    t_star = max(timers.blocked(w.recv, "quota")[1] for w in workers)
     for w in workers:
         w.send(("quiesce", t_star))
     payloads = [timers.blocked(w.recv, "payload")[1] for w in workers]
     return payloads, h_star, t_star, {"windows": 3, "messages": 0}
 
 
-def _coordinate_windowed(
-    workers: List[_Worker], spec: ScenarioSpec, plan: ShardPlan, timers: _Timers
-):
+def _coordinate_windowed(workers: List[_Worker], plan: ShardPlan, timers: _Timers):
     """Conservative lock-step windows over the switch-cut shards."""
     n = len(workers)
     lookahead = plan.lookahead_us
@@ -642,16 +613,6 @@ def _coordinate_windowed(
     pending: List[list] = [[] for _ in range(n)]
     tenant_shards = list(range(1, n))
     fired: Dict[int, Optional[float]] = {s: None for s in tenant_shards}
-    quota_shards = set()
-    want = Priority.THROUGHPUT if plan.global_has_tc else Priority.LATENCY
-    for s in tenant_shards:
-        if any(
-            spec.placements[pi].spec.priority is want
-            for pi in plan.shards[s].placement_indices
-        ):
-            quota_shards.add(s)
-    if not quota_shards:
-        raise CampaignError("no shard carries quota-bearing tenants")
     quota_times: Dict[int, float] = {}
     launched = False
     h_star: Optional[float] = None
@@ -739,13 +700,13 @@ def _coordinate_windowed(
         else:
             idle_rounds = 0
 
-    missing = quota_shards - set(quota_times)
+    missing = set(tenant_shards) - set(quota_times)
     if missing:
         raise CampaignError(
             f"shards {sorted(missing)} drained without reaching their quota "
             f"milestone"
         )
-    t_star = max(quota_times[s] for s in quota_shards)
+    t_star = max(quota_times.values())
     t0 = perf_counter()
     for w in workers:
         w.send(("finalize",))
@@ -797,10 +758,11 @@ def _merge_payloads(
         col._priorities[name] = prio
     col.total_recorded = sum(p["total_recorded"] for p in payloads)
 
-    # Post-hoc replay of the serial measurement-window protocol.  The warmup
-    # marker (skipped in shards: its events are side-effect-free) fires iff
-    # H* + warmup <= T* — on a tie its sequence number (allocated at launch)
-    # beats the quota AllOf's (allocated at T*).
+    # Post-hoc replay of the serial measurement-window protocol (shards ship
+    # raw records, not their collector's window; windowed shards never arm
+    # the warmup marker).  The marker fires iff H* + warmup <= T* — on a tie
+    # its sequence number (allocated at launch) beats the quota AllOf's
+    # (allocated at T*).
     if h_star + cfg.warmup_us <= t_star:
         col.set_window(h_star + cfg.warmup_us, t_star)
     else:
@@ -914,9 +876,7 @@ def run_sharded(
         if plan.mode == "components":
             payloads, h_star, t_star, stats = _coordinate_components(workers, timers)
         else:
-            payloads, h_star, t_star, stats = _coordinate_windowed(
-                workers, spec, plan, timers
-            )
+            payloads, h_star, t_star, stats = _coordinate_windowed(workers, plan, timers)
     finally:
         for w in workers:
             w.shutdown()

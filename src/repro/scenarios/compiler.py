@@ -43,7 +43,7 @@ from .actions import (
     UsageBurst,
 )
 from .invariants import check_all, check_invariant
-from .program import BURST_SEP, ScenarioProgram
+from .program import BURST_SEP, ScenarioProgram, storage_names
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,8 @@ class CompiledProgram:
         """Build the program's topology as a :class:`ScenarioSpec` into
         ``self.scenario``, then register its scripted actions on it."""
         program = self.program
-        node_order = [
-            ("target", f"target{i}", program.n_ssds)
-            for i in range(program.n_target_nodes)
-        ]
+        targets, _ssds = storage_names(program.n_target_nodes, program.n_ssds)
+        node_order = [("target", name, program.n_ssds) for name in targets]
         placements: List[TenantPlacement] = []
         placement: Dict[str, Tuple[str, str]] = {}
         scripted = []
@@ -175,7 +173,7 @@ class CompiledProgram:
                     total_ops=action.total_ops,
                 )
                 node = f"client{joins}"
-                target = f"target{joins % program.n_target_nodes}"
+                target = targets[joins % len(targets)]
                 node_order.append(("initiator", node, 0))
                 placements.append(TenantPlacement(spec, node, target, 1, len(placements)))
                 placement[action.tenant] = (node, target)

@@ -44,7 +44,7 @@ from .actions import (
     UsageBurst,
 )
 from .invariants import MIDRUN_INVARIANTS
-from .program import ScenarioProgram
+from .program import ScenarioProgram, storage_names
 
 _OP_MIXES = ("read", "write", "rw50")
 _FAULT_KINDS = (
@@ -176,8 +176,7 @@ def generate_program(seed: int, config: Optional[GeneratorConfig] = None) -> Sce
 
     n_target_nodes = rng.randint(1, gcfg.max_target_nodes)
     n_ssds = rng.randint(1, gcfg.max_ssds)
-    targets = [f"target{i}" for i in range(n_target_nodes)]
-    ssds = [f"target{i}/ssd{j}" for i in range(n_target_nodes) for j in range(n_ssds)]
+    targets, ssds = storage_names(n_target_nodes, n_ssds)
 
     initial = rng.randint(1, gcfg.max_initial_tenants)
     late = rng.randint(0, gcfg.max_late_tenants)

@@ -86,6 +86,14 @@ def _bad(message: str) -> ScenarioProgramError:
     return ScenarioProgramError(message)
 
 
+def storage_names(n_target_nodes: int, n_ssds: int) -> Tuple[List[str], List[str]]:
+    """A program topology's target node names and SSD names, in declaration
+    order: ``target{i}`` and ``target{i}/ssd{j}`` — the names the compiled
+    scenario registers with the fault injector."""
+    targets = [f"target{i}" for i in range(n_target_nodes)]
+    return targets, [f"{target}/ssd{j}" for target in targets for j in range(n_ssds)]
+
+
 @dataclass
 class ScenarioProgram:
     """One named, validated scenario program."""
@@ -128,12 +136,6 @@ class ScenarioProgram:
             )
         cfg = self.scenario_config()  # eager: bad values fail here, typed
 
-        targets = {f"target{i}" for i in range(self.n_target_nodes)}
-        ssds = {
-            f"target{i}/ssd{j}"
-            for i in range(self.n_target_nodes)
-            for j in range(self.n_ssds)
-        }
         joined: Set[str] = set()
         left: Set[str] = set()
         ls_unbounded: List[str] = []
@@ -177,7 +179,7 @@ class ScenarioProgram:
                 self._require_live(where, action.tenant, joined, left)
             elif isinstance(action, FaultInject):
                 has_fault = True
-                self._check_fault_target(where, action, targets, ssds, joined)
+                self._check_fault_target(where, action, joined)
             elif isinstance(action, (Checkpoint, AssertInvariant)):
                 pass
             else:  # pragma: no cover - the vocabulary is closed
@@ -209,21 +211,16 @@ class ScenarioProgram:
         if tenant in left:
             raise _bad(f"{where}: tenant {tenant!r} already left")
 
-    def _check_fault_target(
-        self,
-        where: str,
-        action: FaultInject,
-        targets: Set[str],
-        ssds: Set[str],
-        joined: Set[str],
-    ) -> None:
+    def _check_fault_target(self, where: str, action: FaultInject, joined: Set[str]) -> None:
         """Resource-aware fault validation against the implied topology.
 
-        Client nodes are named ``client{k}`` in join order, links
-        ``{node}->sw`` / ``sw->{node}``, the switch ``sw`` — the same names
-        the compiler's topology will register with the injector.
+        Targets and SSDs are named by :func:`storage_names`, client nodes
+        ``client{k}`` in join order, links ``{node}->sw`` / ``sw->{node}``,
+        the switch ``sw`` — the same names the compiler's topology will
+        register with the injector.
         """
-        nodes = targets | {f"client{i}" for i in range(len(joined))}
+        targets, ssds = storage_names(self.n_target_nodes, self.n_ssds)
+        nodes = set(targets) | {f"client{i}" for i in range(len(joined))}
         links = {f"{n}->sw" for n in nodes} | {f"sw->{n}" for n in nodes}
         kind, component = action.kind, action.component
         if kind in (KIND_LINK_DOWN, KIND_LINK_DEGRADE, KIND_LINK_LOSS):

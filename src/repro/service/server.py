@@ -41,6 +41,10 @@ from .session import SessionNotFound, SessionStateError
 #: Longest long-poll the server will hold a request open for.
 MAX_WAIT_MS = 30_000
 
+#: Largest request body the server reads.  Programs and checkpoints are a
+#: few KiB; a body above this is refused with 413 before any byte is read.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 _SESSION_ROUTE = re.compile(
     r"^/sessions/(?P<id>[A-Za-z0-9_.-]+)"
     r"(?:/(?P<verb>telemetry|actions|pause|resume|checkpoint|result))?$"
@@ -92,7 +96,16 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", 0) or 0)
         except ValueError:
-            raise _ApiError(400, "bad Content-Length") from None
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry another
+            # request after the error reply.
+            self.close_connection = True
+            if length < 0:
+                raise _ApiError(400, "bad Content-Length: must be an integer >= 0")
+            raise _ApiError(
+                413, f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}

@@ -10,10 +10,12 @@ host them concurrently.  Between slices the session is inert: callers read
 telemetry snapshots, inject future-time actions, pause it, or serialize a
 checkpoint.
 
-Determinism is the load-bearing property.  The slice loop dispatches the
-exact heap entries ``env.run()`` would, in the same order, allocating zero
-extra engine state — so a session's sealed digest is bit-identical to
-running the same program through :func:`repro.scenarios.compiler.replay`.
+Determinism is the load-bearing property.  A session steps the scenario's
+own lifecycle (:meth:`Scenario.lifecycle
+<repro.cluster.scenario.Scenario.lifecycle>`) through the engine's one
+dispatch loop, the same code ``Scenario.run()`` uses, allocating zero extra
+engine state — so a session's sealed digest is bit-identical to running the
+same program through :func:`repro.scenarios.compiler.replay`.
 Checkpoints exploit this: a checkpoint is just the program, the seed it
 embeds, the injection log, and the *step cursor* (how many heap entries have
 been dispatched).  Resume re-compiles the program, re-applies the injections
@@ -60,20 +62,6 @@ ST_PAUSED = "paused"
 ST_DRAINING = "draining"
 ST_FINISHED = "finished"
 ST_FAILED = "failed"
-
-# Internal run phases, mirroring the serial run()'s barriers.
-_PH_CONNECT = 0  # handshakes in flight
-_PH_QUOTA = 1  # workload running, waiting on the quota barrier
-_PH_DRAIN = 2  # quiesced, letting the event queue empty
-_PH_DONE = 3  # result sealed
-
-_PHASE_NAMES = {
-    _PH_CONNECT: "connect",
-    _PH_QUOTA: "workload",
-    _PH_DRAIN: "drain",
-    _PH_DONE: "done",
-}
-
 
 class SessionNotFound(ServiceError):
     """No session with the requested id (maps to HTTP 404)."""
@@ -146,14 +134,11 @@ class SimSession:
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._status = ST_CREATED
-        self._phase = _PH_CONNECT
         self._pause_requested = False
         self.error: Optional[str] = None
 
         #: Replay cursor: heap entries dispatched so far.
         self.steps = 0
-        self.workload_start: Optional[float] = None
-        self._run_phase = None
         #: All injections applied to this timeline, in application order.
         self.injections: List[InjectionRecord] = []
         #: Records restored from a checkpoint, waiting for their cursor.
@@ -167,11 +152,12 @@ class SimSession:
         self.digest: Optional[str] = None
         self.digest_sha256: Optional[str] = None
 
-        # Build every live component and the handshake barrier now, exactly
-        # as the serial run() would: a freshly created session is the
-        # zero-step point of the canonical timeline.
-        self._prep = self.scenario._prepare()
-        self._barrier = self.env.all_of(self._prep.connect_events)
+        # Step the scenario's lifecycle to its first barrier now, exactly as
+        # the serial run() would: a freshly created session is the zero-step
+        # point of the canonical timeline.  The phase reads "done" once the
+        # lifecycle is exhausted and the result sealed.
+        self._lifecycle = self.scenario.lifecycle()
+        self._phase, self._barrier = next(self._lifecycle)
 
     # -- state ----------------------------------------------------------------
     @property
@@ -179,7 +165,7 @@ class SimSession:
         """Public lifecycle state (``running`` in the drain phase reads as
         ``draining`` so dashboards can tell work from cleanup)."""
         status = self._status
-        if status == ST_RUNNING and self._phase == _PH_DRAIN:
+        if status == ST_RUNNING and self._phase == "drain":
             return ST_DRAINING
         return status
 
@@ -299,13 +285,14 @@ class SimSession:
         until_us: Optional[float],
         stop_on_checkpoint: bool,
     ) -> int:
-        """The incremental mirror of ``Scenario.run()``.
+        """Step the scenario's lifecycle in budgeted slices.
 
-        Each iteration either performs a phase transition (calling the same
-        lifecycle hooks the blocking path calls, at the same engine state)
-        or dispatches a bounded batch of heap entries.  Restored injections
-        are re-applied exactly when the step cursor reaches their recorded
-        position, never inside a batch — the batch cap shrinks to the gap.
+        Each iteration either resumes the lifecycle (its barrier has been
+        processed, or in the drain phase the queue is empty) or dispatches
+        a bounded batch of heap entries up to that barrier.  Restored
+        injections are re-applied exactly when the step cursor reaches
+        their recorded position, never inside a batch — the batch cap
+        shrinks to the gap.
         """
         env = self.env
         budget = max_events
@@ -315,7 +302,7 @@ class SimSession:
         processed = 0
         n_checkpoints = len(self.compiled.checkpoints)
 
-        while self._status == ST_RUNNING and self._phase != _PH_DONE:
+        while self._status == ST_RUNNING and self._phase != "done":
             if self._pause_requested:
                 break
             if budget is not None and budget <= 0:
@@ -337,27 +324,16 @@ class SimSession:
             if stop_on_checkpoint:
                 cap = 1 if cap is None else min(cap, 1)
 
-            if self._phase == _PH_CONNECT:
-                barrier = self._barrier
-                if barrier.processed:
-                    self._run_phase = self.scenario._on_connected(self._prep)
-                    self.workload_start = self._run_phase.workload_start
-                    self._phase = _PH_QUOTA
-                    continue
-                n = env.advance(max_events=cap, until_time=horizon, stop=barrier)
-            elif self._phase == _PH_QUOTA:
-                barrier = self._run_phase.quota_barrier
-                if barrier.processed:
-                    self.scenario._on_quota_done(self._prep, self._run_phase)
-                    self._phase = _PH_DRAIN
-                    continue
-                n = env.advance(max_events=cap, until_time=horizon, stop=barrier)
-            else:  # _PH_DRAIN
-                if not len(env):
+            barrier = self._barrier
+            reached = not len(env) if barrier is None else barrier.processed
+            if reached:
+                step = next(self._lifecycle, None)
+                if step is None:
                     self._finish()
-                    continue
-                barrier = None
-                n = env.advance(max_events=cap, until_time=horizon)
+                else:
+                    self._phase, self._barrier = step
+                continue
+            n = env.advance(max_events=cap, until_time=horizon, stop=barrier)
 
             self.steps += n
             processed += n
@@ -369,8 +345,8 @@ class SimSession:
                 if barrier is not None and not len(env):
                     raise ServiceError(
                         f"session {self.id!r}: event queue drained before the "
-                        f"{_PHASE_NAMES[self._phase]} barrier triggered; the "
-                        f"scenario cannot progress"
+                        f"{self._phase} barrier triggered; the scenario cannot "
+                        f"progress"
                     )
                 break  # horizon reached (queue head beyond until_us)
         return processed
@@ -389,7 +365,7 @@ class SimSession:
         self._result_run = run
         self.digest = digest
         self.digest_sha256 = hashlib.sha256(digest.encode()).hexdigest()
-        self._phase = _PH_DONE
+        self._phase = "done"
         self._status = ST_FINISHED
 
     # -- injection ------------------------------------------------------------
@@ -411,7 +387,7 @@ class SimSession:
                 )
             act = action if isinstance(action, Action) else action_from_dict(action)
             at = float(at_us)
-            pre_launch = not self.scenario._workload_launched
+            pre_launch = self.scenario.workload_start is None
             self._validate_injection(act, at, pre_launch)
             record = InjectionRecord(
                 action=act.to_dict(),
@@ -449,19 +425,8 @@ class SimSession:
                     f"fault injection needs a program compiled with at least "
                     f"one fault_inject action and a retry_policy"
                 )
-            program = self.program
-            targets = {f"target{i}" for i in range(program.n_target_nodes)}
-            ssds = {
-                f"target{i}/ssd{j}"
-                for i in range(program.n_target_nodes)
-                for j in range(program.n_ssds)
-            }
-            program._check_fault_target(
-                f"injected fault at t={at_us!r}",
-                action,
-                targets,
-                ssds,
-                set(program.tenants()),
+            self.program._check_fault_target(
+                f"injected fault at t={at_us!r}", action, set(self.program.tenants())
             )
             return
         if not isinstance(action, self.compiled.SCRIPTED_OPS):
@@ -490,12 +455,12 @@ class SimSession:
                 f"(program runs {scenario.config.protocol!r})"
             )
         if not pre_launch:
-            if self.workload_start is None:
+            if scenario.workload_start is None:
                 raise ServiceError(
                     "post-launch injection record applies before the workload "
                     "launched — the checkpoint is inconsistent"
                 )
-            when = self.workload_start + at_us
+            when = scenario.workload_start + at_us
             if when <= self.env.now:
                 raise ServiceError(
                     f"injection time t={at_us!r} (absolute {when!r}) is not in "
@@ -517,7 +482,7 @@ class SimSession:
             self.compiled.schedule_action(action, at_us)
         else:
             self.env.call_at(
-                self.workload_start + at_us,
+                self.scenario.workload_start + at_us,
                 _invoke_scripted,
                 self.compiled.action_callback(action),
             )
@@ -536,12 +501,12 @@ class SimSession:
         snapshot: Dict[str, object] = {
             "seq": self._snapshot_seq,
             "state": self.state,
-            "phase": _PHASE_NAMES[self._phase],
+            "phase": self._phase,
             "at_us": self.env.now,
             "steps": self.steps,
             "workload_us": (
-                self.env.now - self.workload_start
-                if self.workload_start is not None
+                self.env.now - scenario.workload_start
+                if scenario.workload_start is not None
                 else None
             ),
             "tenants": tenants,
@@ -586,7 +551,7 @@ class SimSession:
             return {
                 "id": self.id,
                 "state": self.state,
-                "phase": _PHASE_NAMES[self._phase],
+                "phase": self._phase,
                 "program": self.program.name,
                 "steps": self.steps,
                 "virtual_us": self.env.now,

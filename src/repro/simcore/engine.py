@@ -28,10 +28,12 @@ Batched scheduling (see docs/ARCHITECTURE.md, "Batched dispatch"):
 of args at one timestamp as a *single* heap entry that reserves a
 contiguous run of sequence numbers — one heap push and one heap pop per
 batch instead of per item, while replaying bit-identically to the
-equivalent loop of ``call_later`` calls.  The run loop additionally drains
-runs of same-timestamp entries into a reusable list and dispatches them
-without re-entering the heap, falling back to heap order the moment a
-dispatched callback schedules something that must sort earlier.
+equivalent loop of ``call_later`` calls.
+
+One dispatch loop: :meth:`Environment.advance` is the only code that pops
+the heap.  :meth:`Environment.run` wraps it (a stop event, or an URGENT
+marker for a time bound), so the blocking run, the service layer's budgeted
+slices and the sharded workers dispatch through exactly the same loop.
 
 Typical usage::
 
@@ -52,7 +54,7 @@ import heapq
 import math
 from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..errors import SimulationError, StopSimulation
+from ..errors import SimulationError
 from .events import AllOf, AnyOf, Event, NORMAL, Timeout, URGENT
 from .process import Process
 
@@ -61,19 +63,11 @@ Infinity = float("inf")
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-#: Cap on pooled Timeout objects kept for reuse (bounds memory after bursts).
-_POOL_LIMIT = 1024
-
-_RESUME = Process._resume  # the one callback whose events are pool-safe
-
 
 def _process_event(event: Event) -> None:
     """Uniform-dispatch shim: process one triggered :class:`Event`.
 
-    Runs the event's callbacks, re-raises unhandled failures, and recycles
-    pool-managed timeouts whose sole consumer was a process resume (the only
-    case where no live reference can observe the object afterwards — a
-    condition or a second waiter would appear as an extra callback).
+    Runs the event's callbacks and re-raises unhandled failures.
     """
     callbacks = event.callbacks
     if callbacks is None:  # pragma: no cover - defensive
@@ -81,21 +75,8 @@ def _process_event(event: Event) -> None:
     event.callbacks = None
     if len(callbacks) == 1:
         # Single consumer — the overwhelmingly common case on hot paths.
-        callback = callbacks[0]
-        callback(event)
+        callbacks[0](event)
         if event._ok:
-            if event._pooled:
-                try:
-                    is_resume = callback.__func__ is _RESUME
-                except AttributeError:
-                    is_resume = False
-                if is_resume:
-                    event._value = None
-                    pool = event.env._timeout_pool
-                    if len(pool) < _POOL_LIMIT:
-                        callbacks.clear()
-                        event._spare = callbacks
-                        pool.append(event)
             return
     else:
         for callback in callbacks:
@@ -112,7 +93,7 @@ def _process_event(event: Event) -> None:
 class Environment:
     """Execution environment for a single simulation run."""
 
-    __slots__ = ("now", "_queue", "_seq", "_active_proc", "_timeout_pool", "_batch")
+    __slots__ = ("now", "_queue", "_seq", "_active_proc")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self.now = float(initial_time)
@@ -122,11 +103,6 @@ class Environment:
         # next() calls.
         self._seq = 0
         self._active_proc: Optional[Process] = None
-        #: Free list of recycled :class:`Timeout` objects (see ``timeout()``).
-        self._timeout_pool: List[Timeout] = []
-        #: Reusable same-timestamp drain list for the run loop (never
-        #: reallocated; cleared between drains).
-        self._batch: List[Tuple[float, int, int, Callable[[Any], None], Any]] = []
 
     # -- clock & introspection -----------------------------------------------
     # ``now`` is a plain data attribute, not a property: the clock is read on
@@ -320,33 +296,24 @@ class Environment:
                 )
             raise
 
-    def step(self) -> None:
-        """Process exactly one entry, advancing the clock to its time."""
-        try:
-            self.now, _, _, fn, arg = _heappop(self._queue)
-        except IndexError:
-            raise SimulationError("the event queue is empty") from None
-        fn(arg)
-
     def advance(
         self,
         max_events: Optional[int] = None,
         until_time: Optional[float] = None,
         stop: Optional[Event] = None,
     ) -> int:
-        """Budgeted incremental stepping: process up to ``max_events`` heap
+        """The engine's one dispatch loop: process up to ``max_events`` heap
         entries, none scheduled after ``until_time``, halting immediately
         after ``stop`` is processed.  Returns the number of entries run.
 
-        This is the non-blocking slice the service control plane multiplexes
-        sessions on: each entry dispatches exactly as :meth:`step` would (one
-        pop, clock set, ``fn(arg)``), so interleaving ``advance`` calls with
-        phase-transition code between them replays bit-identically to one
-        uninterrupted :meth:`run` — the budget boundaries are invisible to
-        the simulation.  An exhausted budget simply returns; the queue stays
-        resumable.  Unlike :meth:`run`, no stop callback is registered on
-        ``stop`` — the caller polls :attr:`Event.processed` — so a budgeted
-        driver adds zero heap entries and zero sequence numbers.
+        Each entry dispatches the same way (one pop, clock set,
+        ``fn(arg)``), so a run split into budgeted slices — the service
+        control plane's sessions, the sharded workers' windows — replays
+        bit-identically to one uninterrupted :meth:`run`: the slice
+        boundaries are invisible to the simulation.  An exhausted budget
+        simply returns; the queue stays resumable.  No callback is
+        registered on ``stop`` (the loop polls :attr:`Event.processed`), so
+        a budgeted driver adds zero heap entries and zero sequence numbers.
         """
         if max_events is not None and max_events < 0:
             raise SimulationError(f"max_events must be >= 0 (got {max_events!r})")
@@ -369,99 +336,42 @@ class Environment:
         return n
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
-        """Run the simulation.
+        """Run the simulation: a thin wrapper over :meth:`advance`.
 
         Parameters
         ----------
         until:
             * ``None`` — run until the event queue drains.
-            * a number — run until the clock reaches that time.
+            * a number — run until the clock reaches that time; entries at
+              exactly that time with NORMAL priority stay queued.
             * an :class:`Event` — run until that event is processed and
               return its value (raising if it failed).
         """
         if until is None:
-            stop: Optional[Event] = None
-        elif isinstance(until, Event):
-            stop = until
-            if stop.callbacks is None:
-                return stop.value if stop.ok else self._reraise(stop.value)
-            stop.callbacks.append(self._stop_callback)
-        else:
-            at = float(until)
-            if at < self.now:
-                raise SimulationError(f"until={at} lies in the past (now={self.now})")
-            stop = Event(self)
-            stop._ok = True
-            stop._value = None
-            # URGENT: fire before any NORMAL event at the same timestamp.
-            seq = self._seq
-            self._seq = seq + 1
-            heapq.heappush(self._queue, (at, URGENT, seq, _process_event, stop))
-            stop.callbacks.append(self._stop_callback)
-
-        # Inlined step() loop: one attribute fetch per run, not per event.
-        # Runs of same-timestamp entries are drained into a reusable list
-        # and dispatched without re-entering the heap; a per-item guard
-        # (cheap tuple compare against the heap head) restores exact heap
-        # order the moment a dispatched callback schedules something that
-        # must sort earlier — so the drain cannot perturb replay order.
-        queue = self._queue
-        pop = _heappop
-        push = _heappush
-        batch = self._batch
-        i = n = 0
-        try:
-            while queue:
-                t, _p, _s, fn, arg = pop(queue)
-                self.now = t
-                fn(arg)
-                # Same-timestamp drain only pays off for runs of >= 2
-                # entries; a single queued successor (the common chained
-                # shape) skips it on one cheap len() check.
-                while len(queue) > 1 and queue[0][0] == t:
-                    batch.clear()
-                    append = batch.append
-                    while queue and queue[0][0] == t:
-                        append(pop(queue))
-                    i = 0
-                    n = len(batch)
-                    while i < n:
-                        e = batch[i]
-                        if queue and queue[0] < e:
-                            # Return the undispatched tail to the heap and
-                            # let the outer loop re-establish order.
-                            while n > i:
-                                n -= 1
-                                push(queue, batch[n])
-                            break
-                        i += 1
-                        e[3](e[4])
-        except BaseException as exc:
-            # An exception mid-drain (a stop callback, a failed event) must
-            # not lose the undispatched tail: the heap has to stay resumable
-            # for a later run() call.
-            while n > i:
-                n -= 1
-                push(queue, batch[n])
-            batch.clear()
-            if isinstance(exc, StopSimulation):
-                return exc.args[0]
-            raise
-        batch.clear()
-
-        if stop is not None and not stop.triggered:
-            raise SimulationError("run(until=event) finished but the event never triggered")
+            self.advance()
+            return None
+        if isinstance(until, Event):
+            if until.callbacks is not None:
+                self.advance(stop=until)
+                if until.callbacks is not None:
+                    raise SimulationError(
+                        "run(until=event) finished but the event never triggered"
+                    )
+            if until._ok:
+                return until._value
+            raise until._value
+        at = float(until)
+        if at < self.now:
+            raise SimulationError(f"until={at} lies in the past (now={self.now})")
+        marker = Event(self)
+        marker._ok = True
+        marker._value = None
+        # URGENT: fire before any NORMAL entry at the same timestamp.
+        seq = self._seq
+        self._seq = seq + 1
+        _heappush(self._queue, (at, URGENT, seq, _process_event, marker))
+        self.advance(stop=marker)
         return None
-
-    @staticmethod
-    def _reraise(exc: BaseException) -> None:
-        raise exc
-
-    @staticmethod
-    def _stop_callback(event: Event) -> None:
-        if event._ok:
-            raise StopSimulation(event._value)
-        raise event._value
 
     # -- factories -------------------------------------------------------------
     def process(
@@ -473,29 +383,18 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires after ``delay`` microseconds.
 
-        Returned objects are **pool-managed**: once the timeout has resumed
-        the single process that yielded it, the engine may recycle the object
-        for a later ``timeout()`` call.  Keep the yielded *value*, not the
-        Timeout object — inspecting a consumed Timeout is undefined.  (Plain
-        ``Timeout(env, delay)`` construction opts out of pooling.)
+        Builds the :class:`Timeout` inline (no ``__init__`` chain): the
+        process API's hot path allocates one per ``yield``.
         """
         if not 0.0 <= delay < Infinity:
             raise self._bad_delay(delay)
-        pool = self._timeout_pool
-        if pool:
-            t = pool.pop()
-            t.callbacks = t._spare
-            t._value = value
-            t.delay = delay
-        else:
-            t = Timeout.__new__(Timeout)
-            t.env = self
-            t.callbacks = []
-            t._value = value
-            t._ok = True
-            t._defused = False
-            t._pooled = True
-            t.delay = delay
+        t = Timeout.__new__(Timeout)
+        t.env = self
+        t.callbacks = []
+        t._value = value
+        t._ok = True
+        t._defused = False
+        t.delay = delay
         seq = self._seq
         self._seq = seq + 1
         _heappush(

@@ -40,7 +40,7 @@ class Event:
         Owning environment.  Events can only be used with their environment.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_pooled")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -49,9 +49,6 @@ class Event:
         self._value: Any = _PENDING
         self._ok: bool = True
         self._defused: bool = False
-        #: True only for engine-owned objects eligible for free-list reuse
-        #: (``Environment.timeout()`` sets this on the instances it builds).
-        self._pooled: bool = False
 
     # -- introspection -------------------------------------------------------
     @property
@@ -136,9 +133,7 @@ class Event:
 class Timeout(Event):
     """An event that triggers after a fixed delay."""
 
-    #: ``_spare`` parks the (cleared) callback list while the object rests in
-    #: the environment's free list, so reuse allocates nothing.
-    __slots__ = ("delay", "_spare")
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:

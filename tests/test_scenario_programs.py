@@ -36,6 +36,7 @@ from repro.scenarios import (
 )
 from repro.scenarios import PROGRAM_FORMAT
 from repro.scenarios.invariants import INV_BOOKS, INV_CID, INV_CONSERVATION, INV_SLO
+from repro.scenarios.program import storage_names
 from repro.scenarios.library import (
     FIG7_CELL,
     QOS_GUARD,
@@ -237,6 +238,12 @@ class TestProgramValidation:
             _program(JOIN2, n_target_nodes=0)
         with pytest.raises(ScenarioProgramError):
             _program(JOIN2, n_ssds=0)
+
+    def test_storage_names_are_the_compiled_topology_names(self):
+        scenario = compile_program(_program(JOIN2, n_target_nodes=2, n_ssds=3)).scenario
+        targets, ssds = storage_names(2, 3)
+        assert [node.name for node in scenario.target_nodes] == targets
+        assert [ssd.name for node in scenario.target_nodes for ssd in node.ssds] == ssds
 
     def test_duration_and_tenants_introspection(self):
         prog = _program([*JOIN2, Advance(dt_us=100.0), Advance(dt_us=50.0)])

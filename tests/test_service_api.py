@@ -6,11 +6,13 @@ telemetry snapshots mid-run, inject an ``slo_change`` at a future virtual
 time, pause + checkpoint + resume, and prove the final sealed digest is
 bit-identical to running the same (amended) program directly through the
 compiler.  Plus the error-mapping contract: 404 for unknown sessions, 409
-for illegal transitions, 400 for malformed payloads.
+for illegal transitions, 400 for malformed payloads, 413 for oversized
+bodies.
 """
 
 import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -23,6 +25,7 @@ from repro.scenarios import ScenarioProgram, replay
 from repro.scenarios.actions import Advance, SloChange
 from repro.scenarios.library import fig7_cell_program
 from repro.service import ServiceApiError, ServiceClient, ServiceServer
+from repro.service.server import MAX_BODY_BYTES
 
 #: Future virtual instant for the injected slo_change.  Deliberately off
 #: every 100us controller-tick boundary: the amended-program equivalence is
@@ -61,13 +64,15 @@ def client(server):
     return ServiceClient(server.host, server.port)
 
 
-def test_e2e_submit_stream_inject_checkpoint_resume(client):
+def test_e2e_submit_stream_inject_checkpoint_resume(client, slice_gate):
     truth = amended_digest()
     session_id = client.submit(slo_program_dict())
 
-    # Stream >= 3 telemetry snapshots while the run is live.
+    # Stream >= 3 telemetry snapshots while the run is live, letting the
+    # workers run one slice at a time until the workload is under way.
     cursor, streamed = 0, []
-    while len(streamed) < 3:
+    while len(streamed) < 3 or streamed[-1]["phase"] != "workload":
+        slice_gate.step()
         cursor, snapshots = client.telemetry(session_id, cursor=cursor, wait_ms=5_000)
         streamed.extend(snapshots)
         assert streamed and streamed[-1]["state"] not in ("finished", "failed"), (
@@ -78,6 +83,7 @@ def test_e2e_submit_stream_inject_checkpoint_resume(client):
     live = streamed[-1]
     assert set(live["tenants"]) == {"ls0", "tc0", "tc1"}
     assert live["qos"]["ls0"]["slo"]["p99_ceiling_us"] == 5_000.0
+    assert client.status(session_id)["state"] == "running"
 
     # Inject the SLO change at a future virtual instant.
     reply = client.inject(
@@ -85,8 +91,10 @@ def test_e2e_submit_stream_inject_checkpoint_resume(client):
     )
     assert reply["injected"]["at_us"] == INJECT_AT_US
 
-    # Pause -> checkpoint -> restore as a clone -> resume both.
+    # Pause the running session -> checkpoint -> restore as a clone ->
+    # resume both.
     assert client.pause(session_id)["state"] == "paused"
+    slice_gate.open()
     checkpoint = client.checkpoint(session_id, label="e2e")
     assert checkpoint["format"] == "nvme-opf/session-checkpoint@1"
     assert checkpoint["injections"], "the injection must ride the checkpoint"
@@ -236,6 +244,37 @@ def test_bad_content_length_header(server):
         assert b"Content-Length" in response.read()
     finally:
         connection.close()
+
+
+def _raw_post_status(server, content_length: str) -> int:
+    """POST ``/sessions`` with a raw ``Content-Length`` header and no body;
+    the status of the reply, read to EOF (a hang fails on the timeout)."""
+    with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+        sock.sendall(
+            (
+                "POST /sessions HTTP/1.1\r\n"
+                f"Host: {server.host}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {content_length}\r\n\r\n"
+            ).encode("ascii")
+        )
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    status_line = reply.split(b"\r\n", 1)[0]
+    return int(status_line.split()[1])
+
+
+def test_negative_content_length_is_refused(server):
+    assert _raw_post_status(server, "-1") == 400
+
+
+def test_oversized_content_length_is_refused(server):
+    assert _raw_post_status(server, str(MAX_BODY_BYTES + 1)) == 413
+    assert _raw_post_status(server, "100000000000") == 413
 
 
 # -- server lifecycle ---------------------------------------------------------

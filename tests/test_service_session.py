@@ -18,7 +18,7 @@ import pytest
 from repro.errors import ConfigError, ScenarioProgramError, ServiceError
 from repro.scenarios import ScenarioProgram, replay
 from repro.scenarios.actions import Advance, FaultInject, SetWindow, SloChange, TenantJoin
-from repro.scenarios.library import fig7_cell_program, fig7_cell_spdk_program
+from repro.scenarios.library import fig7_cell_program, fig7_cell_spdk_program, qos_guard_program
 from repro.service import SessionManager, SessionNotFound, SessionStateError, SimSession
 from repro.service.session import InjectionRecord
 
@@ -65,6 +65,26 @@ def test_sliced_run_digest_matches_direct_replay():
         session.advance(max_events=97)
     assert session.state == "finished"
     assert session.digest == direct
+
+
+@pytest.mark.parametrize(
+    "program, steps, now",
+    [
+        (fig7_cell_program, 4395, 2537.947200000007),
+        (lambda: qos_guard_program(total_ops=600), 16004, 13114.177599999717),
+    ],
+    ids=["fig7-cell", "qos-guard-600"],
+)
+def test_replay_cursor_is_pinned(program, steps, now):
+    """A checkpoint restores by replaying its step cursor, so the number of
+    heap entries a run dispatches (and the clock it ends on) must not move,
+    or checkpoints already written stop restoring."""
+    session = SimSession(program())
+    while not session.finished:
+        session.advance(max_events=97)
+    assert session.state == "finished", session.error
+    assert session.steps == session.env._seq == steps
+    assert session.env.now == now
 
 
 def test_phases_progress_in_order():
@@ -166,7 +186,7 @@ def test_inject_rejects_fault_without_chaos_plane():
 
 def test_inject_rejects_past_and_malformed_times():
     session = SimSession(slo_program())
-    while session.workload_start is None:
+    while session.scenario.workload_start is None:
         session.advance(max_events=50)
     session.advance(max_events=500)
     with pytest.raises(ServiceError, match="not in the future"):
@@ -300,14 +320,20 @@ def test_manager_hosts_and_finishes_sessions():
         manager._enqueue(session.id)  # a closed manager drops enqueues
 
 
-def test_manager_pause_checkpoint_restore_flow():
+def test_manager_pause_checkpoint_restore_flow(slice_gate):
     direct = replay(fig7_cell_program()).digest()
     manager = SessionManager(workers=2, slice_events=256)
     try:
         session = manager.submit(fig7_cell_program())
-        # Wait until the workload has made some progress, then freeze it.
+        # Let the workload make some progress, one slice at a time, then
+        # freeze it while it is running.
+        while session.status()["snapshots"] < 3 or session.status()["phase"] != "workload":
+            slice_gate.step()
         session.telemetry(cursor=2, wait_s=30.0)
+        assert session.state == "running"
         manager.pause(session.id)
+        assert session.state == "paused"
+        slice_gate.open()
         checkpoint = manager.checkpoint(session.id, label="mid")
         restored = manager.restore(json.loads(json.dumps(checkpoint)), start=True)
         manager.resume(session.id)
@@ -368,7 +394,7 @@ def test_fault_injection_validation():
                         duration_us=50.0, params=(("scale", 2.0),)),
             at_us=5.0,
         )
-    while session.workload_start is None:
+    while session.scenario.workload_start is None:
         session.advance(max_events=50)
     with pytest.raises(ServiceError, match="before the workload launches"):
         session.inject(

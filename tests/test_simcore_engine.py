@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.simcore import Environment, Interrupt
+from repro.simcore.events import URGENT
 
 
 def test_clock_starts_at_initial_time():
@@ -313,10 +314,10 @@ def test_peek_and_len():
     assert len(env) == 2
 
 
-def test_step_on_empty_queue_raises():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.step()
+def test_advance_one_entry_on_empty_queue_dispatches_nothing():
+    env = Environment(initial_time=3.0)
+    assert env.advance(max_events=1) == 0
+    assert env.now == 3.0
 
 
 def test_processes_see_consistent_now():
@@ -385,22 +386,67 @@ def test_event_trigger_copies_outcome():
 
 # -- budgeted incremental stepping (the service layer's engine primitive) ----
 class TestAdvance:
-    def test_advance_is_dispatch_identical_to_run(self):
-        def build():
-            env = Environment()
-            log = []
-            for delay in (3.0, 1.0, 2.0, 2.0, 5.0):
-                env.call_later(delay, log.append)
-            return env, log
+    @staticmethod
+    def _mixed_queue():
+        """Same-timestamp runs, batches, and URGENT entries scheduled from
+        callbacks at their own timestamp (they sort ahead of what is queued)."""
+        env = Environment()
+        log = []
 
-        serial_env, serial_log = build()
+        def record(tag):
+            log.append((env.now, tag))
+
+        def spawn_urgent(tag):
+            record(tag)
+            env.call_later(0.0, record, f"{tag}-urgent", priority=URGENT)
+
+        for delay in (3.0, 1.0, 2.0, 2.0, 5.0):
+            env.call_later(delay, record, f"d{delay}")
+        env.call_later(2.0, spawn_urgent, "spawner")
+        env.call_later(2.0, record, "after-spawner")
+        env.call_later_batch(2.0, record, ["b0", "b1", "b2"])
+        env.call_later_batch(3.0, spawn_urgent, ["s0", "s1"])
+        return env, log
+
+    def test_advance_is_dispatch_identical_to_run(self):
+        serial_env, serial_log = self._mixed_queue()
         serial_env.run()
-        stepped_env, stepped_log = build()
-        while len(stepped_env):
-            assert stepped_env.advance(max_events=2) > 0
-        assert stepped_log == serial_log
-        assert stepped_env.now == serial_env.now
-        assert stepped_env._seq == serial_env._seq
+        assert serial_log == [
+            (1.0, "d1.0"),
+            (2.0, "d2.0"),
+            (2.0, "d2.0"),
+            (2.0, "spawner"),
+            (2.0, "spawner-urgent"),
+            (2.0, "after-spawner"),
+            (2.0, "b0"),
+            (2.0, "b1"),
+            (2.0, "b2"),
+            (3.0, "d3.0"),
+            (3.0, "s0"),
+            (3.0, "s0-urgent"),
+            (3.0, "s1"),
+            (3.0, "s1-urgent"),
+            (5.0, "d5.0"),
+        ]
+        for budget in (1, 2, 7):
+            stepped_env, stepped_log = self._mixed_queue()
+            while len(stepped_env):
+                assert stepped_env.advance(max_events=budget) > 0
+            assert stepped_log == serial_log, budget
+            assert stepped_env.now == serial_env.now
+            assert stepped_env._seq == serial_env._seq
+
+    def test_advance_stop_leaves_same_timestamp_entries_queued(self):
+        env = Environment()
+        fired = []
+        stop = env.timeout(2.0)
+        env.call_later(2.0, fired.append, "a")
+        env.call_later_batch(2.0, fired.append, ["b", "c"])
+        assert env.advance(stop=stop) == 1
+        assert stop.processed and env.now == 2.0
+        assert fired == [] and len(env) == 2
+        env.run()
+        assert fired == ["a", "b", "c"]
 
     def test_advance_honors_every_budget(self):
         env = Environment()

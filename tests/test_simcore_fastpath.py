@@ -1,11 +1,11 @@
-"""Tests for the callback fast path: call_later/call_at, pooling, determinism.
+"""Tests for the callback fast path: call_later/call_at, timeouts, determinism.
 
 The engine schedules two entry kinds on one heap — Events (process API) and
 plain callbacks (``call_later``/``call_at``).  These tests pin the contract
 that makes the fast path safe to use on hot paths:
 
 * callbacks and events share ``(time, priority, seq)`` tie-breaking exactly;
-* pooled Timeout recycling never resurrects a processed event;
+* a Timeout fires exactly once per issue and reissues start clean;
 * delay validation rejects NaN/inf before they can corrupt heap ordering;
 * ``run(until=...)`` stops on time with callbacks still pending;
 * a scenario implemented process-style and callback-style replays to the
@@ -125,29 +125,12 @@ def test_nan_delay_error_message_mentions_finiteness():
 
 
 # ---------------------------------------------------------------------------
-# Timeout pooling: recycling must never be observable
+# Timeouts: one fire per issue, clean on reissue
 # ---------------------------------------------------------------------------
 
 
-def test_pool_reuses_timeout_objects_across_process_yields():
-    env = Environment()
-    seen_ids = []
-
-    def proc(env):
-        for _ in range(4):
-            t = env.timeout(1.0)
-            seen_ids.append(id(t))
-            yield t
-
-    env.process(proc(env))
-    env.run()
-    # After the first yield completes, the object returns to the free list
-    # and the next env.timeout() hands it back: all later ids repeat.
-    assert len(set(seen_ids)) < len(seen_ids)
-
-
 def test_pooled_timeout_fires_exactly_once_per_issue():
-    """A recycled object must behave as a fresh event — one fire per issue."""
+    """Every issued timeout behaves as a fresh event — one fire per issue."""
     env = Environment()
     fired = []
 
@@ -163,55 +146,6 @@ def test_pooled_timeout_fires_exactly_once_per_issue():
     assert env.now == 5.0
 
 
-def test_pool_does_not_capture_multi_waiter_timeouts():
-    """A timeout with two waiters is not pool-eligible (a live reference
-    could observe the recycled object)."""
-    env = Environment()
-    got = []
-
-    def waiter(env, shared, tag):
-        yield shared
-        got.append(tag)
-
-    shared = env.timeout(3.0)
-    env.process(waiter(env, shared, "w1"))
-    env.process(waiter(env, shared, "w2"))
-    env.run()
-    assert sorted(got) == ["w1", "w2"]
-    assert env._timeout_pool == []  # two callbacks -> not recycled
-    # The shared object is still inspectable (processed, not resurrected).
-    assert shared.processed
-
-
-def test_pool_does_not_capture_condition_members():
-    env = Environment()
-
-    def proc(env):
-        t1 = env.timeout(1.0, value="t1")
-        t2 = env.timeout(2.0, value="t2")
-        result = yield t1 & t2
-        return [e._value for e in result]
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == ["t1", "t2"]
-    # Condition members carry an extra _check callback -> never pooled.
-    assert env._timeout_pool == []
-
-
-def test_unpooled_timeout_constructor_opts_out():
-    from repro.simcore import Timeout
-
-    env = Environment()
-
-    def proc(env):
-        yield Timeout(env, 1.0)
-
-    env.process(proc(env))
-    env.run()
-    assert env._timeout_pool == []
-
-
 def test_recycled_timeout_is_clean_on_reissue():
     env = Environment()
 
@@ -220,27 +154,13 @@ def test_recycled_timeout_is_clean_on_reissue():
         yield first
         second = env.timeout(1.0, value="second")
         assert second._value == "second"
-        assert second.callbacks == []  # no stale callbacks from first life
+        assert second.callbacks == []  # no stale callbacks from the first one
         got = yield second
         return got
 
     p = env.process(proc(env))
     env.run()
     assert p.value == "second"
-
-
-def test_pool_is_bounded():
-    from repro.simcore import engine as engine_mod
-
-    env = Environment()
-
-    def sleeper(env):
-        yield env.timeout(1.0)
-
-    for _ in range(engine_mod._POOL_LIMIT + 200):
-        env.process(sleeper(env))
-    env.run()
-    assert len(env._timeout_pool) <= engine_mod._POOL_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +196,15 @@ def test_run_until_event_with_callbacks_in_flight():
     assert env.now == 4.0
 
 
-def test_step_dispatches_callbacks():
+def test_advance_one_entry_dispatches_callbacks():
     env = Environment()
     fired = []
     env.call_later(1.5, fired.append, "x")
-    env.step()
+    env.call_later(2.0, fired.append, "y")
+    assert env.advance(max_events=1) == 1
     assert fired == ["x"]
     assert env.now == 1.5
+    assert len(env) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +298,7 @@ def test_fastpath_scenario_replays_identically():
 
 
 # ---------------------------------------------------------------------------
-# Batched dispatch: call_later_batch + the run-loop same-timestamp drain
+# Batched dispatch: call_later_batch and same-timestamp ordering
 # ---------------------------------------------------------------------------
 
 
@@ -552,8 +474,9 @@ def test_run_until_mid_drain_preserves_pending_entries():
 
 
 def test_drain_falls_back_on_earlier_sorting_entry():
-    """A drained run must yield to an entry that sorts earlier than the
-    next drained item (URGENT at the same timestamp, scheduled mid-run)."""
+    """A run of same-timestamp entries must yield to an entry that sorts
+    earlier than the next one (URGENT at the same timestamp, scheduled
+    mid-run)."""
     env = Environment()
     order = []
 
