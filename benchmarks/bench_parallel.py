@@ -165,8 +165,6 @@ def run_sharded_bench(fast: bool) -> dict:
                     "speedup_vs_serial": serial_s / elapsed,
                     "digest_identical": identical,
                     "phases": report.timings,
-                    "windows": report.windows,
-                    "messages": report.messages,
                 }
             )
         protocols[protocol] = {

@@ -128,7 +128,6 @@ class InitiatorNode:
         recovery_rng=None,
         events=None,
         conn_id: Optional[int] = None,
-        connector=None,
         **opf_kwargs,
     ) -> NvmeOfInitiator:
         """Create one tenant connected to ``target_node``.
@@ -139,11 +138,7 @@ class InitiatorNode:
         evaluation) or ``"rdma"`` (RoCE-style lossless QPs).
 
         ``conn_id`` pins the TCP connection id (sharded runs replicate the
-        serial numbering).  ``connector``, when given, replaces the fabric
-        socket-pair wiring entirely: it is called as
-        ``connector(initiator_node, target_node, conn_id, tenant_name)`` and
-        must return the initiator-side socket — the target side is assumed
-        to live in another shard and is *not* accepted locally.
+        serial numbering).
         """
         if protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
@@ -189,9 +184,6 @@ class InitiatorNode:
             )
             initiator.attach(PduTransport(sock_i, validate=validate_pdus))
             target_node.accept(PduTransport(sock_t, validate=validate_pdus))
-        elif connector is not None:
-            sock_i = connector(self.name, target_node.name, conn_id, tenant_name)
-            initiator.attach(PduTransport(sock_i, validate=validate_pdus))
         else:
             sock_i, sock_t = self.fabric.connect(
                 self.name, target_node.name, name=tenant_name, conn_id=conn_id

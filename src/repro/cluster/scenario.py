@@ -246,15 +246,6 @@ class ScenarioResult:
     #: Canonical injector trace ("" when the scenario ran without chaos).
     fault_trace: str = ""
 
-    def summary_row(self) -> List[object]:
-        return [
-            self.protocol,
-            f"{self.network_gbps:g}G",
-            self.op_mix,
-            self.tc_throughput_mbps,
-            self.ls_tail_us if self.ls_tail_us is not None else float("nan"),
-        ]
-
     def metrics_digest(self) -> str:
         """Canonical rendering of every metric in the result.
 
@@ -306,16 +297,6 @@ class ScenarioResult:
         if self.fault_trace:
             lines.append(self.fault_trace)
         return "\n".join(lines)
-
-
-@dataclass
-class _Prepared:
-    """Live handles produced by :meth:`Scenario._prepare` and consumed by
-    :meth:`Scenario.lifecycle` (and the windowed shard worker)."""
-
-    connect_events: List[object]
-    tc_generators: List[PerfGenerator]
-    ls_generators: List[PerfGenerator]
 
 
 @dataclass
@@ -469,13 +450,10 @@ class Scenario:
         self.initiators_by_name: Dict[str, object] = {}
         #: Sharded-execution overrides (see ``repro.parallel.shards``):
         #: explicit tenant ids / TCP connection ids keyed by tenant name so a
-        #: shard replays the serial run's global assignment order, and an
-        #: optional connector that builds only the initiator-side socket
-        #: (the target end lives in another shard).  Empty/None = the serial
-        #: defaults; behaviour is bit-identical.
+        #: shard replays the serial run's global assignment order.  Empty =
+        #: the serial defaults; behaviour is bit-identical.
         self._tenant_ids: Dict[str, int] = {}
         self._conn_id_overrides: Dict[str, int] = {}
-        self._tenant_connector: Optional[Callable] = None
         #: Injector constructor override (sharded runs substitute a subclass
         #: that replays the full schedule chain but applies only shard-local
         #: faults).  None = the plain Injector.
@@ -578,8 +556,8 @@ class Scenario:
         every driver steps: the blocking :meth:`run`
         (``env.run(until=barrier)``), the service layer's budgeted sessions
         (``env.advance`` slices), and the component shard worker (which
-        advances to the global anchor between the barrier and the next
-        step).  The driver dispatches until ``barrier`` is processed — or,
+        advances to the global handshake anchor after the ``connect``
+        barrier).  The driver dispatches until ``barrier`` is processed — or,
         for ``None``, until the queue drains — then resumes the generator,
         which performs the next transition.  Every engine allocation a
         transition makes therefore happens at the same simulated time and
@@ -591,8 +569,8 @@ class Scenario:
         env = self.env
         cfg = self.config
         collector = self.collector
-        prep = self._prepare()
-        yield "connect", env.all_of(prep.connect_events)
+        connect_events, tc_generators, ls_generators = self._prepare()
+        yield "connect", env.all_of(connect_events)
 
         # Handshakes done: launch the workload, arm the warmup marker, and
         # wait for the quota generators.
@@ -606,7 +584,7 @@ class Scenario:
                 collector.start_measuring()
 
         env.process(warmup_marker(env))
-        quota_gens = prep.tc_generators or prep.ls_generators
+        quota_gens = tc_generators or ls_generators
         yield "workload", env.all_of([g.done for g in quota_gens])
 
         # Quota done.  Disarm the marker: if the whole run fit inside the
@@ -627,15 +605,15 @@ class Scenario:
         # itself forever and the drain would never finish.
         if self.qos_controller is not None:
             self.qos_controller.stop()
-        if prep.tc_generators:
-            for gen in prep.ls_generators:
+        if tc_generators:
+            for gen in ls_generators:
                 gen.stop()
         yield "drain", None
 
-    def _prepare(self) -> "_Prepared":
+    def _prepare(self) -> Tuple[List[Event], List[PerfGenerator], List[PerfGenerator]]:
         """Build every live component up to (but excluding) the handshakes.
 
-        Shared by :meth:`lifecycle` and the windowed shard worker: all
+        Returns the connect events and the TC and LS generators.  All
         construction-order-sensitive allocation (tenant ids, connection ids,
         RNG stream derivation, event sequence numbers) happens here in
         declaration order, so a per-shard build that pins the global ids via
@@ -677,7 +655,6 @@ class Scenario:
                 queue_depth=spec.queue_depth,
                 tenant_id=self._tenant_ids.get(spec.name),
                 conn_id=self._conn_id_overrides.get(spec.name),
-                connector=self._tenant_connector,
                 costs=cfg.effective_costs(),
                 collector=self.collector,
                 window_size=cfg.window_size,
@@ -754,11 +731,7 @@ class Scenario:
                 interval_us=cfg.qos_interval_us,
             )
 
-        return _Prepared(
-            connect_events=connect_events,
-            tc_generators=tc_generators,
-            ls_generators=ls_generators,
-        )
+        return connect_events, tc_generators, ls_generators
 
     def _launch_workload(self) -> None:
         """Arm everything that starts at workload onset (``env.now`` = the

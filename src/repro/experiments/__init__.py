@@ -2,7 +2,7 @@
 
 from .calibration import NETWORK_SPEEDS, PAPER_TARGETS, PaperTarget, WINDOW_SIZES, tuned_costs
 from .fig6 import Fig6aPoint, Fig6bPoint, Fig6cPoint, run_fig6a, run_fig6b, run_fig6c
-from .fig7 import Fig7Point, format_fig7, mean_tail_reduction, mean_throughput_gain, pair_up, run_fig7
+from .fig7 import Fig7Point, format_fig7, mean_tail_reduction, pair_up, run_fig7
 from .fig8 import Fig8Curve, curve_gain_at_max_scale, format_fig8, run_fig8
 from .fig9 import Fig9Point, format_fig9, run_fig9, run_h5bench_cluster
 from .fuzz import FuzzFailure, FuzzResult, repro_seed, run_fuzz
@@ -30,7 +30,6 @@ __all__ = [
     "format_fig8",
     "format_fig9",
     "mean_tail_reduction",
-    "mean_throughput_gain",
     "pair_up",
     "repro_seed",
     "run_fig6a",

@@ -152,12 +152,3 @@ def mean_tail_reduction(points: List[Fig7Point]) -> float:
         if spdk.ls_tail_us and opf.ls_tail_us:
             reductions.append(reduction_pct(opf.ls_tail_us, spdk.ls_tail_us))
     return sum(reductions) / len(reductions) if reductions else 0.0
-
-
-def mean_throughput_gain(points: List[Fig7Point], op_mix: Optional[str] = None) -> float:
-    gains = []
-    for spdk, opf in pair_up(points):
-        if op_mix is not None and spdk.op_mix != op_mix:
-            continue
-        gains.append(improvement_pct(opf.tc_throughput_mbps, spdk.tc_throughput_mbps))
-    return sum(gains) / len(gains) if gains else 0.0

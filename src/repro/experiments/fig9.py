@@ -17,20 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..cluster.node import InitiatorNode, TargetNode
-from ..config import network_tuning, preset_for_network
+from ..cluster.scenario import Scenario, ScenarioConfig
 from ..core.window import select_window
 from ..errors import ConfigError
 from ..hdf5sim.file import H5File
 from ..hdf5sim.mpi import Communicator, SimRank
-from ..metrics.collector import Collector
 from ..metrics.report import format_table, improvement_pct
-from ..net.topology import Fabric
-from ..nvmeof.discovery import DiscoveryService
 from ..parallel.pool import run_campaign
 from ..parallel.units import KIND_FIG9_POINT, WorkUnit
-from ..simcore.engine import Environment
-from ..simcore.rng import RandomStreams
 from ..workloads.h5bench import (
     H5BenchConfig,
     H5BenchKernel,
@@ -65,19 +59,11 @@ def run_h5bench_cluster(
     """Run one h5bench cluster point; returns (aggregate MB/s, mean lat us)."""
     if n_node_pairs < 1 or ranks_per_node < 1:
         raise ConfigError("need at least one node pair and one rank")
-    env = Environment()
-    streams = RandomStreams(seed)
-    tuning = network_tuning(network_gbps)
-    preset = preset_for_network(network_gbps)
-    fabric = Fabric(
-        env,
-        rate_gbps=network_gbps,
-        propagation_us=tuning.propagation_us,
-        queue_packets=tuning.queue_packets,
-        switch_delay_us=tuning.switch_delay_us,
+    sc = Scenario(
+        ScenarioConfig(protocol=protocol, network_gbps=network_gbps, seed=seed)
     )
-    discovery = DiscoveryService()
-    collector = Collector(env)
+    env = sc.env
+    collector = sc.collector
     window = window_size or select_window(
         bench.mode, network_gbps, tc_initiators=ranks_per_node
     )
@@ -88,11 +74,8 @@ def run_h5bench_cluster(
     comm = Communicator(env, total_ranks)
     global_rank = 0
     for pair in range(n_node_pairs):
-        tnode = TargetNode(
-            env, f"target{pair}", fabric, streams,
-            protocol=protocol, ssd_profile=preset.ssd, discovery=discovery,
-        )
-        inode = InitiatorNode(env, f"client{pair}", fabric)
+        tnode = sc.add_target_node(f"target{pair}")
+        inode = sc.add_initiator_node(f"client{pair}")
         for local in range(ranks_per_node):
             initiator = inode.add_initiator(
                 f"rank{global_rank}", tnode,

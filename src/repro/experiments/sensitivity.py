@@ -118,15 +118,6 @@ def sweep_conn_switch_cost(
     return points
 
 
-def run_sensitivity(total_ops: int = 400, seed: int = 1) -> List[SensitivityPoint]:
-    """The full sensitivity grid."""
-    points: List[SensitivityPoint] = []
-    points += sweep_cpu_cost_scale(total_ops=total_ops, seed=seed)
-    points += sweep_device_speed(total_ops=total_ops, seed=seed)
-    points += sweep_conn_switch_cost(total_ops=total_ops, seed=seed)
-    return points
-
-
 def format_sensitivity(points: List[SensitivityPoint]) -> str:
     return format_table(
         ["knob", "factor", "SPDK MB/s", "oPF MB/s", "gain %"],

@@ -62,17 +62,6 @@ class VolConnector:
             priority=self.metadata_priority,
         )
 
-    def read_metadata(self) -> "IoRequest":
-        """One latency-sensitive superblock read (open/attribute access)."""
-        self.metadata_requests += 1
-        return self.initiator.submit(
-            OP_READ,
-            slba=self.h5file.superblock_lba,
-            nlb=1,
-            nsid=self.nsid,
-            priority=self.metadata_priority,
-        )
-
     # -- bulk data -----------------------------------------------------------------
     def write_elements(
         self, dataset: Dataset, start: int, count: int, queue_depth: int = 128

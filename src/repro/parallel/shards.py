@@ -8,31 +8,17 @@ worker processes, and merges the shard payloads into one
 :class:`~repro.cluster.scenario.ScenarioResult` that is bit-identical to
 ``spec.build().run()``.
 
-Two sharded modes, picked by :func:`partition`:
-
-* **components** — the tenant/node graph decomposes into >= 2 connected
-  components (the scale-out pattern: pairwise client/target wiring).  Each
-  shard simulates whole components; there is *no* cross-shard traffic, so
-  synchronization reduces to three barriers that pin the global workload
-  anchors: handshake-complete ``H* = max(h_s)``, quota-complete
-  ``T* = max(T_s)``, and the final drain.  Workers step the serial run's
-  own lifecycle (:meth:`Scenario.lifecycle
-  <repro.cluster.scenario.Scenario.lifecycle>`), advancing to the exact
-  global times with ``env.run(until=...)`` (an URGENT marker, so no
-  same-timestamp event is stolen) before each transition — so launch and
-  quiesce run the serial code at those instants.
-
-* **windowed** — a single connected component (shared target/switch) is cut
-  at the switch: client uplinks live in the client shards, switch egress
-  ports toward clients live in the target shard (see
-  :mod:`repro.net.boundary`).  Every boundary crossing takes at least the
-  link propagation ``L`` (the physical lookahead), so all shards can run
-  conservative lock-step windows ``[W, W')`` with ``W' = min(eff_peek) + L``
-  where ``eff_peek`` includes pending (captured but uninjected) deliveries:
-  any frame captured in the future delivers at or after that bound.
-  Captured frames are exchanged at window barriers, sorted by
-  ``(accept_at, link_index, link_seq)`` — the serial run's delivery-event
-  sequence-allocation order — and injected at exact absolute timestamps.
+One sharded mode, **components**: :func:`partition` splits the tenant/node
+graph into its connected components (the scale-out pattern: pairwise
+client/target wiring) and gives each shard whole components.  There is
+*no* cross-shard traffic, so synchronization reduces to one barrier that
+pins the global handshake anchor ``H* = max(h_s)``.  Workers step the
+serial run's own lifecycle (:meth:`Scenario.lifecycle
+<repro.cluster.scenario.Scenario.lifecycle>`), advancing to exactly ``H*``
+with ``env.run(until=...)`` (an URGENT marker, so no same-timestamp event
+is stolen) before the launch, so the launch runs the serial code at that
+instant; each then runs to the end and ships its local quota time, and
+the coordinator takes ``T* = max(T_s)``.
 
 Serial fallback (``mode == "serial"``) is taken, with the reason logged on
 the ``repro.parallel.shards`` logger, whenever sharding cannot preserve
@@ -41,25 +27,22 @@ feedback loop), a mixed TC+LS tenant set (the TC-quota -> LS-stop quiesce
 is a same-instant global mutation whose tie-breaking needs the global
 event-sequence order; quantised service times make T*-ties common),
 ``link.loss`` faults (all draws come from one shared ``faults/loss``
-stream), switch-targeted faults, zero lookahead, or a windowed topology
-with chaos or RDMA.
+stream), switch-targeted faults, or a single connected component (one
+shared fabric, which a components split cannot cut).
 
 Determinism argument (why merged == serial, bit for bit): shards replay the
 serial run's per-component event trajectories exactly — construction order,
 tenant/connection ids and RNG streams are pinned to the global declaration
-index, and cross-shard influence is either absent (components) or delivered
-at the serial timestamps in serial allocation order (windowed).  All
-float-sensitive reductions run once, in
-:func:`~repro.cluster.scenario.assemble_result`, and the collector
-aggregates across initiators in canonical (name-sorted) order — never in
-first-completion order, which no shard could reconstruct when first
-completions tie across components.
+index, and there is no cross-shard influence.  All float-sensitive
+reductions run once, in :func:`~repro.cluster.scenario.assemble_result`,
+and the collector aggregates across initiators in canonical (name-sorted)
+order — never in first-completion order, which no shard could reconstruct
+when first completions tie across components.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import multiprocessing
 import traceback
 from dataclasses import dataclass, field
@@ -74,15 +57,11 @@ from ..cluster.scenario import (
     assemble_result,
 )
 from ..cluster.spec import ScenarioSpec
-from ..config import network_tuning
 from ..core.flags import Priority
 from ..errors import CampaignError
 from ..faults.injector import Injector
 from ..metrics.collector import Collector, _Record
-from ..net.boundary import ExportLink, export_downlink, export_uplink, inject_messages
-from ..net.tcp import TcpSocket
-from ..nvmeof.transport import PduTransport
-from ..simcore.engine import Environment, Infinity
+from ..simcore.engine import Environment
 
 logger = logging.getLogger("repro.parallel.shards")
 
@@ -104,10 +83,9 @@ class ShardAssignment:
 class ShardPlan:
     """Output of :func:`partition`: mode + per-shard assignments."""
 
-    mode: str  # "serial" | "components" | "windowed"
+    mode: str  # "serial" | "components"
     shards: List[ShardAssignment] = field(default_factory=list)
     fallback_reason: Optional[str] = None
-    lookahead_us: Optional[float] = None
     #: Per-shard sets of *global* fault ordinals the shard applies
     #: (components mode; every shard replays the full timeout chain so
     #: sequence allocation matches serial, but only applies its own faults).
@@ -177,9 +155,7 @@ def _connected_components(spec: ScenarioSpec) -> List[List[str]]:
     return comps
 
 
-def partition(
-    spec: ScenarioSpec, shards: int, lookahead_us: Optional[float] = None
-) -> ShardPlan:
+def partition(spec: ScenarioSpec, shards: int) -> ShardPlan:
     """Decide the execution mode and assign nodes/tenants to shards."""
     cfg = spec.config
     if shards <= 1:
@@ -193,7 +169,7 @@ def partition(
         # one more op iff its globally-allocated sequence number precedes
         # that position.  Quantised service times put completions on a
         # lattice, so such ties are common, and no shard can know the global
-        # allocation order — both sharded modes hand the mix to serial.
+        # allocation order — so the mix runs serially.
         return _serial_plan(
             "TC+LS tenant mix couples the global TC-quota instant to the LS "
             "stop (quiesce); T*-co-timed events cannot be ordered across "
@@ -210,75 +186,40 @@ def partition(
             fault_nodes.append(node)
 
     comps = _connected_components(spec)
+    if len(comps) < 2:
+        return _serial_plan("a single connected component")
     pos = {name: i for i, (_k, name, _n) in enumerate(spec.node_order)}
     tenant_count: Dict[str, int] = {}
     for p in spec.placements:
         tenant_count[p.initiator_node] = tenant_count.get(p.initiator_node, 0) + 1
 
-    if len(comps) >= 2:
-        k = min(shards, len(comps))
-        weights = [sum(tenant_count.get(n, 0) for n in comp) for comp in comps]
-        order = sorted(range(len(comps)), key=lambda i: (-weights[i], i))
-        bins: List[List[str]] = [[] for _ in range(k)]
-        loads = [0] * k
-        for i in order:
-            s = min(range(k), key=lambda j: (loads[j], j))
-            bins[s].extend(comps[i])
-            loads[s] += weights[i]
-        assignments = []
-        for s, nodes in enumerate(bins):
-            nodes = tuple(sorted(nodes, key=pos.__getitem__))
-            node_set = set(nodes)
-            pidx = tuple(
-                p.index for p in spec.placements if p.initiator_node in node_set
-            )
-            assignments.append(ShardAssignment(s, nodes, pidx))
-        ordinals = [
-            frozenset(
-                i for i, nd in enumerate(fault_nodes) if nd in set(a.nodes)
-            )
-            for a in assignments
-        ]
-        return ShardPlan(
-            mode="components",
-            shards=assignments,
-            local_fault_ordinals=ordinals,
-        )
-
-    # Single connected component: windowed mode, heavily gated.
-    if fault_nodes or (chaos is not None and len(chaos)):
-        return _serial_plan("windowed (single-component) sharding does not support chaos")
-    if cfg.transport == "rdma":
-        return _serial_plan("windowed sharding does not support RDMA transport")
-    phys = network_tuning(cfg.network_gbps).propagation_us
-    if lookahead_us is not None:
-        if lookahead_us <= 0:
-            return _serial_plan("lookahead override is zero")
-        phys = min(phys, lookahead_us)
-    if phys <= 0:
-        return _serial_plan("fabric propagation gives zero lookahead")
-    initiators = spec.initiator_node_names
-    k = min(shards, 1 + len(initiators))
-    if k < 2:
-        return _serial_plan("not enough initiator nodes to shard")
-    bins = [[] for _ in range(k - 1)]
-    loads = [0] * (k - 1)
-    for name in sorted(initiators, key=lambda n: (-tenant_count.get(n, 0), pos[n])):
-        s = min(range(k - 1), key=lambda j: (loads[j], j))
-        bins[s].append(name)
-        loads[s] += tenant_count.get(name, 0)
-    assignments = [
-        ShardAssignment(0, tuple(spec.target_node_names), ())
-    ]
+    k = min(shards, len(comps))
+    weights = [sum(tenant_count.get(n, 0) for n in comp) for comp in comps]
+    order = sorted(range(len(comps)), key=lambda i: (-weights[i], i))
+    bins: List[List[str]] = [[] for _ in range(k)]
+    loads = [0] * k
+    for i in order:
+        s = min(range(k), key=lambda j: (loads[j], j))
+        bins[s].extend(comps[i])
+        loads[s] += weights[i]
+    assignments = []
     for s, nodes in enumerate(bins):
         nodes = tuple(sorted(nodes, key=pos.__getitem__))
         node_set = set(nodes)
-        pidx = tuple(p.index for p in spec.placements if p.initiator_node in node_set)
-        assignments.append(ShardAssignment(s + 1, nodes, pidx))
+        pidx = tuple(
+            p.index for p in spec.placements if p.initiator_node in node_set
+        )
+        assignments.append(ShardAssignment(s, nodes, pidx))
+    ordinals = [
+        frozenset(
+            i for i, nd in enumerate(fault_nodes) if nd in set(a.nodes)
+        )
+        for a in assignments
+    ]
     return ShardPlan(
-        mode="windowed",
+        mode="components",
         shards=assignments,
-        lookahead_us=phys,
+        local_fault_ordinals=ordinals,
     )
 
 
@@ -304,16 +245,6 @@ class _ShardInjector(Injector):
             super()._apply(fault, ordinal)
 
 
-class _RemoteNode:
-    """Stand-in for a target node living in another shard: the connector
-    wiring path only reads ``.name``."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-
 def _build_component_shard(
     spec: ScenarioSpec, assignment: ShardAssignment, local_ordinals: FrozenSet[int]
 ) -> Scenario:
@@ -333,70 +264,8 @@ def _build_component_shard(
     return sc
 
 
-def _build_windowed_shard(spec: ScenarioSpec, plan: ShardPlan, shard_idx: int):
-    """Build one windowed shard: the target shard (index 0) owns every
-    target node plus the switch side of all client downlinks; client shards
-    own their nodes' uplinks.  Returns ``(scenario, export_links, sinks)``.
-    """
-    assignment = plan.shards[shard_idx]
-    node_set = set(assignment.nodes)
-    sc, tmap, imap = spec.instantiate_nodes(node_set)
-    cfg = spec.config
-    initiators = spec.initiator_node_names
-    uplink_index = {name: 2 * i for i, name in enumerate(initiators)}
-    exports: List[ExportLink] = []
-    if shard_idx == 0:
-        # Switch egress ports toward every (remote) client node.
-        for name in initiators:
-            exports.append(export_downlink(sc.fabric, name, uplink_index[name] + 1))
-        # Target-side sockets for every tenant, in global declaration order
-        # (serial builds them interleaved with the initiator sides, but the
-        # target-shard-local relative order is all that matters here).
-        for p in spec.placements:
-            sock_t = TcpSocket(
-                sc.env,
-                sc.fabric.nic(p.target_node),
-                p.initiator_node,
-                p.index + 1,
-                config=None,
-                name=f"{p.spec.name}:{p.target_node}",
-            )
-            tmap[p.target_node].accept(
-                PduTransport(sock_t, validate=cfg.validate_pdus)
-            )
-        # Inbound frames crossed a client uplink; they deliver to the switch.
-        sinks = {name: sc.fabric.switch.receive for name in tmap}
-    else:
-        for name in assignment.nodes:
-            exports.append(export_uplink(sc.fabric, name, uplink_index[name]))
-
-        def connector(inode: str, tnode: str, conn_id: int, tenant_name: str):
-            return TcpSocket(
-                sc.env,
-                sc.fabric.nic(inode),
-                tnode,
-                conn_id,
-                config=None,
-                name=f"{tenant_name}:{inode}",
-            )
-
-        sc._tenant_connector = connector
-        stubs: Dict[str, _RemoteNode] = {}
-        for pi in assignment.placement_indices:
-            p = spec.placements[pi]
-            stub = stubs.setdefault(p.target_node, _RemoteNode(p.target_node))
-            sc.add_tenant(
-                p.spec, imap[p.initiator_node], stub, p.nsid,
-                tenant_id=pi, conn_id=pi + 1,
-            )
-        # Inbound frames crossed a switch egress port; they deliver to the
-        # local node's NIC.
-        sinks = {name: sc.fabric.nic(name).receive for name in imap}
-    return sc, exports, sinks
-
-
 # -- worker processes ----------------------------------------------------------------
-def _shard_payload(sc: Scenario) -> dict:
+def _shard_payload(sc: Scenario, quota_at: float) -> dict:
     """Everything the coordinator needs from one finished shard."""
     agg = sc._gather_aggregates()
     col = sc.collector
@@ -415,16 +284,11 @@ def _shard_payload(sc: Scenario) -> dict:
         "priorities": dict(col._priorities),
         "total_recorded": col.total_recorded,
         "final_time": sc.env.now,
+        "quota_at": quota_at,
         "trace": list(inj.trace) if inj is not None else [],
         "trace_meta": list(inj.trace_meta) if inj is not None else [],
         "books": books,
     }
-
-
-#: Components-mode anchors: after the lifecycle barrier of ``phase`` the
-#: worker reports its local milestone and waits for the global anchor —
-#: H* once the handshakes are done, T* once the quota is.
-_ANCHORS = {"connect": ("handshake", "launch"), "workload": ("quota", "quiesce")}
 
 
 def _component_worker(conn, spec: ScenarioSpec, plan: ShardPlan, shard_idx: int) -> None:
@@ -436,90 +300,28 @@ def _component_worker(conn, spec: ScenarioSpec, plan: ShardPlan, shard_idx: int)
     )
     sc = _build_component_shard(spec, assignment, ordinals)
     env = sc.env
-    # The serial lifecycle, with each local milestone swapped for the global
-    # anchor: the next transition (launch, quiesce) runs at exactly H* / T*.
-    # Sharded plans never mix TC and LS tenants, so the shard-local quota
-    # barrier and quiesce are the global ones.
+    quota_at = None
+    # The serial lifecycle with one global barrier: the worker reports its
+    # handshake milestone and advances to the global anchor H*, so the
+    # launch runs at exactly that instant.  Sharded plans never mix TC and
+    # LS tenants and never build a QoS plane, so the quiesce at the local
+    # quota barrier changes no engine state; the local quota time ships in
+    # the payload and the coordinator takes T* as the maximum.
     for phase, barrier in sc.lifecycle():
         env.run(until=barrier)
-        if barrier is not None:
-            report, expect = _ANCHORS[phase]
-            conn.send((report, env.now))
-            op, anchor = conn.recv()
-            assert op == expect, op
-            env.run(until=anchor)
-    conn.send(("payload", _shard_payload(sc)))
-
-
-def _drain_exports(exports: List[ExportLink]) -> list:
-    out: list = []
-    for link in exports:
-        if link.outbox:
-            out.extend(link.drain_outbox())
-    return out
-
-
-def _windowed_worker(conn, spec: ScenarioSpec, plan: ShardPlan, shard_idx: int) -> None:
-    sc, exports, sinks = _build_windowed_shard(spec, plan, shard_idx)
-    env = sc.env
-    handshake = None
-    prep = None
-    quota_times: List[float] = []
-    if shard_idx != 0:
-        prep = sc._prepare()
-        handshake = env.all_of(prep.connect_events)
-    conn.send(("ready", env.peek()))
-    while True:
-        cmd = conn.recv()
-        op = cmd[0]
-        if op == "window":
-            _, w_end, msgs = cmd
-            if msgs:
-                inject_messages(env, msgs, sinks)
-            # Entries strictly below ``w_end`` (a cap at or below the clock
-            # leaves none), stopping early right after the handshake
-            # milestone: the worker must not run past its local anchor until
-            # the global H* is known.  The quota milestone is recorded (by a
-            # callback) but non-stopping — nothing happens at T* in windowed
-            # mode: quiesce is gated to be a no-op and the measurement window
-            # is applied post-hoc.
-            processed = 0
-            if w_end > env.now:
-                processed = env.advance(
-                    until_time=math.nextafter(w_end, -math.inf), stop=handshake
-                )
-            fired_h = None
-            if handshake is not None and handshake.processed:
-                handshake = None
-                fired_h = env.now
-            quota_t = quota_times.pop() if quota_times else None
-            conn.send(
-                ("win", env.peek(), processed, _drain_exports(exports), fired_h, quota_t)
-            )
-        elif op == "launch":
-            _, h_star, msgs = cmd
-            if msgs:
-                inject_messages(env, msgs, sinks)
+        if phase == "connect":
+            conn.send(("handshake", env.now))
+            op, h_star = conn.recv()
+            assert op == "launch", op
             env.run(until=h_star)
-            sc._launch_workload()
-            # Sharded plans never mix TC and LS tenants: the shard's quota
-            # generators are the global ones.
-            quota = env.all_of([g.done for g in prep.tc_generators or prep.ls_generators])
-            quota.callbacks.append(lambda _event: quota_times.append(env.now))
-            conn.send(("launched", env.peek(), _drain_exports(exports)))
-        elif op == "finalize":
-            conn.send(("payload", _shard_payload(sc)))
-            return
-        else:  # pragma: no cover - protocol guard
-            raise CampaignError(f"unknown shard command {op!r}")
+        elif phase == "workload":
+            quota_at = env.now
+    conn.send(("payload", _shard_payload(sc, quota_at)))
 
 
-def _worker_entry(conn, mode: str, spec: ScenarioSpec, plan: ShardPlan, shard_idx: int):
+def _worker_entry(conn, spec: ScenarioSpec, plan: ShardPlan, shard_idx: int):
     try:
-        if mode == "components":
-            _component_worker(conn, spec, plan, shard_idx)
-        else:
-            _windowed_worker(conn, spec, plan, shard_idx)
+        _component_worker(conn, spec, plan, shard_idx)
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -533,12 +335,12 @@ def _worker_entry(conn, mode: str, spec: ScenarioSpec, plan: ShardPlan, shard_id
 class _Worker:
     """One forked shard process plus its pipe endpoint."""
 
-    def __init__(self, ctx, mode: str, spec: ScenarioSpec, plan: ShardPlan, idx: int):
+    def __init__(self, ctx, spec: ScenarioSpec, plan: ShardPlan, idx: int):
         self.index = idx
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(
             target=_worker_entry,
-            args=(child, mode, spec, plan, idx),
+            args=(child, spec, plan, idx),
             daemon=True,
             name=f"repro-shard-{idx}",
         )
@@ -589,130 +391,12 @@ class _Timers:
 
 
 def _coordinate_components(workers: List[_Worker], timers: _Timers):
-    """Three-barrier protocol: handshake H*, quota T*, drain."""
-    h_local = [timers.blocked(w.recv, "handshake")[1] for w in workers]
-    h_star = max(h_local)
+    """One barrier, the handshake anchor H*; T* comes back in the payloads."""
+    h_star = max(timers.blocked(w.recv, "handshake")[1] for w in workers)
     for w in workers:
         w.send(("launch", h_star))
-    t_star = max(timers.blocked(w.recv, "quota")[1] for w in workers)
-    for w in workers:
-        w.send(("quiesce", t_star))
     payloads = [timers.blocked(w.recv, "payload")[1] for w in workers]
-    return payloads, h_star, t_star, {"windows": 3, "messages": 0}
-
-
-def _coordinate_windowed(workers: List[_Worker], plan: ShardPlan, timers: _Timers):
-    """Conservative lock-step windows over the switch-cut shards."""
-    n = len(workers)
-    lookahead = plan.lookahead_us
-    node_owner: Dict[str, int] = {}
-    for a in plan.shards:
-        for name in a.nodes:
-            node_owner[name] = a.index
-    peeks = [timers.blocked(w.recv, "ready")[1] for w in workers]
-    pending: List[list] = [[] for _ in range(n)]
-    tenant_shards = list(range(1, n))
-    fired: Dict[int, Optional[float]] = {s: None for s in tenant_shards}
-    quota_times: Dict[int, float] = {}
-    launched = False
-    h_star: Optional[float] = None
-    windows = 0
-    messages = 0
-    idle_rounds = 0
-
-    def route(out: list) -> None:
-        nonlocal messages
-        for msg in out:
-            pending[node_owner[msg[4]]].append(msg)
-            messages += 1
-
-    while True:
-        t0 = perf_counter()
-        eff = [
-            min(peeks[s], min((m[0] for m in pending[s]), default=Infinity))
-            for s in range(n)
-        ]
-        gmin = min(eff)
-        if launched and gmin == Infinity:
-            break
-        if gmin == Infinity:
-            raise CampaignError(
-                "windowed shards drained before the workload launched "
-                "(handshake deadlock)"
-            )
-        w_end = gmin + lookahead
-        all_fired = all(fired[s] is not None for s in tenant_shards)
-        if not launched and all_fired:
-            h_star = max(fired[s] for s in tenant_shards)
-            if eff[0] + lookahead >= h_star:
-                # Safe to launch: the target shard can no longer emit a
-                # frame delivering before H*, so every tenant shard may
-                # advance to exactly H* and start its generators there.
-                for s in tenant_shards:
-                    msgs = sorted(pending[s], key=lambda m: (m[1], m[2], m[3]))
-                    pending[s] = []
-                    workers[s].send(("launch", h_star, msgs))
-                timers.exchange += perf_counter() - t0
-                for s in tenant_shards:
-                    _, peek, out = timers.blocked(workers[s].recv, "launched")
-                    peeks[s] = peek
-                    route(out)
-                launched = True
-                windows += 1
-                continue
-        caps = [w_end] * n
-        if not launched:
-            if all_fired:
-                for s in tenant_shards:
-                    caps[s] = min(w_end, h_star)
-            else:
-                cap = min(eff[s] for s in tenant_shards if fired[s] is None)
-                for s in tenant_shards:
-                    if fired[s] is not None:
-                        caps[s] = min(w_end, cap)
-        injected = 0
-        for s in range(n):
-            msgs = sorted(pending[s], key=lambda m: (m[1], m[2], m[3]))
-            pending[s] = []
-            injected += len(msgs)
-            workers[s].send(("window", caps[s], msgs))
-        timers.exchange += perf_counter() - t0
-        processed_total = 0
-        for s in range(n):
-            _, peek, processed, out, fired_h, quota_t = timers.blocked(
-                workers[s].recv, "win"
-            )
-            peeks[s] = peek
-            processed_total += processed
-            route(out)
-            if fired_h is not None:
-                fired[s] = fired_h
-            if quota_t is not None:
-                quota_times[s] = quota_t
-        windows += 1
-        if processed_total == 0 and injected == 0:
-            idle_rounds += 1
-            if idle_rounds >= 3:
-                raise CampaignError(
-                    f"windowed coordinator stalled at window end {w_end} "
-                    f"(peeks={peeks})"
-                )
-        else:
-            idle_rounds = 0
-
-    missing = set(tenant_shards) - set(quota_times)
-    if missing:
-        raise CampaignError(
-            f"shards {sorted(missing)} drained without reaching their quota "
-            f"milestone"
-        )
-    t_star = max(quota_times.values())
-    t0 = perf_counter()
-    for w in workers:
-        w.send(("finalize",))
-    timers.exchange += perf_counter() - t0
-    payloads = [timers.blocked(w.recv, "payload")[1] for w in workers]
-    return payloads, h_star, t_star, {"windows": windows, "messages": messages}
+    return payloads, h_star, max(p["quota_at"] for p in payloads)
 
 
 # -- merge ---------------------------------------------------------------------------
@@ -759,10 +443,9 @@ def _merge_payloads(
     col.total_recorded = sum(p["total_recorded"] for p in payloads)
 
     # Post-hoc replay of the serial measurement-window protocol (shards ship
-    # raw records, not their collector's window; windowed shards never arm
-    # the warmup marker).  The marker fires iff H* + warmup <= T* — on a tie
-    # its sequence number (allocated at launch) beats the quota AllOf's
-    # (allocated at T*).
+    # raw records, not their collector's window).  The marker fires iff
+    # H* + warmup <= T* — on a tie its sequence number (allocated at
+    # launch) beats the quota AllOf's (allocated at T*).
     if h_star + cfg.warmup_us <= t_star:
         col.set_window(h_star + cfg.warmup_us, t_star)
     else:
@@ -809,14 +492,9 @@ class ShardedRunReport:
     requested_shards: int
     shards: int
     fallback_reason: Optional[str]
-    lookahead_us: Optional[float]
     #: Wall-clock seconds per phase: partition / simulate (blocked on
-    #: workers) / exchange (coordinator routing + sends) / merge.
+    #: workers) / exchange (starting the workers) / merge.
     timings: Dict[str, float]
-    #: Barrier/window rounds driven by the coordinator.
-    windows: int
-    #: Boundary frames exchanged between shards (0 for components mode).
-    messages: int
     #: Per-tenant ``(outstanding_cids, paced_cids)`` after the drain — the
     #: reconciled CID books; every entry must be ``(0, 0)`` for a clean run.
     books: Dict[str, Tuple[int, int]] = field(default_factory=dict)
@@ -825,7 +503,6 @@ class ShardedRunReport:
 def run_sharded(
     spec: ScenarioSpec,
     shards: int,
-    lookahead_us: Optional[float] = None,
     plan: Optional[ShardPlan] = None,
 ) -> ShardedRunReport:
     """Run ``spec`` across ``shards`` worker processes.
@@ -837,7 +514,7 @@ def run_sharded(
     """
     t0 = perf_counter()
     if plan is None:
-        plan = partition(spec, shards, lookahead_us=lookahead_us)
+        plan = partition(spec, shards)
     t_partition = perf_counter() - t0
 
     if plan.mode == "serial":
@@ -854,29 +531,21 @@ def run_sharded(
             requested_shards=shards,
             shards=1,
             fallback_reason=plan.fallback_reason,
-            lookahead_us=plan.lookahead_us,
             timings={
                 "partition": t_partition,
                 "simulate": perf_counter() - t1,
                 "exchange": 0.0,
                 "merge": 0.0,
             },
-            windows=0,
-            messages=0,
         )
 
     ctx = multiprocessing.get_context("fork")
     timers = _Timers()
     t1 = perf_counter()
-    workers = [
-        _Worker(ctx, plan.mode, spec, plan, a.index) for a in plan.shards
-    ]
+    workers = [_Worker(ctx, spec, plan, a.index) for a in plan.shards]
     timers.exchange += perf_counter() - t1
     try:
-        if plan.mode == "components":
-            payloads, h_star, t_star, stats = _coordinate_components(workers, timers)
-        else:
-            payloads, h_star, t_star, stats = _coordinate_windowed(workers, plan, timers)
+        payloads, h_star, t_star = _coordinate_components(workers, timers)
     finally:
         for w in workers:
             w.shutdown()
@@ -893,14 +562,11 @@ def run_sharded(
         requested_shards=shards,
         shards=len(plan.shards),
         fallback_reason=None,
-        lookahead_us=plan.lookahead_us,
         timings={
             "partition": t_partition,
             "simulate": timers.simulate,
             "exchange": timers.exchange,
             "merge": t_merge,
         },
-        windows=stats["windows"],
-        messages=stats["messages"],
         books=books,
     )

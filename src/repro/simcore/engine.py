@@ -213,38 +213,6 @@ class Environment:
             (self.now + delay, priority, seq, self._dispatch_batch, (fn, args, priority, seq)),
         )
 
-    def call_at_batch(
-        self,
-        t: float,
-        fn: Callable[[Any], None],
-        args: Sequence[Any],
-        priority: int = NORMAL,
-    ) -> None:
-        """Absolute-time twin of :meth:`call_later_batch`.
-
-        Schedules ``fn(arg)`` for every ``arg`` at exactly ``t`` (not ``now +
-        (t - now)``, whose float rounding can land a tick off ``t``) — the
-        shard inbox-injection path needs the batch to replay at the precise
-        delivery timestamp the exporting shard computed.  Same contiguous
-        sequence-number reservation and dispatch semantics as the relative
-        form.
-        """
-        if not self.now <= t < Infinity:
-            if isinstance(t, (int, float)) and not math.isfinite(t):
-                raise SimulationError(f"call_at_batch time must be finite (got {t!r})")
-            raise SimulationError(
-                f"call_at_batch time {t!r} lies in the past (now={self.now})"
-            )
-        n = len(args)
-        if n == 0:
-            return
-        seq = self._seq
-        self._seq = seq + n
-        _heappush(
-            self._queue,
-            (t, priority, seq, self._dispatch_batch, (fn, args, priority, seq)),
-        )
-
     def _dispatch_batch(
         self, token: Tuple[Callable[[Any], None], Sequence[Any], int, int]
     ) -> None:
@@ -308,10 +276,10 @@ class Environment:
 
         Each entry dispatches the same way (one pop, clock set,
         ``fn(arg)``), so a run split into budgeted slices — the service
-        control plane's sessions, the sharded workers' windows — replays
-        bit-identically to one uninterrupted :meth:`run`: the slice
-        boundaries are invisible to the simulation.  An exhausted budget
-        simply returns; the queue stays resumable.  No callback is
+        control plane's sessions — replays bit-identically to one
+        uninterrupted :meth:`run`: the slice boundaries are invisible to
+        the simulation.  An exhausted budget simply returns; the queue
+        stays resumable.  No callback is
         registered on ``stop`` (the loop polls :attr:`Event.processed`), so
         a budgeted driver adds zero heap entries and zero sequence numbers.
         """
@@ -361,8 +329,10 @@ class Environment:
                 return until._value
             raise until._value
         at = float(until)
-        if at < self.now:
-            raise SimulationError(f"until={at} lies in the past (now={self.now})")
+        if not self.now <= at < Infinity:
+            raise SimulationError(
+                f"until={at!r} must be finite and >= now ({self.now!r})"
+            )
         marker = Event(self)
         marker._ok = True
         marker._value = None

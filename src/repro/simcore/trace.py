@@ -54,32 +54,6 @@ class Tracer:
         for sink in self._sinks:
             sink(record)
 
-    def emit_many(
-        self, time: float, source: str, kind: str, payloads: List[Any]
-    ) -> None:
-        """Batched :meth:`emit`: one record per payload at one timestamp.
-
-        Equivalent to calling ``emit`` in a loop — the same enabled
-        pre-check, per-record limit enforcement, and exactly-once lazy
-        evaluation of callable payloads — but hot batch paths (a device
-        channel batch, a coalesced window flush) pay the enabled check
-        once per batch instead of once per item.
-        """
-        if not self.enabled:
-            return
-        records = self.records
-        limit = self.limit
-        sinks = self._sinks
-        for payload in payloads:
-            if limit is not None and len(records) >= limit:
-                return
-            if callable(payload):
-                payload = payload()
-            record = TraceRecord(time, source, kind, payload)
-            records.append(record)
-            for sink in sinks:
-                sink(record)
-
     def add_sink(self, sink: Callable[[TraceRecord], None]) -> None:
         """Attach a callable invoked for every emitted record."""
         self._sinks.append(sink)

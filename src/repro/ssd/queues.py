@@ -213,10 +213,3 @@ class CompletionQueue:
         self._head = (self._head + 1) % self.depth
         assert completion is not None
         return completion
-
-    def reap_all(self) -> List[NvmeCompletion]:
-        """Host side: drain every pending CQE."""
-        out = []
-        while not self.is_empty:
-            out.append(self.reap())
-        return out

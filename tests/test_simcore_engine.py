@@ -106,6 +106,20 @@ def test_run_until_past_raises():
         env.run(until=5.0)
 
 
+@pytest.mark.parametrize("until", [float("nan"), float("inf"), float("-inf")])
+def test_run_until_non_finite_time_raises_and_touches_nothing(until):
+    env = Environment()
+    fired = []
+    env.call_later(1.0, fired.append, "a")
+    env.call_later(2.0, fired.append, "b")
+    queue = list(env._queue)
+    with pytest.raises(SimulationError, match=repr(until)):
+        env.run(until=until)
+    assert env.now == 0.0
+    assert env._queue == queue
+    assert fired == []
+
+
 def test_run_until_event_returns_its_value():
     env = Environment()
 

@@ -1,9 +1,9 @@
 """Coverage for ``simcore/monitor.py`` and ``simcore/trace.py``.
 
 Pins the contracts the hot paths rely on: the Tracer's enabled/disabled
-pre-check and exactly-once lazy-thunk evaluation (single and batched), the
-per-record limit across ``emit``/``emit_many``, sink fan-out ordering, and
-the Sampler's cadence/stop/aggregation behaviour.
+pre-check and exactly-once lazy-thunk evaluation, the per-record limit,
+sink fan-out ordering, and the Sampler's cadence/stop/aggregation
+behaviour.
 """
 
 import pytest
@@ -21,7 +21,6 @@ from repro.simcore.trace import NULL_TRACER, TraceRecord, Tracer
 def test_disabled_tracer_records_nothing():
     t = Tracer(enabled=False)
     t.emit(0.0, "s", "k", "payload")
-    t.emit_many(0.0, "s", "k", ["p1", "p2"])
     assert t.records == []
 
 
@@ -77,63 +76,17 @@ def test_lazy_thunk_not_evaluated_when_disabled_or_past_limit():
 
 
 # ---------------------------------------------------------------------------
-# Tracer: batched emit_many
+# Tracer: sink fan-out
 # ---------------------------------------------------------------------------
 
 
-def test_emit_many_equals_emit_loop():
-    loop = Tracer(enabled=True)
-    for p in ("a", "b", "c"):
-        loop.emit(3.0, "src", "kind", p)
-    batched = Tracer(enabled=True)
-    batched.emit_many(3.0, "src", "kind", ["a", "b", "c"])
-    assert batched.records == loop.records
-
-
-def test_emit_many_lazy_thunks_exactly_once_in_order():
-    calls = []
-
-    def make(tag):
-        def thunk():
-            calls.append(tag)
-            return tag
-
-        return thunk
-
-    t = Tracer(enabled=True)
-    t.emit_many(0.0, "s", "k", [make("p0"), make("p1"), make("p2")])
-    assert calls == ["p0", "p1", "p2"]
-    assert [r.payload for r in t.records] == ["p0", "p1", "p2"]
-
-
-def test_emit_many_stops_at_limit_mid_batch_without_evaluating_rest():
-    calls = []
-
-    def make(tag):
-        def thunk():
-            calls.append(tag)
-            return tag
-
-        return thunk
-
-    t = Tracer(enabled=True, limit=2)
-    t.emit_many(0.0, "s", "k", [make("a"), make("b"), make("c"), make("d")])
-    assert [r.payload for r in t.records] == ["a", "b"]
-    assert calls == ["a", "b"]  # thunks past the limit never ran
-
-
-def test_emit_many_empty_batch_is_noop():
-    t = Tracer(enabled=True)
-    t.emit_many(0.0, "s", "k", [])
-    assert t.records == []
-
-
-def test_emit_many_feeds_sinks_per_record_in_order():
+def test_emit_feeds_sinks_per_record_in_order():
     seen = []
     t = Tracer(enabled=True)
     t.add_sink(lambda r: seen.append(("s1", r.payload)))
     t.add_sink(lambda r: seen.append(("s2", r.payload)))
-    t.emit_many(0.0, "s", "k", ["x", "y"])
+    t.emit(0.0, "s", "k", "x")
+    t.emit(0.0, "s", "k", "y")
     assert seen == [("s1", "x"), ("s2", "x"), ("s1", "y"), ("s2", "y")]
 
 
