@@ -22,6 +22,7 @@ from ..core.flags import Priority
 from ..cpu.costs import CpuCostModel, DEFAULT_COSTS
 from ..errors import ConfigError
 from ..metrics.collector import Collector
+from ..metrics.percentile import LatencyDistribution
 from ..metrics.report import jain_fairness
 from ..net.topology import Fabric
 from ..nvmeof.discovery import DiscoveryService
@@ -360,12 +361,25 @@ def assemble_result(
     """
     elapsed = collector.elapsed_us()
 
-    ls_pool = collector.combined_latency(Priority.LATENCY)
-    all_pool = collector.combined_latency(None)
+    # One pass over the name-sorted summaries builds every aggregate.  The
+    # sums and pooled samples accumulate in the order the collector's own
+    # aggregate_* / combined_latency queries use, so each float reduction
+    # is the same; tenants without in-window records add nothing to any.
+    ls_pool = LatencyDistribution()
+    all_pool = LatencyDistribution()
+    tc_mbps = tc_iops = total_mbps = 0.0
     per_tenant: Dict[str, Tuple[float, float]] = {}
     for name, summary in collector.summaries().items():
-        mean = summary.latency.mean() if len(summary.latency) else float("nan")
-        per_tenant[name] = (summary.throughput_mbps(elapsed), mean)
+        latency = summary.latency
+        mbps = summary.throughput_mbps(elapsed)
+        per_tenant[name] = (mbps, latency.mean() if len(latency) else float("nan"))
+        total_mbps += mbps
+        all_pool.extend(latency.samples)
+        if summary.priority is Priority.THROUGHPUT:
+            tc_mbps += mbps
+            tc_iops += summary.iops(elapsed)
+        elif summary.priority is Priority.LATENCY:
+            ls_pool.extend(latency.samples)
 
     util = (
         max(_core_utilization(busy, started, final_time) for busy, started in agg.cores)
@@ -380,12 +394,12 @@ def assemble_result(
         network_gbps=config.network_gbps,
         op_mix=config.op_mix,
         elapsed_us=elapsed,
-        tc_throughput_mbps=collector.aggregate_throughput_mbps(Priority.THROUGHPUT),
-        tc_iops=collector.aggregate_iops(Priority.THROUGHPUT),
+        tc_throughput_mbps=tc_mbps,
+        tc_iops=tc_iops,
         ls_tail_us=ls_pool.tail() if len(ls_pool) else None,
         ls_mean_us=ls_pool.mean() if len(ls_pool) else None,
         mean_latency_us=all_pool.mean() if len(all_pool) else None,
-        total_throughput_mbps=collector.aggregate_throughput_mbps(None),
+        total_throughput_mbps=total_mbps,
         completion_notifications=agg.completion_notifications,
         coalesced_notifications=agg.coalesced_notifications,
         data_pdus_sent=agg.data_pdus_sent,

@@ -138,8 +138,11 @@ class Collector:
         summary = InitiatorSummary(
             name=initiator_name, priority=self._priorities.get(initiator_name)
         )
+        start, end = self._measure_from, self._measure_until
         for record in self._records.get(initiator_name, []):
-            if not self._in_window(record):
+            # _in_window, inlined: this loop visits every record of a run.
+            at = record.completed_at
+            if at < start or (end is not None and at > end):
                 continue
             summary.requests += 1
             summary.bytes_moved += record.nbytes
@@ -164,9 +167,6 @@ class Collector:
             if summary.requests:
                 out[name] = summary
         return out
-
-    def by_priority(self, priority: Priority) -> List[InitiatorSummary]:
-        return [s for s in self.summaries().values() if s.priority is priority]
 
     def aggregate_throughput_mbps(self, priority: Optional[Priority] = None) -> float:
         """Sum of throughput across initiators (optionally one class)."""

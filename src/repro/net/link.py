@@ -1,7 +1,9 @@
 """Point-to-point links with finite bandwidth and droptail queues.
 
 A :class:`Link` is unidirectional: packets are enqueued, serialised at the
-line rate, and delivered to a sink callable after the propagation delay.
+line rate, and delivered after the propagation delay to its sink: a
+callable, or the switch or NIC at the far end of an access link, whose
+forwarding or demultiplexing then runs inside the delivery itself.
 The queue is limited in *packets* (as NIC rings and shallow switch buffers
 are), which is what makes small completion-notification packets expensive
 under congestion: they occupy queue slots out of proportion to their bytes.
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush as _heappush
-from typing import TYPE_CHECKING, Callable, Deque, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple, Union
 
 from ..errors import ConfigError
 from ..simcore.trace import NULL_TRACER, Tracer
@@ -21,6 +23,8 @@ from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcore.engine import Environment
+    from .nic import Nic
+    from .switch import Switch
 
 
 class LinkStats:
@@ -30,7 +34,6 @@ class LinkStats:
         "enqueued",
         "dropped",
         "fault_drops",
-        "delivered",
         "bytes_sent",
         "data_packets",
         "ack_packets",
@@ -41,11 +44,15 @@ class LinkStats:
         self.enqueued = 0
         self.dropped = 0
         self.fault_drops = 0
-        self.delivered = 0
         self.bytes_sent = 0
         self.data_packets = 0
         self.ack_packets = 0
         self.busy_time = 0.0
+
+    @property
+    def delivered(self) -> int:
+        """Frames handed to the far end (every frame is data or an ACK)."""
+        return self.data_packets + self.ack_packets
 
     @property
     def drop_rate(self) -> float:
@@ -70,8 +77,13 @@ class Link:
         "_pending",
         "_deliver_cb",
         "tracer",
-        "drop_filter",
-        "up",
+        "_up",
+        "_drop_filter",
+        "_sender",
+        "_gated",
+        "_receiver",
+        "_ports",
+        "_conns",
     )
 
     def __init__(
@@ -114,16 +126,84 @@ class Link:
         #: allocate a method object per frame.
         self._deliver_cb = self._deliver
         self.tracer = tracer or NULL_TRACER
-        #: Optional fault-injection hook: packets for which this returns
-        #: True are dropped before enqueue (counted in ``stats.dropped``).
-        self.drop_filter: Optional[Callable[[Packet], bool]] = None
-        #: Link administrative state; a downed link (flap fault) drops every
-        #: frame offered to it, exactly like a dead cable.
-        self.up = True
+        self._up = True
+        self._drop_filter: Optional[Callable[[Packet], bool]] = None
+        #: The NIC whose frames this link carries (a node's uplink), so that
+        #: a downed NIC loses its frames here; set by :class:`Nic`.
+        self._sender: Optional["Nic"] = None
+        #: The switch or NIC bound by :meth:`connect`, and the table that
+        #: :meth:`_deliver` consumes frames by in its own frame: the
+        #: switch's port table, or the NIC's connection table while the NIC
+        #: is up.  Each is None when it does not apply.
+        self._receiver: Union["Switch", "Nic", None] = None
+        self._ports: Optional[Dict[str, "Link"]] = None
+        self._conns: Optional[Dict[int, Tuple[Callable[[Packet], None], ...]]] = None
+        #: True when :meth:`send` must consult :meth:`_refuse`: no sink yet,
+        #: link down, a drop filter set, or the sending NIC down.  Fault
+        #: state changes rarely, so ``send`` checks this one flag and
+        #: :meth:`_regate` recomputes it (and the tables above) on change.
+        self._gated = True
 
-    def connect(self, sink: Callable[[Packet], None]) -> None:
-        """Set the delivery callback (the far end's receive handler)."""
+    def connect(self, sink: Union[Callable[[Packet], None], "Switch", "Nic"]) -> None:
+        """Set what consumes delivered frames.
+
+        ``sink`` is a callable taking each frame, or the :class:`Switch` or
+        :class:`Nic` at the far end of an access link.  A switch or NIC is
+        bound rather than called per frame: delivery forwards by the
+        switch's port table, or hands the frame to its connection's handler
+        by the NIC's connection table, in the delivering frame itself.  What
+        the table does not cover (an unroutable destination, an unknown
+        connection, a downed NIC, a switch with a forwarding delay) goes to
+        the consumer's ``receive``, which stays the one definition of it.
+        """
+        from .nic import Nic
+        from .switch import Switch
+
+        if isinstance(sink, (Switch, Nic)):
+            self._receiver = sink
+            if isinstance(sink, Nic):
+                sink.ingress = self
+            sink = sink.receive
+        else:
+            self._receiver = None
         self.sink = sink
+        self._regate()
+
+    def _regate(self) -> None:
+        """Recompute the send gate and the bound table from current state."""
+        from .switch import Switch
+
+        sender = self._sender
+        self._gated = (
+            self.sink is None
+            or not self._up
+            or self._drop_filter is not None
+            or (sender is not None and sender._down)
+        )
+        receiver = self._receiver
+        self._ports = self._conns = None
+        if isinstance(receiver, Switch):
+            if receiver.forwarding_delay == 0:
+                self._ports = receiver._ports
+        elif receiver is not None and not receiver._down:
+            self._conns = receiver._handlers
+
+    @property
+    def up(self) -> bool:
+        """Administrative state; a downed link (flap fault) drops every
+        frame offered to it, exactly like a dead cable."""
+        return self._up
+
+    @property
+    def drop_filter(self) -> Optional[Callable[[Packet], bool]]:
+        """Optional fault-injection hook: frames for which it returns True
+        are dropped before enqueue (counted in ``stats.dropped``)."""
+        return self._drop_filter
+
+    @drop_filter.setter
+    def drop_filter(self, drop_filter: Optional[Callable[[Packet], bool]]) -> None:
+        self._drop_filter = drop_filter
+        self._regate()
 
     @property
     def queue_depth(self) -> int:
@@ -140,36 +220,20 @@ class Link:
         Matches real NIC/switch behaviour: the sender is not back-pressured,
         it simply loses the frame and TCP recovers.
         """
-        if self.sink is None:
-            raise ConfigError(f"link {self.name!r} has no sink connected")
-        # Drop paths pre-check ``tracer.enabled`` so a drop storm on a
-        # disabled tracer costs one attribute read, not a method call per
-        # frame (and callers never build payloads for records nobody keeps).
-        if not self.up:
-            self.stats.dropped += 1
-            self.stats.fault_drops += 1
-            if self.tracer.enabled:
-                self.tracer.emit(self.env.now, self.name, "drop-linkdown", packet)
-            return False
-        if self.drop_filter is not None and self.drop_filter(packet):
-            self.stats.dropped += 1
-            self.stats.fault_drops += 1
-            if self.tracer.enabled:
-                self.tracer.emit(self.env.now, self.name, "drop-injected", packet)
+        if self._gated and self._refuse(packet):
             return False
         env = self.env
         now = env.now
         pending = self._pending
         while pending and pending[0][0] <= now:
             pending.popleft()
-        if len(pending) >= self.queue_limit:
+        if pending and len(pending) >= self.queue_limit:
             self.stats.dropped += 1
             if self.tracer.enabled:
                 self.tracer.emit(now, self.name, "drop", packet)
             return False
         stats = self.stats
         stats.enqueued += 1
-        packet.sent_at = now
         start = self._free_at
         if start < now:
             start = now
@@ -191,6 +255,35 @@ class Link:
         _heappush(env._queue, (deliver_at, 1, seq, self._deliver_cb, packet))
         return True
 
+    def _refuse(self, packet: Packet) -> bool:
+        """The gated half of :meth:`send`: whether a fault drops ``packet``.
+
+        Checked in the order a frame meets them: its NIC, the cable, then
+        the loss filter, which may draw from a seeded stream and so sees
+        only frames that reach it.  Drop paths test ``tracer.enabled``
+        first, so a drop storm on a disabled tracer builds no records.
+        """
+        sender = self._sender
+        if sender is not None and sender._down:
+            sender._down_drops += 1  # the NIC's loss, not the link's
+            return True
+        if self.sink is None:
+            raise ConfigError(f"link {self.name!r} has no sink connected")
+        stats = self.stats
+        if not self._up:
+            stats.dropped += 1
+            stats.fault_drops += 1
+            if self.tracer.enabled:
+                self.tracer.emit(self.env.now, self.name, "drop-linkdown", packet)
+            return True
+        if self._drop_filter is not None and self._drop_filter(packet):
+            stats.dropped += 1
+            stats.fault_drops += 1
+            if self.tracer.enabled:
+                self.tracer.emit(self.env.now, self.name, "drop-injected", packet)
+            return True
+        return False
+
     # -- internals ---------------------------------------------------------------
     # One heap event per frame: a non-preemptive FIFO wire's schedule is
     # known at accept time, so ``send`` books the whole serialise+propagate
@@ -210,17 +303,39 @@ class Link:
         packet._carrier = None
         stats = self.stats
         stats.bytes_sent += packet.wire_size
-        if packet.kind == "data":
+        data = packet.kind == "data"
+        if data:
             stats.data_packets += 1
         else:
             stats.ack_packets += 1
-        stats.delivered += 1
+        # A bound switch or NIC consumes the frame right here (see
+        # connect); the sink -- its ``receive`` -- takes every other case.
+        ports = self._ports
+        if ports is not None:
+            dst = packet.dst
+            if dst in ports:
+                self._receiver.forwarded += 1  # type: ignore[union-attr]
+                ports[dst].send(packet)
+                return
+        else:
+            conns = self._conns
+            if conns is not None:
+                conn_id = packet.conn_id
+                if conn_id in conns:
+                    self._receiver.rx_packets += 1  # type: ignore[union-attr]
+                    on_data, on_ack = conns[conn_id]
+                    if data:
+                        on_data(packet)
+                    else:
+                        on_ack(packet)
+                    return
         self.sink(packet)  # type: ignore[misc]
 
     # -- fault hooks -------------------------------------------------------------
     def set_up(self, up: bool) -> None:
         """Administratively raise/drop the link (flap fault adapter)."""
-        self.up = up
+        self._up = up
+        self._regate()
 
     def set_rate_scale(self, scale: float) -> None:
         """Degrade (or restore) the line rate to ``scale`` x nominal.

@@ -8,7 +8,6 @@ paper's implementation avoids copies (§IV-B).
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Any, List, Optional, Tuple
 
 #: Fixed per-frame wire overhead in bytes: Ethernet preamble+SFD (8), MAC
@@ -18,8 +17,6 @@ WIRE_OVERHEAD = 78
 #: Default maximum TCP segment payload.  Datacenter NVMe-oF deployments run
 #: jumbo frames; 8960 keeps one 4 KiB block + PDU header in a single segment.
 DEFAULT_MSS = 8960
-
-_packet_ids = count()
 
 
 class Packet:
@@ -46,7 +43,6 @@ class Packet:
     """
 
     __slots__ = (
-        "id",
         "src",
         "dst",
         "conn_id",
@@ -55,7 +51,6 @@ class Packet:
         "length",
         "ack",
         "messages",
-        "sent_at",
         "retransmit",
         "wire_size",
         "deliver_at",
@@ -74,7 +69,6 @@ class Packet:
         messages: Optional[List[Tuple[int, Any]]] = None,
         retransmit: bool = False,
     ) -> None:
-        self.id = next(_packet_ids)
         self.src = src
         self.dst = dst
         self.conn_id = conn_id
@@ -83,7 +77,6 @@ class Packet:
         self.length = length
         self.ack = ack
         self.messages = [] if messages is None else messages
-        self.sent_at = 0.0
         self.retransmit = retransmit
         #: Bytes this frame occupies on the wire, including all overheads —
         #: precomputed once (it is read several times per link traversal).
@@ -104,7 +97,7 @@ class Packet:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         if self.is_data:
             return (
-                f"<Packet#{self.id} data {self.src}->{self.dst} conn={self.conn_id} "
+                f"<Packet data {self.src}->{self.dst} conn={self.conn_id} "
                 f"seq={self.seq} len={self.length}{' RTX' if self.retransmit else ''}>"
             )
-        return f"<Packet#{self.id} ack {self.src}->{self.dst} conn={self.conn_id} ack={self.ack}>"
+        return f"<Packet ack {self.src}->{self.dst} conn={self.conn_id} ack={self.ack}>"

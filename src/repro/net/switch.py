@@ -45,7 +45,12 @@ class Switch:
         return dict(self._ports)
 
     def receive(self, packet: Packet) -> None:
-        """Ingress handler: look up the output port and forward."""
+        """Ingress handler: look up the output port and forward.
+
+        A link connected to this switch forwards routable frames itself
+        when the forwarding delay is zero (see :meth:`Link.connect`); this
+        method defines forwarding for every other case.
+        """
         try:
             egress = self._ports[packet.dst]
         except KeyError:

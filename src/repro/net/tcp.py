@@ -155,6 +155,9 @@ class TcpSocket:
         "deliver",
         "name",
         "stats",
+        "_transmit",
+        "_mss",
+        "_rwnd",
         "_snd_una",
         "_snd_nxt",
         "_buffered_end",
@@ -174,9 +177,6 @@ class TcpSocket:
         "_rto_timer",
         "_rcv_nxt",
         "_ooo",
-        "_pend_ends",
-        "_pend_payloads",
-        "_delivered_upto",
         "_unacked_arrivals",
         "_ack_timer",
     )
@@ -202,6 +202,11 @@ class TcpSocket:
         self.stats = TcpStats()
 
         cfg = self.config
+        #: Segments and ACKs go straight into the node's uplink, which
+        #: also drops them while the NIC is down (see Link.send).
+        self._transmit = nic.egress.send
+        self._mss = cfg.mss
+        self._rwnd = float(cfg.rwnd_bytes)
         # -- sender state
         self._snd_una = 0
         self._snd_nxt = 0
@@ -230,18 +235,10 @@ class TcpSocket:
         # -- receiver state
         self._rcv_nxt = 0
         self._ooo: Dict[int, Tuple[int, List[Tuple[int, Any]]]] = {}  # seq -> (len, msgs)
-        # Staged-for-delivery framing, again as sorted parallel arrays:
-        # within one arrival event stashes come in ascending end order (the
-        # sender frames segments in offset order and the out-of-order merge
-        # walks forward), so staging is an append and delivery is a prefix
-        # walk — no per-delivery dict + sorted() pass.
-        self._pend_ends: List[int] = []
-        self._pend_payloads: List[Any] = []
-        self._delivered_upto = 0
         self._unacked_arrivals = 0
         self._ack_timer = _RestartableTimer(env, self._send_ack_now, f"{name}/dack")
 
-        nic.register_connection(conn_id, self._on_packet)
+        nic.register_connection(conn_id, self._on_data, self._on_ack)
 
     # ------------------------------------------------------------------ send --
     def send_message(self, payload: Any, size: int) -> None:
@@ -251,10 +248,41 @@ class TcpSocket:
         stats = self.stats
         stats.messages_sent += 1
         stats.bytes_sent += size
-        end = self._buffered_end + size
+        seq = self._buffered_end
+        end = seq + size
         self._buffered_end = end
         self._msg_ends.append(end)
         self._msg_payloads.append(payload)
+        mss = self._mss
+        if seq == self._snd_nxt and size <= mss:
+            # Nothing unsent ahead and the message fits one segment: when
+            # the window admits it, it goes out now as exactly the segment
+            # _try_send would emit (same checks, same order of effects).
+            flight = seq - self._snd_una
+            window = self._cwnd
+            if self._rwnd < window:
+                window = self._rwnd
+            if flight + mss <= window + mss - 1 and flight < window:
+                stats.segments_sent += 1
+                if self._rtt_seq is None:
+                    self._rtt_seq = end
+                    self._rtt_sent = self.env.now
+                self._transmit(
+                    Packet(
+                        self.local_node,
+                        self.remote_node,
+                        self.conn_id,
+                        "data",
+                        seq,
+                        size,
+                        0,
+                        [(end, payload)],
+                    )
+                )
+                self._snd_nxt = end
+                if self._rto_timer._deadline is None:
+                    self._rto_timer.restart(self._rto)
+                return
         self._try_send()
 
     @property
@@ -278,13 +306,11 @@ class TcpSocket:
         snd_nxt = self._snd_nxt
         buffered_end = self._buffered_end
         if snd_nxt < buffered_end:
-            cfg = self.config
-            mss = cfg.mss
+            mss = self._mss
             snd_una = self._snd_una
             window = self._cwnd
-            rwnd = float(cfg.rwnd_bytes)
-            if rwnd < window:
-                window = rwnd
+            if self._rwnd < window:
+                window = self._rwnd
             limit = window + mss - 1
             while snd_nxt < buffered_end and snd_nxt - snd_una + mss <= limit:
                 # Allow a final short segment even if it slightly overshoots
@@ -333,17 +359,15 @@ class TcpSocket:
             # Karn: time exactly one non-retransmitted segment at a time.
             self._rtt_seq = seq + size
             self._rtt_sent = self.env.now
-        self.nic.transmit(packet)
+        self._transmit(packet)
 
     # ------------------------------------------------------------------- rx ---
-    def _on_packet(self, packet: Packet) -> None:
-        if packet.kind == "ack":
-            self._on_ack(packet.ack)
-        else:
-            self._on_data(packet)
+    # The NIC's connection table holds (_on_data, _on_ack): the ingress link
+    # calls the right one directly, by frame kind.
 
     # -- sender side: ACK processing
-    def _on_ack(self, ackno: int) -> None:
+    def _on_ack(self, packet: Packet) -> None:
+        ackno = packet.ack
         cfg = self.config
         if ackno > self._snd_una:
             flight_advance = ackno - self._snd_una
@@ -450,103 +474,53 @@ class TcpSocket:
     # -- receiver side: data processing
     def _on_data(self, packet: Packet) -> None:
         cfg = self.config
-        seq, length = packet.seq, packet.length
+        seq = packet.seq
         rcv_nxt = self._rcv_nxt
         if seq == rcv_nxt:
-            self._rcv_nxt = rcv_nxt + length
-            if packet.messages:
-                self._stash_messages(packet.messages)
-            # Merge any buffered out-of-order segments now contiguous.
+            # Each message is delivered as soon as its segment makes the
+            # stream contiguous: first this segment's, then those of any
+            # buffered out-of-order segment it joins up with.  A merged
+            # segment starts where the stream ends, so every message here
+            # ends past everything delivered before, in ascending order.
             ooo = self._ooo
-            if ooo:
-                while self._rcv_nxt in ooo:
-                    olen, omsgs = ooo.pop(self._rcv_nxt)
-                    self._rcv_nxt += olen
-                    if omsgs:
-                        self._stash_messages(omsgs)
-            if self._pend_ends:
-                self._deliver_ready()
+            length = packet.length
+            messages = packet.messages
+            while True:
+                rcv_nxt += length
+                self._rcv_nxt = rcv_nxt
+                if messages:
+                    stats = self.stats
+                    for end, payload in messages:
+                        stats.messages_delivered += 1
+                        stats.bytes_delivered = end
+                        if self.deliver is not None:
+                            self.deliver(payload)
+                if not ooo or rcv_nxt not in ooo:
+                    break
+                length, messages = ooo.pop(rcv_nxt)
             arrivals = self._unacked_arrivals + 1
+            # A non-empty ``ooo`` forces the ACK now, even when it only
+            # holds segments the stream has already passed.
             if arrivals >= cfg.ack_every or ooo:
                 self._send_ack_now()
             else:
                 self._unacked_arrivals = arrivals
                 if self._ack_timer._deadline is None:
                     self._ack_timer.restart(cfg.delayed_ack_us)
-        elif seq > self._rcv_nxt:
+        elif seq > rcv_nxt:
             # Hole: buffer and emit an immediate duplicate ACK.
             if seq not in self._ooo:
-                self._ooo[seq] = (length, packet.messages)
+                self._ooo[seq] = (packet.length, packet.messages)
             self._send_ack_now()
         else:
             # Duplicate of already-received data (spurious retransmit).
             self._send_ack_now()
 
-    def _stash_messages(self, messages: List[Tuple[int, Any]]) -> None:
-        ends = self._pend_ends
-        payloads = self._pend_payloads
-        for end, payload in messages:
-            if end <= self._delivered_upto:
-                continue
-            if not ends or end > ends[-1]:
-                # The invariant case: stashes within one arrival event come
-                # in ascending end order, so staging is a pair of appends.
-                ends.append(end)
-                payloads.append(payload)
-            else:
-                # Defensive slow path (overlapping retransmit framing):
-                # sorted insert, first stash of an offset wins.
-                idx = bisect_right(ends, end)
-                if idx > 0 and ends[idx - 1] == end:
-                    continue
-                ends.insert(idx, end)
-                payloads.insert(idx, payload)
-
-    def _deliver_ready(self) -> None:
-        ends = self._pend_ends
-        if not ends:
-            return
-        # ``ends`` is sorted ascending, so the deliverable prefix is a walk —
-        # identical order to the old per-call sorted() over a staging dict.
-        rcv_nxt = self._rcv_nxt
-        n = bisect_right(ends, rcv_nxt)
-        if n == 0:
-            return
-        payloads = self._pend_payloads
-        if n == 1:
-            # Dominant case (one message ready per arrival): pop-then-deliver
-            # without building prefix copies.  Popping first keeps the same
-            # re-entrancy safety as the snapshot below.
-            end = ends[0]
-            payload = payloads[0]
-            del ends[0]
-            del payloads[0]
-            self._delivered_upto = end
-            stats = self.stats
-            stats.messages_delivered += 1
-            stats.bytes_delivered = end
-            if self.deliver is not None:
-                self.deliver(payload)
-            return
-        ready_ends = ends[:n]
-        ready_payloads = payloads[:n]
-        del ends[:n]
-        del payloads[:n]
-        stats = self.stats
-        deliver = self.deliver
-        for i in range(n):
-            end = ready_ends[i]
-            self._delivered_upto = end
-            stats.messages_delivered += 1
-            stats.bytes_delivered = end
-            if deliver is not None:
-                deliver(ready_payloads[i])
-
     def _send_ack_now(self) -> None:
         self._unacked_arrivals = 0
         self._ack_timer._deadline = None
         self.stats.acks_sent += 1
-        self.nic.transmit(
+        self._transmit(
             Packet(self.local_node, self.remote_node, self.conn_id, "ack", 0, 0, self._rcv_nxt)
         )
 

@@ -87,8 +87,12 @@ class Fabric:
             tracer=self.tracer,
         )
         nic = Nic(self.env, node, egress=up)
-        up.connect(self.switch.receive)
-        down.connect(nic.receive)
+        # Bind both access links to the tables that consume their frames
+        # (the switch's ports, the NIC's connections): a frame then costs no
+        # switch or NIC call, and the sockets this node gets send straight
+        # into ``up``.
+        up.connect(self.switch)
+        down.connect(nic)
         self.switch.attach(node, down)
         self._nics[node] = nic
         self._uplinks[node] = up

@@ -10,7 +10,7 @@ byte work (``validate=False``) since the sizes are identical either way.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ..errors import ProtocolError
 from ..net.tcp import TcpSocket
@@ -27,36 +27,46 @@ from .pdu import (
 
 
 class PduTransport:
-    """One side of an NVMe-oF/TCP connection."""
+    """One side of an NVMe-oF/TCP connection.
+
+    The socket delivers received PDUs straight to the installed handler,
+    and the PDU counters are the socket's message counters: one PDU is one
+    framed message, so this layer adds no call and no state per PDU.
+    """
 
     def __init__(self, socket: TcpSocket, validate: bool = False) -> None:
         self.socket = socket
         self.validate = validate
-        self._handler: Optional[Callable[[AnyPdu], None]] = None
-        socket.deliver = self._on_message
-        self.pdus_sent = 0
-        self.pdus_received = 0
-        self.bytes_sent = 0
+        socket.deliver = self._no_handler
 
     def set_handler(self, handler: Callable[[AnyPdu], None]) -> None:
-        self._handler = handler
+        """Deliver every received PDU to ``handler``."""
+        self.socket.deliver = handler
+
+    @property
+    def pdus_sent(self) -> int:
+        return self.socket.stats.messages_sent
+
+    @property
+    def pdus_received(self) -> int:
+        return self.socket.stats.messages_delivered
+
+    @property
+    def bytes_sent(self) -> int:
+        return self.socket.stats.bytes_sent
 
     def send(self, pdu: AnyPdu) -> None:
         """Frame and transmit one PDU."""
         size = pdu.wire_size
         if size < 1:
             raise ProtocolError(f"PDU with non-positive wire size: {pdu!r}")
-        self.pdus_sent += 1
-        self.bytes_sent += size
         if self.validate:
             # Round-trip the header bytes; ship the decoded twin.  Data
             # lengths are carried out-of-band (zero-copy simulation).
             encoded = pdu.encode()
             twin = decode_pdu(encoded)
-            payload: AnyPdu = self._restore_data_len(pdu, twin)
-        else:
-            payload = pdu
-        self.socket.send_message(payload, size=size)
+            pdu = self._restore_data_len(pdu, twin)
+        self.socket.send_message(pdu, size)
 
     @staticmethod
     def _restore_data_len(original: AnyPdu, twin: AnyPdu) -> AnyPdu:
@@ -72,11 +82,9 @@ class PduTransport:
             twin.coalesced_count = original.coalesced_count
         return twin
 
-    def _on_message(self, pdu: AnyPdu) -> None:
-        self.pdus_received += 1
-        if self._handler is None:
-            raise ProtocolError("PDU arrived before a handler was installed")
-        self._handler(pdu)
+    @staticmethod
+    def _no_handler(pdu: AnyPdu) -> None:
+        raise ProtocolError("PDU arrived before a handler was installed")
 
     @property
     def local_node(self) -> str:

@@ -27,10 +27,11 @@ is refused as divergent.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from collections import deque
 
@@ -669,24 +670,33 @@ class SimSession:
             raise ServiceError(
                 f"unknown checkpoint keys: {unknown}; known: {sorted(known)}"
             )
+        # Type-check every field before any replay work starts.
+        steps = _checkpoint_field(data, "steps", 0, int, "an integer")
+        expect_seq = _checkpoint_field(data, "engine_seq", 0, int, "an integer")
+        virtual_us = _checkpoint_field(data, "virtual_us", 0.0, (int, float), "a number")
+        try:
+            expect_now = float(virtual_us)
+        except OverflowError:
+            expect_now = math.inf
+        if not math.isfinite(expect_now):
+            raise ServiceError(f"checkpoint 'virtual_us' must be finite (got {virtual_us!r})")
+        injections = _checkpoint_field(data, "injections", [], list, "a list")
+        check_invariants = _checkpoint_field(data, "check_invariants", True, bool, "a bool")
+        if steps < 0:
+            raise ServiceError(f"checkpoint step cursor must be >= 0 (got {steps})")
         program = ScenarioProgram.from_dict(data.get("program"))
         session = cls(
             program,
             session_id=session_id,
-            check_invariants=bool(data.get("check_invariants", True)),
+            check_invariants=check_invariants,
         )
-        records = [
-            InjectionRecord.from_dict(raw) for raw in data.get("injections", ())
-        ]
+        records = [InjectionRecord.from_dict(raw) for raw in injections]
         for earlier, later in zip(records, records[1:]):
             if later.at_step < earlier.at_step:
                 raise ServiceError(
                     "checkpoint injection log is not cursor-ordered"
                 )
         session._replay = deque(records)
-        steps = int(data.get("steps", 0))
-        if steps < 0:
-            raise ServiceError(f"checkpoint step cursor must be >= 0 (got {steps})")
         with session._cond:
             session._status = ST_RUNNING
             n = (
@@ -701,8 +711,6 @@ class SimSession:
             # after the budget is spent; apply them now, in order.
             while session._replay and session._replay[0].at_step == session.steps:
                 session._apply_record(session._replay.popleft())
-            expect_now = float(data.get("virtual_us", 0.0))
-            expect_seq = int(data.get("engine_seq", 0))
             if (
                 n != steps
                 or session.steps != steps
@@ -721,6 +729,19 @@ class SimSession:
             session._capture_snapshot()
             session._cond.notify_all()
         return session
+
+
+def _checkpoint_field(
+    data: Dict[str, object], key: str, default: object, kind: object, described: str
+) -> Any:
+    """``data[key]`` (``default`` when absent) if it is a ``kind``, else a
+    :class:`ServiceError` naming the key.  A bool never passes for a number."""
+    value = data.get(key, default)
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):  # type: ignore[arg-type]
+        raise ServiceError(
+            f"checkpoint {key!r} must be {described}, got {type(value).__name__}"
+        )
+    return value
 
 
 def time_monotonic() -> float:

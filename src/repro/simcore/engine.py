@@ -115,10 +115,6 @@ class Environment:
         """The process currently being resumed (if any)."""
         return self._active_proc
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` when the queue is empty."""
-        return self._queue[0][0] if self._queue else Infinity
-
     def __len__(self) -> int:
         return len(self._queue)
 

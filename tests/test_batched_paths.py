@@ -216,22 +216,36 @@ def _make_socket():
 
     env = Environment()
 
+    class _NullEgress:
+        """Swallows every frame the socket sends into its uplink."""
+
+        def __init__(self):
+            self.sent = []
+
+        def send(self, packet):
+            self.sent.append(packet)
+            return True
+
     class _NullNic(Nic):
         def __init__(self, env):
             self.env = env
             self.node = "n0"
             self._handlers = {}
-            self.sent = []
+            self.egress = _NullEgress()
 
-        def register_connection(self, conn_id, handler):
-            self._handlers[conn_id] = handler
-
-        def transmit(self, packet):
-            self.sent.append(packet)
+        def register_connection(self, conn_id, on_data, on_ack=None):
+            self._handlers[conn_id] = (on_data, on_ack)
 
     nic = _NullNic(env)
     sock = TcpSocket(env, nic, remote_node="n1", conn_id=1)
     return env, nic, sock
+
+
+def _ack(sock, ackno):
+    """Feed ``sock`` a cumulative ACK for ``ackno``, as its NIC would."""
+    from repro.net import Packet
+
+    sock._on_ack(Packet("n1", "n0", sock.conn_id, "ack", 0, 0, ackno))
 
 
 def test_segment_messages_bisect_matches_linear_scan():
@@ -268,7 +282,7 @@ def test_ack_prune_advances_head_and_compacts():
     # through.  The prune path must advance past every message (and compact
     # once the dead prefix dominates).
     while sock._snd_una < sock._buffered_end:
-        sock._on_ack(sock._snd_nxt)
+        _ack(sock, sock._snd_nxt)
     assert sock._msg_head == len(sock._msg_ends) or sock._msg_head == 0
     # After full acknowledgement no message frames remain visible.
     assert sock._segment_messages(0, n * 100) == []
@@ -278,7 +292,7 @@ def test_sender_framing_survives_compaction_boundary():
     _env, _nic, sock = _make_socket()
     for i in range(2000):
         sock.send_message(f"m{i}", 10)
-        sock._on_ack(sock._snd_nxt)  # ack as we go => head grows, compacts
+        _ack(sock, sock._snd_nxt)  # ack as we go => head grows, compacts
     assert sock.stats.messages_sent == 2000
     # Everything acked: framing arrays fully pruned.
     assert sock._segment_messages(0, 40000) == []

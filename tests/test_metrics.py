@@ -155,8 +155,9 @@ def test_collector_priority_classes():
     collector.record("ls", make_request(priority=Priority.LATENCY, completed=5.0))
     collector.record("tc", make_request(cid=1, priority=Priority.THROUGHPUT, completed=5.0))
     env.run(until=10.0)
-    ls = collector.by_priority(Priority.LATENCY)
-    assert len(ls) == 1 and ls[0].name == "ls"
+    summaries = collector.summaries()
+    assert summaries["ls"].priority is Priority.LATENCY
+    assert summaries["tc"].priority is Priority.THROUGHPUT
     assert collector.aggregate_throughput_mbps(Priority.THROUGHPUT) > 0
     pooled = collector.combined_latency(Priority.LATENCY)
     assert len(pooled) == 1
@@ -191,3 +192,19 @@ def test_improvement_and_reduction():
     assert improvement_pct(1.0, 0.0) == 0.0
     assert speedup(1.0, 0.0) == float("inf")
     assert speedup(0.0, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("protocol", ["nvme-opf", "spdk"])
+def test_assembled_aggregates_equal_the_collector_queries(fig7_cell, protocol):
+    # assemble_result derives every aggregate in one pass over the
+    # summaries; the collector's own queries are the reference, and the
+    # float reductions must agree bit for bit.
+    scenario = fig7_cell(protocol=protocol)
+    result = scenario.run()
+    collector = scenario.collector
+    assert result.tc_throughput_mbps == collector.aggregate_throughput_mbps(Priority.THROUGHPUT)
+    assert result.tc_iops == collector.aggregate_iops(Priority.THROUGHPUT)
+    assert result.total_throughput_mbps == collector.aggregate_throughput_mbps(None)
+    ls_pool = collector.combined_latency(Priority.LATENCY)
+    assert (result.ls_tail_us, result.ls_mean_us) == (ls_pool.tail(), ls_pool.mean())
+    assert result.mean_latency_us == collector.combined_latency(None).mean()

@@ -237,3 +237,36 @@ def test_fabric_propagates_tracer():
     fabric.add_node("a")
     assert fabric.uplink("a").tracer is tracer
     assert fabric.downlink("a").tracer is tracer
+
+
+def test_rate_change_rebooks_waiting_frames_fifo_exactly_once():
+    """Degrade a link with four frames waiting, then restore it mid-queue.
+
+    Every frame is 1250 wire bytes: 1 us at the nominal 10 Gbps
+    (1250 bytes/us), 2 us at half rate.  A frame already serialising keeps
+    its transmit time; the waiting ones are rebooked back to back behind it.
+    The degrade pushes deliveries later (their booked events must re-check
+    and sleep), the restore pulls them earlier (fresh events; the stale ones
+    must be skipped), and each frame still arrives exactly once, in order.
+    """
+    env = Environment()
+    prop = 2.0
+    link = Link(env, rate_gbps=10, propagation_us=prop, queue_packets=8)
+    arrivals = []
+    link.connect(lambda p: arrivals.append((env.now, p)))
+    frames = [make_packet(length=1250 - WIRE_OVERHEAD) for _ in range(5)]
+    for frame in frames:
+        assert link.send(frame)
+    assert link.queue_depth == 4
+    env.call_at(0.5, link.set_rate_scale, 0.5)  # f0 serialising; f1..f4 wait
+    env.call_at(3.5, link.set_rate_scale, 1.0)  # f2 serialising; f3, f4 wait
+    env.run()
+
+    # f0: [0, 1] at full rate.  Half rate from 0.5: f1 [1, 3], f2 [3, 5].
+    # Full rate again from 3.5, behind f2: f3 [5, 6], f4 [6, 7].
+    serialised_by = [1.0, 3.0, 5.0, 6.0, 7.0]
+    assert [p for _, p in arrivals] == frames
+    assert [t for t, _ in arrivals] == [end + prop for end in serialised_by]
+    assert link.stats.data_packets == 5
+    assert link.stats.busy_time == 1.0 + 2.0 + 2.0 + 1.0 + 1.0
+    assert link.queue_depth == 0

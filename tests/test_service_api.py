@@ -220,6 +220,17 @@ def test_query_and_body_validation(server, client):
     assert err.value.code == 400
 
 
+def test_garbled_checkpoint_submission_is_a_400(server):
+    from repro.service import SimSession
+
+    checkpoint = SimSession(ScenarioProgram.from_dict(slo_program_dict())).make_checkpoint()
+    body = json.dumps({"checkpoint": dict(checkpoint, steps="abc")}).encode()
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _post(f"{server.address}/sessions", body)
+    assert err.value.code == 400
+    assert "checkpoint 'steps' must be an integer" in json.loads(err.value.read().decode())["error"]
+
+
 def test_checkpoint_post_accepts_an_empty_body(server, client):
     # A created session may checkpoint; no body means label "".
     session_id = client.submit(slo_program_dict(), start=False)

@@ -233,6 +233,39 @@ def test_checkpoint_rejects_malformed_payloads():
         SimSession.from_checkpoint(dict(checkpoint, steps=-3))
 
 
+@pytest.mark.parametrize(
+    "key, value, refusal",
+    [
+        ("steps", "abc", "must be an integer, got str"),
+        ("steps", 12.7, "must be an integer, got float"),
+        ("steps", True, "must be an integer, got bool"),
+        ("engine_seq", "q", "must be an integer, got str"),
+        ("engine_seq", None, "must be an integer, got NoneType"),
+        ("virtual_us", "x", "must be a number, got str"),
+        ("virtual_us", False, "must be a number, got bool"),
+        ("virtual_us", float("nan"), "must be finite"),
+        ("virtual_us", float("-inf"), "must be finite"),
+        pytest.param("virtual_us", 10**400, "must be finite", id="virtual_us-10**400"),
+        ("injections", 5, "must be a list, got int"),
+        ("injections", {"at_step": 0}, "must be a list, got dict"),
+        ("check_invariants", "no", "must be a bool, got str"),
+        ("check_invariants", 0, "must be a bool, got int"),
+    ],
+)
+def test_checkpoint_refuses_garbled_fields_with_a_typed_error(key, value, refusal):
+    checkpoint = SimSession(fig7_cell_program()).make_checkpoint()
+    with pytest.raises(ServiceError, match=f"checkpoint '{key}' {refusal}"):
+        SimSession.from_checkpoint(dict(checkpoint, **{key: value}))
+
+
+def test_checkpoint_accepts_an_integral_virtual_time():
+    # JSON writers may drop the ".0" of a whole number of microseconds.
+    checkpoint = SimSession(fig7_cell_program()).make_checkpoint()
+    assert checkpoint["virtual_us"] == 0.0
+    restored = SimSession.from_checkpoint(dict(checkpoint, virtual_us=0))
+    assert restored.steps == 0
+
+
 def test_checkpoint_refuses_divergent_replay():
     session = SimSession(fig7_cell_program())
     session.advance(max_events=600)

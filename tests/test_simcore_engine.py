@@ -319,12 +319,11 @@ def test_interrupted_process_can_continue_waiting():
     assert victim.value == 15.0  # 5 (interrupted) + 10
 
 
-def test_peek_and_len():
+def test_len_counts_queued_entries():
     env = Environment()
-    assert env.peek() == float("inf")
+    assert len(env) == 0
     env.timeout(4.0)
     env.timeout(2.0)
-    assert env.peek() == 2.0
     assert len(env) == 2
 
 

@@ -388,7 +388,7 @@ def test_call_later_batch_is_one_heap_entry():
     env = Environment()
     env.call_later_batch(1.0, lambda _: None, ["a", "b", "c"])
     assert len(env) == 1  # the whole batch rides one heap entry
-    assert env.peek() == 1.0
+    assert env._queue[0][0] == 1.0
 
 
 def test_call_later_batch_empty_is_noop_but_validates_delay():
