@@ -57,9 +57,7 @@ class SharedQueueOpfTarget(OpfTarget):
             super()._handle_command(conn, pdu)
             return
         cost = self.costs.pdu_rx + self.costs.retire + self.lock_cost
-        self.core.run_later(
-            cost, self._enqueue_shared_args, (conn, pdu, tenant_id), label="tc_rx_shared"
-        )
+        self.core.run_later(cost, self._enqueue_shared_args, (conn, pdu, tenant_id))
 
     def _enqueue_shared_args(
         self, args: Tuple[TargetConnection, CapsuleCmdPdu, int]
@@ -113,7 +111,7 @@ class SharedQueueOpfTarget(OpfTarget):
             + self.lock_cost * len(batch)
             + self._tenant_switch_cost(drain_tenant)
         )
-        self.core.run_later(cost, self._execute_batch_args, (group, mine), label="tc_flush_shared")
+        self.core.run_later(cost, self._execute_batch_args, (group, mine))
 
         # Other tenants' windows were flushed early: each of their requests
         # executes now but must be answered individually (group=None), so
@@ -121,9 +119,7 @@ class SharedQueueOpfTarget(OpfTarget):
         for conn, pdu, tenant_id in others:
             self.individual_tc_responses += 1
             cost = self.costs.nvme_submit + self._tenant_switch_cost(tenant_id)
-            self.core.run_later(
-                cost, self._submit_args, (conn, pdu, tenant_id), label="tc_premature"
-            )
+            self.core.run_later(cost, self._submit_to_device, (conn, pdu, tenant_id))
 
         # Space freed: admit overflow arrivals in order.
         while self._overflow and len(self._shared) < self.tc_queue_depth:

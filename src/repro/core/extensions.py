@@ -16,8 +16,9 @@ serves them ahead of queued throughput-critical batches.  The
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
+from ..nvmeof.capsule import OPCODE_NAMES
 from ..nvmeof.pdu import CapsuleCmdPdu
 from ..nvmeof.target import RequestContext, TargetConnection
 from ..ssd.latency import OP_FLUSH
@@ -37,42 +38,26 @@ class DevicePriorityOpfTarget(OpfTarget):
             qp = device.create_qpair(depth=urgent_qpair_depth, urgent=True)
             qp.on_completion = self._on_device_completion
             self._urgent_qpairs[id(device)] = qp
+        self._urgent_routes = self._route_table(self._urgent_qpairs)
         self.urgent_submissions = 0
 
-    def _submit_to_device(
-        self,
-        conn: TargetConnection,
-        pdu: CapsuleCmdPdu,
-        tenant_id: int,
-        draining: bool = False,
-        group: Any = None,
-    ) -> None:
-        priority, _draining, _tenant = self.pm.classify(pdu.sqe)
-        if priority is not Priority.LATENCY or group is not None:
-            super()._submit_to_device(conn, pdu, tenant_id, draining=draining, group=group)
+    def _submit_to_device(self, args: "Tuple[TargetConnection, CapsuleCmdPdu, int]") -> None:
+        conn, pdu, tenant_id = args
+        sqe = pdu.sqe
+        priority, _draining, _tenant = self.pm.classify(sqe)
+        if priority is not Priority.LATENCY:
+            super()._submit_to_device(args)
             return
         # Latency-sensitive: route through the device's urgent class.
-        sqe = pdu.sqe
-        mapping = self.subsystem.resolve(sqe.nsid)
-        qp = self._urgent_qpairs[id(mapping.device)]
-        nbytes = sqe.nlb * mapping.device.profile.block_size if sqe.op_name != OP_FLUSH else 0
-        ctx = RequestContext(
-            conn=conn,
-            cid=sqe.cid,
-            op=sqe.op_name,
-            nbytes=nbytes,
-            tenant_id=tenant_id,
-            draining=False,
-            group=None,
-        )
+        try:
+            qp, device_nsid, block_size = self._urgent_routes[sqe.nsid]
+        except KeyError:
+            raise self._unknown_namespace(sqe.nsid) from None
+        op = OPCODE_NAMES[sqe.opcode]
         self.urgent_submissions += 1
-        if sqe.op_name == OP_FLUSH:
-            qp.flush(nsid=mapping.device_nsid, context=ctx)
+        if op == OP_FLUSH:
+            qp.submit(OP_FLUSH, device_nsid, 0, 1, RequestContext(conn, sqe.cid, op, 0, tenant_id))
         else:
-            qp.submit(
-                sqe.op_name,
-                nsid=mapping.device_nsid,
-                slba=sqe.slba,
-                nlb=sqe.nlb,
-                context=ctx,
-            )
+            nlb = sqe.nlb
+            ctx = RequestContext(conn, sqe.cid, op, nlb * block_size, tenant_id)
+            qp.submit(op, device_nsid, sqe.slba, nlb, ctx)

@@ -203,7 +203,7 @@ class OpfInitiator(NvmeOfInitiator):
         from ..nvmeof.pdu import CapsuleCmdPdu
 
         pdu = CapsuleCmdPdu(sqe=sqe, data_len=0)
-        self.core.run_later(self.costs.pdu_tx, self._tx, pdu, label="drain_tx")
+        self.core.run_later(self.costs.pdu_tx, self._tx, pdu)
         if self.retry_policy is not None:
             # Markers are commands too: give them the per-command watchdog
             # (a lost marker is retried like any other send) and a drain
@@ -268,9 +268,7 @@ class OpfInitiator(NvmeOfInitiator):
             return
         self.stats.requests_retired_by_coalescing += len(retired)
         # Alg. 2's queue walk costs a small scan per retired entry.
-        self.core.charge(
-            self.costs.coalesced_completion_scan * len(retired), label="coalesce_scan"
-        )
+        self.core.charge(self.costs.coalesced_completion_scan * len(retired))
         if self._drain_watchdog is not None:
             for cid in retired:
                 self._drain_watchdog.disarm(cid)

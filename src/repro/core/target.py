@@ -44,10 +44,6 @@ class OpfTarget(NvmeOfTarget):
         # window finishes earlier on the device's parallel channels.
         self._group_fifo: dict = {}
 
-    # -- tenant identity comes from the SQE's reserved byte -------------------------
-    def _resolve_tenant(self, conn: TargetConnection, pdu: CapsuleCmdPdu) -> int:
-        return pdu.sqe.rsvd_tenant
-
     # -- window resync on reconnect -----------------------------------------------
     def _handle_icreq(self, conn: TargetConnection, pdu: "IcReqPdu") -> None:
         """Reconcile the tenant's window before answering the handshake.
@@ -75,13 +71,13 @@ class OpfTarget(NvmeOfTarget):
             cost = (
                 self.costs.pdu_rx + self.costs.nvme_submit + self._tenant_switch_cost(tenant_id)
             )
-            self.core.run_later(cost, self._submit_args, (conn, pdu, tenant_id), label="ls_rx")
+            self.core.run_later(cost, self._submit_to_device, (conn, pdu, tenant_id))
             return
 
         # Throughput-critical: receive + queue-push only; execution waits
         # for the window's draining flag.
         cost = self.costs.pdu_rx + self.costs.retire
-        self.core.run_later(cost, self._enqueue_tc_args, (conn, pdu), label="tc_rx")
+        self.core.run_later(cost, self._enqueue_tc_args, (conn, pdu))
 
     def _enqueue_tc_args(self, args: "Tuple[TargetConnection, CapsuleCmdPdu]") -> None:
         self._enqueue_tc(*args)
@@ -96,7 +92,7 @@ class OpfTarget(NvmeOfTarget):
         # device doorbell per member.
         n_device = sum(1 for _c, p in batch if not self._is_drain_marker(p))
         cost = self.costs.nvme_submit * n_device + self._tenant_switch_cost(group.tenant_id)
-        self.core.run_later(cost, self._execute_batch_args, (group, batch), label="tc_flush")
+        self.core.run_later(cost, self._execute_batch_args, (group, batch))
 
     def _execute_batch_args(
         self, args: "Tuple[DrainGroup, List[Tuple[TargetConnection, CapsuleCmdPdu]]]"
@@ -145,7 +141,7 @@ class OpfTarget(NvmeOfTarget):
         cost = self.costs.nvme_complete + self.costs.retire
         if ctx.op == OP_READ:
             cost += self.costs.pdu_tx  # read data still flows per request
-        self.core.run_later(cost, self._tc_completed_args, (ctx, status), label="tc_complete")
+        self.core.run_later(cost, self._tc_completed_args, (ctx, status))
 
     def _tc_completed_args(self, args: "Tuple[RequestContext, int]") -> None:
         self._tc_completed(*args)
@@ -166,10 +162,7 @@ class OpfTarget(NvmeOfTarget):
         while fifo and fifo[0].ready:
             head = fifo.pop(0)
             self.core.run_later(
-                self.costs.cqe_build + self.costs.pdu_tx,
-                self._send_coalesced_group,
-                head,
-                label="tc_resp",
+                self.costs.cqe_build + self.costs.pdu_tx, self._send_coalesced_group, head
             )
 
     def _send_coalesced_group(self, group: DrainGroup) -> None:

@@ -1,7 +1,6 @@
-"""Host CPU models: single-core FIFO execution and SPDK-style reactors."""
+"""Host CPU model: single-core FIFO execution and per-operation costs."""
 
 from .core import CpuCore
 from .costs import DEFAULT_COSTS, CpuCostModel
-from .poller import PollerStats, Reactor
 
-__all__ = ["CpuCore", "CpuCostModel", "DEFAULT_COSTS", "PollerStats", "Reactor"]
+__all__ = ["CpuCore", "CpuCostModel", "DEFAULT_COSTS"]

@@ -13,9 +13,8 @@ keeps the event count low enough for the large scale-out experiments.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from heapq import heappush as _heappush
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..errors import SimulationError
 from ..simcore.events import Event
@@ -27,15 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class CpuCore:
     """A non-preemptive FIFO single-core executor with utilisation accounting."""
 
-    __slots__ = (
-        "env",
-        "name",
-        "_avail_at",
-        "_busy_time",
-        "_started_at",
-        "_task_count",
-        "_busy_by_label",
-    )
+    __slots__ = ("env", "name", "_avail_at", "_busy_time", "_started_at")
 
     def __init__(self, env: "Environment", name: str = "core") -> None:
         self.env = env
@@ -43,11 +34,9 @@ class CpuCore:
         self._avail_at = env.now
         self._busy_time = 0.0
         self._started_at = env.now
-        self._task_count = 0
-        self._busy_by_label: Dict[str, float] = defaultdict(float)
 
     # -- execution -------------------------------------------------------------
-    def execute(self, cost: float, label: str = "task") -> Event:
+    def execute(self, cost: float) -> Event:
         """Schedule ``cost`` microseconds of work; the event fires when done.
 
         Work submitted while the core is busy queues behind earlier work
@@ -61,8 +50,6 @@ class CpuCore:
         finish = start + cost
         self._avail_at = finish
         self._busy_time += cost
-        self._busy_by_label[label] += cost
-        self._task_count += 1
 
         done = Event(env)
         done._ok = True
@@ -70,7 +57,7 @@ class CpuCore:
         env.schedule(done, delay=finish - env.now)
         return done
 
-    def run_later(self, cost, fn, arg=None, label: str = "task") -> float:
+    def run_later(self, cost, fn, arg=None) -> float:
         """Schedule ``cost`` us of work and ``fn(arg)`` at its completion.
 
         The callback variant of :meth:`execute`: same FIFO queueing and
@@ -88,8 +75,6 @@ class CpuCore:
         finish = start + cost
         self._avail_at = finish
         self._busy_time += cost
-        self._busy_by_label[label] += cost
-        self._task_count += 1
         # Inlined env.call_later: cost was validated non-negative above, so
         # the delay is always legal.  The timestamp is computed exactly as
         # call_later would (now + delay) to preserve float identity.
@@ -98,7 +83,7 @@ class CpuCore:
         _heappush(env._queue, (now + (finish - now), 1, seq, fn, arg))
         return finish
 
-    def charge(self, cost: float, label: str = "task") -> float:
+    def charge(self, cost: float) -> float:
         """Account for work without an event; returns its completion time.
 
         Useful for fire-and-forget bookkeeping costs where nothing waits on
@@ -110,16 +95,9 @@ class CpuCore:
         finish = start + cost
         self._avail_at = finish
         self._busy_time += cost
-        self._busy_by_label[label] += cost
-        self._task_count += 1
         return finish
 
     # -- accounting --------------------------------------------------------------
-    @property
-    def available_at(self) -> float:
-        """Earliest time the core can start new work."""
-        return max(self._avail_at, self.env.now)
-
     @property
     def backlog(self) -> float:
         """Queued work (microseconds) not yet executed."""
@@ -129,10 +107,6 @@ class CpuCore:
     def busy_time(self) -> float:
         """Total microseconds of work accepted so far."""
         return self._busy_time
-
-    @property
-    def task_count(self) -> int:
-        return self._task_count
 
     def utilization(self, since: Optional[float] = None) -> float:
         """Fraction of wall time spent busy since ``since`` (or creation).
@@ -146,9 +120,5 @@ class CpuCore:
             return 0.0
         return min(1.0, self._busy_time / elapsed)
 
-    def busy_breakdown(self) -> Dict[str, float]:
-        """Microseconds of accepted work per label (copy)."""
-        return dict(self._busy_by_label)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<CpuCore {self.name!r} backlog={self.backlog:.2f}us tasks={self._task_count}>"
+        return f"<CpuCore {self.name!r} backlog={self.backlog:.2f}us>"

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..core.flags import Priority
+from ..errors import ProtocolError
 from ..units import iops_from, mbps_from
 from .events import EventCounter
 from .percentile import LatencyDistribution
@@ -123,10 +124,13 @@ class Collector:
             # its priority (record() is the only writer of either dict).
             records = self._records[initiator_name] = []
             self._priorities.setdefault(initiator_name, request.priority)
+        completed_at = request.completed_at
+        if completed_at is None:
+            raise ProtocolError(f"request cid={request.cid} not yet complete")
         records.append(
             _Record(
-                request.completed_at or 0.0,
-                request.latency,
+                completed_at,
+                completed_at - request.submitted_at,  # IoRequest.latency
                 request.nbytes,
                 request.op,
                 request.status or 0,

@@ -172,6 +172,7 @@ class TcpSocket:
         "_srtt",
         "_rttvar",
         "_rto",
+        "_rto_stale",
         "_rtt_seq",
         "_rtt_sent",
         "_rto_timer",
@@ -228,6 +229,9 @@ class TcpSocket:
         self._srtt: Optional[float] = None
         self._rttvar = 0.0
         self._rto = cfg.min_rto_us
+        #: Set when an RTT sample or a timeout back-off has moved the RTO
+        #: off its computed value; the next advancing ACK recomputes it.
+        self._rto_stale = False
         self._rtt_seq: Optional[int] = None
         self._rtt_sent = 0.0
         self._rto_timer = _RestartableTimer(env, self._on_rto, f"{name}/rto")
@@ -409,13 +413,18 @@ class TcpSocket:
                 self._cwnd += cfg.mss  # slow start
             else:
                 self._cwnd += cfg.mss * cfg.mss / self._cwnd  # congestion avoidance
-            # Anything new acked: back-off resets, timer re-arms.
-            self._rto = max(cfg.min_rto_us, min(self._compute_rto(), cfg.max_rto_us))
+            # Anything new acked: back-off resets, timer re-arms.  The RTO
+            # changes only after an RTT sample or a back-off.
+            if self._rto_stale:
+                self._rto_stale = False
+                self._rto = max(cfg.min_rto_us, min(self._compute_rto(), cfg.max_rto_us))
             if self._snd_nxt > ackno:
                 self._rto_timer.restart(self._rto)
             else:
                 self._rto_timer.stop()
-            self._try_send()
+            # Only unsent bytes need _try_send: its timer check is moot now.
+            if self._snd_nxt < self._buffered_end:
+                self._try_send()
         elif self._snd_nxt > self._snd_una:
             self.stats.dup_acks_seen += 1
             self._dup_acks += 1
@@ -438,6 +447,7 @@ class TcpSocket:
                 self._try_send()
 
     def _rtt_update(self, sample: float) -> None:
+        self._rto_stale = True
         if self._srtt is None:
             self._srtt = sample
             self._rttvar = sample / 2.0
@@ -463,6 +473,7 @@ class TcpSocket:
         # Go-back-N: rewind and resend from the last cumulative ACK.
         self._snd_nxt = self._snd_una
         self._rto = min(self._rto * 2.0, cfg.max_rto_us)
+        self._rto_stale = True
         self._emit_segment(
             self._snd_una,
             min(cfg.mss, self._buffered_end - self._snd_una),

@@ -39,8 +39,9 @@ OPCODE_FLUSH = 0x00
 OPCODE_WRITE = 0x01
 OPCODE_READ = 0x02
 
-_OPCODE_TO_NAME = {OPCODE_FLUSH: OP_FLUSH, OPCODE_WRITE: OP_WRITE, OPCODE_READ: OP_READ}
-_NAME_TO_OPCODE = {v: k for k, v in _OPCODE_TO_NAME.items()}
+#: Opcode -> the SSD substrate's mnemonic ('read' / 'write' / 'flush').
+OPCODE_NAMES = {OPCODE_FLUSH: OP_FLUSH, OPCODE_WRITE: OP_WRITE, OPCODE_READ: OP_READ}
+_NAME_TO_OPCODE = {v: k for k, v in OPCODE_NAMES.items()}
 
 _SQE_PACK = struct.Struct("<BBHIBB6x8x16sQH14x")
 _CQE_PACK = struct.Struct("<I4xHHHH")
@@ -59,7 +60,7 @@ class Sqe:
     rsvd_tenant: int = 0  # byte 9: oPF tenant id
 
     def __post_init__(self) -> None:
-        if self.opcode not in _OPCODE_TO_NAME:
+        if self.opcode not in OPCODE_NAMES:
             raise ProtocolError(f"unsupported opcode {self.opcode:#x}")
         if not (0 <= self.cid <= 0xFFFF):
             raise ProtocolError(f"CID out of range: {self.cid}")
@@ -73,7 +74,7 @@ class Sqe:
     @property
     def op_name(self) -> str:
         """Mnemonic used by the SSD substrate ('read' / 'write' / 'flush')."""
-        return _OPCODE_TO_NAME[self.opcode]
+        return OPCODE_NAMES[self.opcode]
 
     @classmethod
     def for_io(
@@ -112,7 +113,7 @@ class Sqe:
         if len(data) != SQE_SIZE:
             raise ProtocolError(f"SQE must be {SQE_SIZE} bytes, got {len(data)}")
         opcode, _flags, cid, nsid, prio, tenant, _dptr, slba, nlb0 = _SQE_PACK.unpack(data)
-        if opcode not in _OPCODE_TO_NAME:
+        if opcode not in OPCODE_NAMES:
             raise ProtocolError(f"unsupported opcode {opcode:#x}")
         nlb = 1 if opcode == OPCODE_FLUSH else nlb0 + 1
         return cls(

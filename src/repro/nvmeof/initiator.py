@@ -114,10 +114,10 @@ class NvmeOfInitiator:
         self.block_size = block_size
         self.collector = collector
         self.stats = InitiatorStats()
-        #: Pre-bound transmit callback (one per command send; binding it at
-        #: each call site would allocate a method object per command).
-        self._tx_cb = self._tx
         self.transport: Optional[PduTransport] = None
+        #: The transport's ``send``, bound in :meth:`attach`: the callback
+        #: each command's transmit work runs on the core.
+        self._tx: Optional[Callable[[Any], None]] = None
         self._connected_event: Optional[Event] = None
         self._connected = False
         #: Completion hook for closed-loop workload generators.
@@ -146,6 +146,7 @@ class NvmeOfInitiator:
     # -- connection management --------------------------------------------------
     def attach(self, transport: PduTransport) -> None:
         self.transport = transport
+        self._tx = transport.send
         transport.set_handler(self._on_pdu)
 
     def connect(self) -> Event:
@@ -155,7 +156,7 @@ class NvmeOfInitiator:
         if self._connected_event is not None:
             return self._connected_event
         self._connected_event = Event(self.env)
-        self.core.run_later(self.costs.pdu_tx, self._send_icreq, label="ic_tx")
+        self.core.run_later(self.costs.pdu_tx, self._send_icreq)
         return self._connected_event
 
     def _send_icreq(self, _arg: None = None) -> None:
@@ -176,10 +177,6 @@ class NvmeOfInitiator:
     @property
     def outstanding(self) -> int:
         return self.qpair.outstanding
-
-    @property
-    def can_submit(self) -> bool:
-        return self._connected and self.qpair.has_capacity
 
     # -- I/O submission -----------------------------------------------------------
     def read(self, slba: int, nlb: int = 1, nsid: int = 1, **kw: Any) -> IoRequest:
@@ -203,26 +200,27 @@ class NvmeOfInitiator:
         its queue depth — closed-loop generators submit from completion
         callbacks so they never hit this.
         """
+        policy = self.retry_policy
         if not self._connected:
             # With a retry policy, submissions during a reconnect window are
             # deferred (resent wholesale once the handshake completes).
-            if self.retry_policy is None or not self._ever_connected:
+            if policy is None or not self._ever_connected:
                 raise ProtocolError(f"initiator {self.name!r} is not connected")
-        priority = Priority.parse(priority)
+        if priority.__class__ is not Priority:  # a name, or garbage to refuse
+            priority = Priority.parse(priority)
         request = self.qpair.allocate(
-            op=op,
-            nsid=nsid,
-            slba=slba,
-            nlb=nlb,
-            block_size=self.block_size,
-            priority=priority,
-            tenant_id=self.tenant_id,
-            context=context,
+            op, nsid, slba, nlb, self.block_size, priority, self.tenant_id, context
         )
         request.submitted_at = self.env.now
         self.stats.submitted += 1
-        self._send_command(request)
-        if self.retry_policy is not None:
+        if policy is None:
+            if self.qos_throttle is None:
+                # Nothing to defer or pace: _send_command would pass it on.
+                self._send_ready(request)
+            else:
+                self._send_command(request)
+        else:
+            self._send_command(request)
             self._attempts[request.cid] = 0
             self._arm_watchdog(request.cid, 0)
         return request
@@ -274,10 +272,7 @@ class NvmeOfInitiator:
         data_len = request.nbytes if request.op == OP_WRITE else 0
         pdu = CapsuleCmdPdu(sqe, data_len)
         # Callback fast path: no Event (and no closure) per command send.
-        self.core.run_later(self.costs.pdu_tx, self._tx_cb, pdu, label="cmd_tx")
-
-    def _tx(self, pdu: Any) -> None:
-        self.transport.send(pdu)
+        self.core.run_later(self.costs.pdu_tx, self._tx, pdu)
 
     # -- oPF override points -------------------------------------------------------
     def _fill_reserved(self, sqe: Sqe, request: IoRequest) -> None:
@@ -302,13 +297,13 @@ class NvmeOfInitiator:
         if isinstance(pdu, CapsuleRespPdu):
             self.stats.completion_pdus_received += 1
             cost = self.costs.pdu_rx + self.costs.completion_process
-            self.core.run_later(cost, self._handle_response, pdu, label="resp_rx")
+            self.core.run_later(cost, self._handle_response, pdu)
         elif isinstance(pdu, C2HDataPdu):
             # Read payload; completion arrives separately as a CapsuleResp.
             self.stats.data_pdus_received += 1
-            self.core.charge(self.costs.pdu_rx, label="data_rx")
+            self.core.charge(self.costs.pdu_rx)
         elif isinstance(pdu, IcRespPdu):
-            self.core.charge(self.costs.pdu_rx, label="ic_rx")
+            self.core.charge(self.costs.pdu_rx)
             was_reconnect = self._reconnecting and not self._connected
             self._connected = True
             self._ever_connected = True
@@ -439,7 +434,7 @@ class NvmeOfInitiator:
         if self._connected or not self._reconnecting:
             return
         self._count("recovery/handshake")
-        self.core.run_later(self.costs.pdu_tx, self._send_icreq, label="reconnect_tx")
+        self.core.run_later(self.costs.pdu_tx, self._send_icreq)
         round_ = self._reconnect_round
         self._reconnect_round += 1
         self.env.call_later(

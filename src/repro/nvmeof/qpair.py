@@ -116,12 +116,6 @@ class IoRequest:
             f"{self.status:#x}"
         )
 
-    def _mark_complete(self, now: float, status: int) -> None:
-        self.completed_at = now
-        self.status = status
-        if self._event is not None and not self._event.triggered:
-            self._event.succeed(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.done else "inflight"
         return f"<IoRequest cid={self.cid} {self.op} slba={self.slba} {state}>"
@@ -165,7 +159,11 @@ class FabricQpair:
             raise QueueFullError(
                 f"qpair at queue depth {self.queue_depth}; completion required first"
             )
-        cid = self._alloc_cid()
+        cid = self._next_cid
+        if cid in self._outstanding:
+            cid = self._alloc_cid()
+        else:
+            self._next_cid = (cid + 1) & 0xFFFF
         nbytes = 0 if op == OP_FLUSH else nlb * block_size
         request = IoRequest(
             cid,
@@ -184,7 +182,7 @@ class FabricQpair:
 
     def _alloc_cid(self) -> int:
         # 16-bit wrap-around with collision skip; with queue depths in the
-        # hundreds and 64K ids, the loop effectively never iterates.
+        # hundreds and 64K ids, allocate() only calls this on a collision.
         for _ in range(0x10000):
             cid = self._next_cid
             self._next_cid = (self._next_cid + 1) & 0xFFFF
@@ -192,20 +190,22 @@ class FabricQpair:
                 return cid
         raise QueueFullError("no free CID (64K outstanding?!)")  # pragma: no cover
 
-    def lookup(self, cid: int) -> IoRequest:
-        try:
-            return self._outstanding[cid]
-        except KeyError:
-            raise ProtocolError(f"completion for unknown CID {cid}") from None
-
     def peek(self, cid: int) -> Optional[IoRequest]:
         return self._outstanding.get(cid)
 
     def complete(self, cid: int, now: float, status: int = 0) -> IoRequest:
         """Retire the request with ``cid``; returns it."""
-        request = self.lookup(cid)
-        del self._outstanding[cid]
-        request._mark_complete(now, status)
+        outstanding = self._outstanding
+        try:
+            request = outstanding[cid]
+        except KeyError:
+            raise ProtocolError(f"completion for unknown CID {cid}") from None
+        del outstanding[cid]
+        request.completed_at = now
+        request.status = status
+        event = request._event
+        if event is not None and not event.triggered:
+            event.succeed(request)
         self.total_completed += 1
         return request
 

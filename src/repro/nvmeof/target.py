@@ -12,16 +12,16 @@ paper's "computation order" challenge describes (§I-B).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..cpu.core import CpuCore
 from ..cpu.costs import CpuCostModel, DEFAULT_COSTS
-from ..errors import ProtocolError
+from ..errors import DeviceError, ProtocolError
 from ..simcore.events import Event
 from ..ssd.device import IoQpair, NvmeSsd
 from ..ssd.latency import OP_FLUSH, OP_READ
 from ..ssd.queues import NvmeCompletion
-from .capsule import Cqe
+from .capsule import OPCODE_NAMES, Cqe
 from .pdu import C2HDataPdu, CapsuleCmdPdu, CapsuleRespPdu, IcReqPdu, IcRespPdu
 from .subsystem import Subsystem
 from .transport import PduTransport
@@ -60,9 +60,13 @@ class TargetStats:
 
 
 class RequestContext:
-    """Target-side context attached to each device command."""
+    """Target-side context attached to each device command.
 
-    __slots__ = ("conn", "cid", "op", "nbytes", "tenant_id", "draining", "group")
+    ``group`` is the oPF drain group a batch-executed member belongs to;
+    None for a command answered on its own.
+    """
+
+    __slots__ = ("conn", "cid", "op", "nbytes", "tenant_id", "group")
 
     def __init__(
         self,
@@ -71,7 +75,6 @@ class RequestContext:
         op: str,
         nbytes: int,
         tenant_id: int,
-        draining: bool = False,
         group: Any = None,
     ) -> None:
         self.conn = conn
@@ -79,7 +82,6 @@ class RequestContext:
         self.op = op
         self.nbytes = nbytes
         self.tenant_id = tenant_id
-        self.draining = draining
         self.group = group
 
 
@@ -153,6 +155,23 @@ class NvmeOfTarget:
             qp = device.create_qpair(depth=device_qpair_depth)
             qp.on_completion = self._on_device_completion
             self._device_qpairs[id(device)] = qp
+        self._routes = self._route_table(self._device_qpairs)
+
+    def _route_table(self, qpairs: Dict[int, IoQpair]) -> Dict[int, Tuple[IoQpair, int, int]]:
+        """Fabric nsid -> (device qpair, device nsid, block size).
+
+        Built once: the subsystem's namespaces are fixed before its target
+        exists, so no command pays a subsystem lookup.
+        """
+        table = {}
+        for nsid in self.subsystem.namespace_ids:
+            mapping = self.subsystem.resolve(nsid)
+            device = mapping.device
+            table[nsid] = (qpairs[id(device)], mapping.device_nsid, device.profile.block_size)
+        return table
+
+    def _unknown_namespace(self, nsid: int) -> DeviceError:
+        return DeviceError(f"subsystem {self.subsystem.nqn} has no namespace {nsid}")
 
     # -- wiring -------------------------------------------------------------------
     def bind(self, transport: PduTransport) -> TargetConnection:
@@ -197,9 +216,7 @@ class NvmeOfTarget:
         before answering; the baseline has no per-tenant window state.
         """
         conn.tenant_id = pdu.tenant_id
-        self.core.run_later(
-            self.costs.pdu_rx + self.costs.pdu_tx, self._send_icresp, conn, label="ic"
-        )
+        self.core.run_later(self.costs.pdu_rx + self.costs.pdu_tx, self._send_icresp, conn)
 
     def _send_icresp(self, conn: TargetConnection) -> None:
         conn.transport.send(IcRespPdu())
@@ -216,50 +233,36 @@ class NvmeOfTarget:
 
     def _handle_command(self, conn: TargetConnection, pdu: CapsuleCmdPdu) -> None:
         """Baseline FIFO: receive, then submit straight to the device."""
-        tenant_id = self._resolve_tenant(conn, pdu)
-        cost = self.costs.pdu_rx + self.costs.nvme_submit + self._tenant_switch_cost(tenant_id)
+        # No per-request tenant bits: the connection identifies the tenant.
+        tenant_id = conn.tenant_id
+        if tenant_id is None:
+            tenant_id = conn.conn_index
+        cost = self.costs.pdu_rx + self.costs.nvme_submit
+        # _tenant_switch_cost, inlined.
+        last = self._last_tenant
+        if last != tenant_id:
+            if last is not None:
+                cost += self.conn_switch_cost
+                self.stats.tenant_switches += 1
+            self._last_tenant = tenant_id
         # Callback fast path: one tuple instead of an Event + closure per command.
-        self.core.run_later(cost, self._submit_args, (conn, pdu, tenant_id), label="cmd_rx")
+        self.core.run_later(cost, self._submit_to_device, (conn, pdu, tenant_id))
 
-    def _submit_args(self, args: "tuple[TargetConnection, CapsuleCmdPdu, int]") -> None:
+    def _submit_to_device(self, args: "Tuple[TargetConnection, CapsuleCmdPdu, int]") -> None:
+        """Submit one received command to its device (a run_later callback)."""
         conn, pdu, tenant_id = args
-        self._submit_to_device(conn, pdu, tenant_id)
-
-    def _resolve_tenant(self, conn: TargetConnection, pdu: CapsuleCmdPdu) -> int:
-        """Baseline has no per-request tenant bits: identify by connection."""
-        return conn.tenant_id if conn.tenant_id is not None else conn.conn_index
-
-    def _submit_to_device(
-        self,
-        conn: TargetConnection,
-        pdu: CapsuleCmdPdu,
-        tenant_id: int,
-        draining: bool = False,
-        group: Any = None,
-    ) -> None:
         sqe = pdu.sqe
-        mapping = self.subsystem.resolve(sqe.nsid)
-        qp = self._device_qpairs[id(mapping.device)]
-        nbytes = sqe.nlb * mapping.device.profile.block_size if sqe.op_name != OP_FLUSH else 0
-        ctx = RequestContext(
-            conn=conn,
-            cid=sqe.cid,
-            op=sqe.op_name,
-            nbytes=nbytes,
-            tenant_id=tenant_id,
-            draining=draining,
-            group=group,
-        )
-        if sqe.op_name == OP_FLUSH:
-            qp.flush(nsid=mapping.device_nsid, context=ctx)
+        try:
+            qp, device_nsid, block_size = self._routes[sqe.nsid]
+        except KeyError:
+            raise self._unknown_namespace(sqe.nsid) from None
+        op = OPCODE_NAMES[sqe.opcode]
+        if op == OP_FLUSH:
+            qp.submit(OP_FLUSH, device_nsid, 0, 1, RequestContext(conn, sqe.cid, op, 0, tenant_id))
         else:
-            qp.submit(
-                sqe.op_name,
-                nsid=mapping.device_nsid,
-                slba=sqe.slba,
-                nlb=sqe.nlb,
-                context=ctx,
-            )
+            nlb = sqe.nlb
+            ctx = RequestContext(conn, sqe.cid, op, nlb * block_size, tenant_id)
+            qp.submit(op, device_nsid, sqe.slba, nlb, ctx)
 
     def _submit_to_device_batch(
         self,
@@ -280,29 +283,22 @@ class NvmeOfTarget:
         specs: List[tuple] = []
         for conn, pdu in members:
             sqe = pdu.sqe
-            mapping = self.subsystem.resolve(sqe.nsid)
-            qp = self._device_qpairs[id(mapping.device)]
-            nbytes = (
-                sqe.nlb * mapping.device.profile.block_size if sqe.op_name != OP_FLUSH else 0
-            )
-            ctx = RequestContext(
-                conn=conn,
-                cid=sqe.cid,
-                op=sqe.op_name,
-                nbytes=nbytes,
-                tenant_id=tenant_id,
-                draining=False,
-                group=group,
-            )
+            try:
+                qp, device_nsid, block_size = self._routes[sqe.nsid]
+            except KeyError:
+                raise self._unknown_namespace(sqe.nsid) from None
+            op = OPCODE_NAMES[sqe.opcode]
+            nbytes = sqe.nlb * block_size if op != OP_FLUSH else 0
+            ctx = RequestContext(conn, sqe.cid, op, nbytes, tenant_id, group)
             if qp is not run_qp and specs:
                 assert run_qp is not None
                 run_qp.submit_batch(specs)
                 specs = []
             run_qp = qp
-            if sqe.op_name == OP_FLUSH:
-                specs.append((OP_FLUSH, mapping.device_nsid, 0, 1, ctx))
+            if op == OP_FLUSH:
+                specs.append((OP_FLUSH, device_nsid, 0, 1, ctx))
             else:
-                specs.append((sqe.op_name, mapping.device_nsid, sqe.slba, sqe.nlb, ctx))
+                specs.append((op, device_nsid, sqe.slba, sqe.nlb, ctx))
         if specs:
             assert run_qp is not None
             run_qp.submit_batch(specs)
@@ -317,12 +313,10 @@ class NvmeOfTarget:
         cost = self.costs.nvme_complete + self.costs.cqe_build + self.costs.pdu_tx
         if ctx.op == OP_READ:
             cost += self.costs.pdu_tx  # the C2HData PDU
-        self.core.run_later(cost, self._send_response_args, (ctx, status), label="resp_tx")
+        self.core.run_later(cost, self._send_response, (ctx, status))
 
-    def _send_response_args(self, args: "tuple[RequestContext, int]") -> None:
-        self._send_response(*args)
-
-    def _send_response(self, ctx: RequestContext, status: int) -> None:
+    def _send_response(self, args: "Tuple[RequestContext, int]") -> None:
+        ctx, status = args
         self.stats.requests_completed += 1
         if ctx.op == OP_READ:
             self.stats.data_pdus_sent += 1

@@ -5,19 +5,32 @@ arbitration), dispatches each command to a pool of channel workers, and
 posts the completion to the paired CQ when the flash access finishes.
 Because channel service times vary, completions post **out of order**
 relative to submission — the property NVMe-oPF's CID queues must handle.
+
+Every SQ is empty between doorbells: each submit rings its SQ's doorbell,
+:meth:`NvmeController._arbitrate` fetches until every SQ is empty, and a
+batch that does not fit its SQ is refused whole.  So while no fetched
+command waits for a channel and a channel is free, a newly submitted
+command is the only one a doorbell would fetch, and
+:meth:`~repro.ssd.device.IoQpair.submit` starts it directly with the
+doorbell's exact effects.  Likewise a polled host reaps each CQE the
+moment it posts, so its CQ is empty between completions and the
+controller posts and reaps in one step.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush as _heappush
+from math import exp as _exp
 from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import DeviceError
+from ..simcore.events import NORMAL
 from ..simcore.rng import NormalBuffer
 from .ftl import Ftl
-from .latency import OP_WRITE, SsdProfile
+from .latency import OP_FLUSH, OP_READ, OP_WRITE, SsdProfile
 from .queues import (
     CompletionQueue,
     NvmeCommand,
@@ -29,6 +42,8 @@ from .queues import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcore.engine import Environment
+
+_INF = float("inf")
 
 
 class QueuePair:
@@ -80,6 +95,13 @@ class NvmeController:
         self._dispatch: Deque[Tuple[NvmeCommand, QueuePair]] = deque()
         self._dispatch_urgent: Deque[Tuple[NvmeCommand, QueuePair]] = deque()
         self._free_channels = profile.channels
+        #: Profile values read per command, cached once (the profile is
+        #: frozen): opcode -> (lognormal (mu, sigma) or None, mean).
+        self._service = {
+            OP_READ: (profile._read_lognorm, profile.read_mean_us),
+            OP_WRITE: (profile._write_lognorm, profile.write_mean_us),
+        }
+        self._capacity_blocks = profile.capacity_blocks
         #: Pre-bound completion callback (one heap entry per channel batch;
         #: avoids a method-object allocation per command).
         self._on_channel_done_cb = self._on_channel_done
@@ -110,11 +132,6 @@ class NvmeController:
     def inflight(self) -> int:
         """Commands executing on channels right now."""
         return self.profile.channels - self._free_channels
-
-    @property
-    def dispatch_depth(self) -> int:
-        """Commands fetched but waiting for a channel."""
-        return len(self._dispatch) + len(self._dispatch_urgent)
 
     # -- arbitration -----------------------------------------------------------
     def _on_doorbell(self) -> None:
@@ -153,6 +170,7 @@ class NvmeController:
             self._execute(command, qpair)
 
     def _execute(self, command: NvmeCommand, qpair: QueuePair) -> None:
+        # Always through self._validate: DeviceErrorInjector patches it.
         status = self._validate(command)
         if status == STATUS_SUCCESS and self.fault_status is not None:
             status = self.fault_status
@@ -161,17 +179,42 @@ class NvmeController:
             # Failed commands complete "immediately" (controller-side check).
             service = 1.0
         else:
-            nbytes = command.nbytes(self.profile.block_size)
-            service = self.profile.service_time(self._draws, command.opcode, nbytes)
-            if self.ftl is not None and command.opcode == OP_WRITE:
-                service += self.ftl.write_penalty(nbytes, service)
+            opcode = command.opcode
+            if opcode == OP_FLUSH:
+                service = self.profile.flush_us
+            else:
+                # SsdProfile.service_time, inlined: the same exp(mu + sigma
+                # * z) from the same buffered normals.
+                lognorm, service = self._service[opcode]
+                if lognorm is not None:
+                    draws = self._draws
+                    pos = draws._pos
+                    if pos < draws._n:
+                        draws._pos = pos + 1
+                        z = draws._buf[pos]
+                    else:
+                        z = draws.standard_normal()
+                    service = _exp(lognorm[0] + lognorm[1] * z)
+                nlb = command.nlb
+                if nlb > 1:
+                    service += (nlb - 1) * self.profile.extra_block_us
+                if opcode == OP_WRITE and self.ftl is not None:
+                    service += self.ftl.write_penalty(nlb * self.profile.block_size, service)
             if self.service_scale != 1.0:
                 service *= self.service_scale
         self.busy_time += service
 
-        # Callback fast path: one tuple per channel completion instead of an
-        # Event object; heap position matches the old Event-based scheduling.
-        self.env.call_later(service, self._on_channel_done_cb, (command, qpair, status))
+        # env.call_later, inlined: the same (now + delay, NORMAL, seq) key,
+        # and one tuple per channel completion instead of an Event.
+        env = self.env
+        if not 0.0 <= service < _INF:
+            raise env._bad_delay(service)
+        seq = env._seq
+        env._seq = seq + 1
+        _heappush(
+            env._queue,
+            (env.now + service, NORMAL, seq, self._on_channel_done_cb, (command, qpair, status)),
+        )
 
     def _on_channel_done(self, done: Tuple[NvmeCommand, QueuePair, int]) -> None:
         command, qpair, status = done
@@ -180,14 +223,23 @@ class NvmeController:
             self.commands_completed += 1
         else:
             self.commands_failed += 1
-        qpair.cq.post(NvmeCompletion(command.cid, status, self.env.now, command))
-        # A channel freed up: pull more work.
-        self._arbitrate()
-        self._fill_channels()
+        completion = NvmeCompletion(command.cid, status, self.env.now, command)
+        cq = qpair.cq
+        host = cq.on_post
+        if host is None:
+            cq.post(completion)  # nobody polls: the CQE waits for reap()
+        else:
+            # A polled host reaps at once: post and reap in one step.
+            cq._head = cq._tail = (cq._tail + 1) % cq.depth
+            host(completion)
+        if self._dispatch_urgent or self._dispatch:
+            # A channel freed up and fetched commands wait for one.
+            self._arbitrate()
+            self._fill_channels()
 
     def _validate(self, command: NvmeCommand) -> int:
-        if command.opcode == OP_WRITE or command.opcode == "read":
-            if command.slba < 0 or command.slba + command.nlb > self.profile.capacity_blocks:
+        if command.opcode == OP_WRITE or command.opcode == OP_READ:
+            if command.slba < 0 or command.slba + command.nlb > self._capacity_blocks:
                 return STATUS_LBA_OUT_OF_RANGE
         return STATUS_SUCCESS
 

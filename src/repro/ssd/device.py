@@ -7,7 +7,6 @@ via the CQ post hook.
 
 from __future__ import annotations
 
-from itertools import count
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..errors import DeviceError
@@ -51,8 +50,11 @@ class IoQpair:
     def __init__(self, device: "NvmeSsd", qpair: QueuePair, depth: int) -> None:
         self.device = device
         self._qpair = qpair
+        self._controller = device.controller
+        #: The device's live namespace table (add_namespace mutates it).
+        self._namespaces = device._namespaces
         self.depth = depth
-        self._cids = count()
+        self._cid_seq = 0
         self._outstanding: Dict[int, NvmeCommand] = {}
         qpair.cq.on_post = self._on_cqe
         #: Completion callback: invoked with each NvmeCompletion as it lands.
@@ -61,9 +63,6 @@ class IoQpair:
     @property
     def outstanding(self) -> int:
         return len(self._outstanding)
-
-    def _next_cid(self) -> int:
-        return next(self._cids) & 0xFFFF
 
     def submit(
         self,
@@ -74,14 +73,33 @@ class IoQpair:
         context: object = None,
     ) -> NvmeCommand:
         """Build, validate, and submit one command; returns it (with CID)."""
-        ns = self.device.namespace(nsid)
-        if opcode != OP_FLUSH:
-            ns.check_range(slba, nlb)
-        command = NvmeCommand(
-            cid=self._next_cid(), opcode=opcode, nsid=nsid, slba=slba, nlb=nlb, context=context
-        )
+        if nsid in self._namespaces:
+            ns = self._namespaces[nsid]
+        else:
+            ns = self.device.namespace(nsid)  # raises DeviceError
+        if opcode != OP_FLUSH and (slba < 0 or nlb < 1 or slba + nlb > ns.blocks):
+            ns.check_range(slba, nlb)  # raises DeviceError
+        seq = self._cid_seq
+        self._cid_seq = seq + 1
+        command = NvmeCommand(seq & 0xFFFF, opcode, nsid, slba, nlb, context)
         self._outstanding[command.cid] = command
-        self._qpair.sq.submit(command)
+        qpair = self._qpair
+        ctrl = self._controller
+        if ctrl._free_channels and not ctrl._dispatch and not ctrl._dispatch_urgent:
+            # Nothing waits for a channel and every SQ is empty (see
+            # repro.ssd.controller), so the doorbell would fetch only this
+            # command -- leaving the round-robin index just past this pair,
+            # that is qid % len(pairs) -- and _fill_channels would start it.
+            # Do exactly that, leaving the ring as a submit and a pop would.
+            sq = qpair.sq
+            command.submitted_at = ctrl.env.now
+            sq._head = sq._tail = (sq._tail + 1) % sq.depth
+            sq.submitted_total += 1
+            ctrl._rr_index = 0 if ctrl._qpairs[-1] is qpair else qpair.qid
+            ctrl._free_channels -= 1
+            ctrl._execute(command, qpair)
+        else:
+            qpair.sq.submit(command)
         return command
 
     def submit_batch(
@@ -100,10 +118,9 @@ class IoQpair:
             ns = self.device.namespace(nsid)
             if opcode != OP_FLUSH:
                 ns.check_range(slba, nlb)
-            command = NvmeCommand(
-                cid=self._next_cid(), opcode=opcode, nsid=nsid, slba=slba, nlb=nlb,
-                context=context,
-            )
+            seq = self._cid_seq
+            self._cid_seq = seq + 1
+            command = NvmeCommand(seq & 0xFFFF, opcode, nsid, slba, nlb, context)
             self._outstanding[command.cid] = command
             commands.append(command)
         self._qpair.sq.submit_batch(commands)
@@ -119,9 +136,9 @@ class IoQpair:
         return self.submit(OP_FLUSH, nsid=nsid, context=context)
 
     def _on_cqe(self, completion: NvmeCompletion) -> None:
-        # Polled host: consume the CQE as soon as it posts, so the ring
-        # never backs up (the CPU cost of reaping is charged by the caller).
-        self._qpair.cq.reap()
+        # Polled host: the controller reaps each CQE in the step that posts
+        # it, so the ring never backs up (the CPU cost of reaping is charged
+        # by the caller).
         self._outstanding.pop(completion.cid, None)
         if self.on_completion is not None:
             self.on_completion(completion)

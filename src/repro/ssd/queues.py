@@ -62,12 +62,6 @@ class NvmeCommand:
         self.submitted_at = 0.0
         self.context = context
 
-    def nbytes(self, block_size: int) -> int:
-        """Data transferred by this command."""
-        if self.opcode == OP_FLUSH:
-            return 0
-        return self.nlb * block_size
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<NvmeCommand cid={self.cid} {self.opcode} slba={self.slba} nlb={self.nlb}>"
 
@@ -138,12 +132,15 @@ class SubmissionQueue:
         arbitration then fetches the whole run in the same submission order
         it would have fetched them one doorbell at a time, so execution
         order, RNG draw order, and completion scheduling are unchanged.  The
-        batch accumulates in the ring before the controller drains it, so
-        callers must keep batches smaller than the queue depth.
+        batch accumulates in the ring before the controller drains it, so a
+        batch that does not fit is refused whole, before any command is
+        placed (the ring stays empty between doorbells).
         """
+        if len(commands) > self.depth - 1 - len(self):
+            raise QueueFullError(
+                f"SQ {self.qid} cannot take a batch of {len(commands)} (depth {self.depth})"
+            )
         for command in commands:
-            if self.is_full:
-                raise QueueFullError(f"SQ {self.qid} full (depth {self.depth})")
             command.submitted_at = self.env.now
             self._ring[self._tail] = command
             self._tail = (self._tail + 1) % self.depth
@@ -174,10 +171,10 @@ class CompletionQueue:
         self._ring: List[Optional[NvmeCompletion]] = [None] * depth
         self._head = 0
         self._tail = 0
-        #: Host notification hook, invoked on every posted CQE (the polled
-        #: host uses it instead of an interrupt).
+        #: Polled-host hook.  When set, the controller reaps every CQE in
+        #: the step that posts it and hands it here (instead of an
+        #: interrupt); when None, CQEs wait in the ring for :meth:`reap`.
         self.on_post: Optional[Callable[[NvmeCompletion], None]] = None
-        self.posted_total = 0
 
     def __len__(self) -> int:
         return (self._tail - self._head) % self.depth
@@ -200,9 +197,6 @@ class CompletionQueue:
             raise QueueFullError(f"CQ {self.qid} full (depth {self.depth})")
         self._ring[self._tail] = completion
         self._tail = (self._tail + 1) % self.depth
-        self.posted_total += 1
-        if self.on_post is not None:
-            self.on_post(completion)
 
     def reap(self) -> NvmeCompletion:
         """Host side: consume the oldest CQE."""

@@ -149,6 +149,9 @@ class PerfGenerator:
         depth = cfg.queue_depth
         initiator = self.initiator
         qpair = initiator.qpair
+        # The qpair's occupancy, read directly (FabricQpair.has_capacity).
+        outstanding = qpair._outstanding
+        qpair_depth = qpair.queue_depth
         # ``issued`` is only ever advanced here (completions arrive via
         # events, never synchronously from submit), so it can ride in a
         # local across the loop.
@@ -157,7 +160,7 @@ class PerfGenerator:
             not self._stopped
             and issued < total_ops
             and issued - self.completed < depth
-            and qpair.has_capacity
+            and len(outstanding) < qpair_depth
         ):
             initiator.submit(
                 self._choose_op(),

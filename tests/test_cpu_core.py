@@ -1,8 +1,8 @@
-"""Tests for the CPU cost model, FIFO core, and reactor."""
+"""Tests for the CPU cost model and the FIFO core."""
 
 import pytest
 
-from repro.cpu import CpuCore, CpuCostModel, DEFAULT_COSTS, Reactor
+from repro.cpu import CpuCore, CpuCostModel, DEFAULT_COSTS
 from repro.errors import ConfigError, SimulationError
 from repro.simcore import Environment
 
@@ -131,45 +131,9 @@ def test_core_utilization():
     assert core.utilization() == pytest.approx(0.5)
 
 
-def test_core_busy_breakdown():
+def test_core_charge_accumulates_busy_time():
     env = Environment()
     core = CpuCore(env)
-    core.charge(1.0, label="rx")
-    core.charge(2.0, label="tx")
-    core.charge(3.0, label="rx")
-    assert core.busy_breakdown() == {"rx": 4.0, "tx": 2.0}
-    assert core.task_count == 3
-
-
-# ---------------------------------------------------------------- reactor ----
-def test_reactor_attributes_work_to_pollers():
-    env = Environment()
-    reactor = Reactor(env)
-    reactor.charge("transport", 1.5)
-    reactor.charge("transport", 0.5)
-    reactor.charge("nvme", 1.0)
-    assert reactor.stats("transport").calls == 2
-    assert reactor.stats("transport").busy_us == pytest.approx(2.0)
-    assert reactor.stats("transport").mean_cost() == pytest.approx(1.0)
-    assert reactor.stats("nvme").calls == 1
-
-
-def test_reactor_unknown_poller():
-    env = Environment()
-    reactor = Reactor(env)
-    with pytest.raises(ConfigError):
-        reactor.stats("ghost")
-
-
-def test_reactor_run_event():
-    env = Environment()
-    reactor = Reactor(env)
-
-    def proc(env):
-        yield reactor.run("p", 2.0)
-        return env.now
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == pytest.approx(2.0)
-    assert reactor.utilization() == pytest.approx(1.0)
+    assert [core.charge(1.0), core.charge(2.0), core.charge(3.0)] == [1.0, 3.0, 6.0]
+    assert core.busy_time == pytest.approx(6.0)
+    assert core.backlog == pytest.approx(6.0)

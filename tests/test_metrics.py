@@ -24,7 +24,8 @@ def make_request(cid=0, op="read", nbytes=4096, priority=Priority.THROUGHPUT,
     req = IoRequest(cid=cid, op=op, nsid=1, slba=0, nlb=1, nbytes=nbytes,
                     priority=priority, tenant_id=0)
     req.submitted_at = submitted
-    req._mark_complete(completed, status)
+    req.completed_at = completed
+    req.status = status
     return req
 
 

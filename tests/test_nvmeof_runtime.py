@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.node import InitiatorNode, TargetNode
 from repro.core.flags import Priority
-from repro.errors import ConfigError, ProtocolError, QueueFullError
+from repro.errors import ConfigError, DeviceError, ProtocolError, QueueFullError
 from repro.metrics import Collector
 from repro.net import Fabric
 from repro.nvmeof.qpair import FabricQpair
@@ -51,6 +51,16 @@ def test_qpair_cid_reuse_after_completion():
     assert r2.cid != r1.cid  # monotonically advancing, no immediate reuse
     assert qp.total_submitted == 2
     assert qp.total_completed == 1
+
+
+def test_qpair_cid_wrap_skips_an_outstanding_cid():
+    qp = FabricQpair(queue_depth=2)
+    held = qp.allocate("read", 1, 0, 1, 4096, Priority.THROUGHPUT, 0)
+    assert held.cid == 0
+    for _ in range(0xFFFF):  # cids 1..0xFFFF, each retired at once
+        qp.complete(qp.allocate("read", 1, 0, 1, 4096, Priority.THROUGHPUT, 0).cid, now=0.0)
+    # The 16-bit counter wrapped to 0, which is still outstanding.
+    assert qp.allocate("read", 1, 0, 1, 4096, Priority.THROUGHPUT, 0).cid == 1
 
 
 def test_qpair_unknown_completion_rejected():
@@ -215,6 +225,15 @@ def test_initiator_failed_status_counted():
 
 
 # ------------------------------------------------------------------- target ----
+@pytest.mark.parametrize("protocol", ["spdk", "nvme-opf"])
+def test_target_refuses_an_unknown_namespace(protocol):
+    env, initiator, _, _ = make_rig(protocol=protocol)
+    env.run(until=initiator.connect())
+    initiator.read(slba=0, nsid=7, priority="latency")
+    with pytest.raises(DeviceError, match="no namespace 7"):
+        env.run()
+
+
 def test_target_routes_multiple_connections():
     env = Environment()
     streams = RandomStreams(5)

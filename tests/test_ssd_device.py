@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.errors import ConfigError, DeviceError, QueueEmptyError, QueueFullError
+from repro.errors import (
+    ConfigError,
+    DeviceError,
+    QueueEmptyError,
+    QueueFullError,
+    SimulationError,
+)
 from repro.simcore import Environment, RandomStreams
 from repro.ssd import (
     CompletionQueue,
@@ -181,6 +187,27 @@ def test_round_robin_across_qpairs():
     # With single-channel serialization the controller should interleave.
     assert order[0][0] != order[1][0] or order[1][0] != order[2][0]
     assert len(order) == 4
+
+
+def test_cqe_waits_in_ring_without_a_polled_host():
+    env = Environment()
+    ssd = make_ssd(env, read_cv=0.0)
+    sq, cq = SubmissionQueue(env, depth=4), CompletionQueue(env, depth=4)
+    ssd.controller.register_qpair(sq, cq)
+    sq.submit(NvmeCommand(cid=3, opcode=OP_READ, slba=0, nlb=1))
+    env.run()
+    assert len(cq) == 1
+    got = cq.reap()
+    assert (got.cid, got.ok, got.completed_at) == (3, True, 10.0)
+
+
+def test_non_finite_service_time_is_refused():
+    env = Environment()
+    ssd = make_ssd(env)
+    ssd.controller.service_scale = float("inf")
+    qp = ssd.create_qpair()
+    with pytest.raises(SimulationError):
+        qp.read(1, slba=0, nlb=1)
 
 
 def test_out_of_range_lba_rejected_at_submit():
