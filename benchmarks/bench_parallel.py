@@ -1,18 +1,11 @@
 #!/usr/bin/env python
-"""Parallel sweep-runner benchmark: scaling curves for ``repro.parallel``.
+"""Parallel sweep-runner benchmark: the scaling curve of ``repro.parallel``.
 
-Two scaling surfaces, one file:
-
-* **Sweep pool** — the same Figure-7 sweep run serially (``workers=0``, the
-  in-process reference path) and through process pools of 1/2/4/8 workers.
-* **Sharded scenario** — one fig8-scale scale-out scenario run serially and
-  split across 1/2/4 shards by initiator node (``repro.parallel.shards``),
-  with the per-phase wall-clock breakdown (partition / simulate / exchange /
-  merge) recorded for every shard count.
-
-Both surfaces record their curves in ``BENCH_parallel.json`` together with
-the measuring machine's fingerprint, and — always — check that every
-parallel digest is byte-identical to the serial one.
+The same Figure-7 sweep runs serially (``workers=0``, the in-process
+reference path) and through process pools of 1/2/4/8 workers.  The curve
+is recorded in ``BENCH_parallel.json`` together with the measuring
+machine's fingerprint, and every pooled digest is checked, always, to be
+byte-identical to the serial one.
 
 Usage::
 
@@ -22,17 +15,16 @@ Usage::
 
 ``--check`` enforces these gates:
 
-* **determinism** (always): pooled campaign digests and sharded scenario
-  digests == their serial digests, bit for bit, re-checked per shard count;
+* **determinism** (always): pooled campaign digests == the serial
+  digests, bit for bit;
 * **scaling** (hosts with >= 4 CPUs): >= ``--speedup-floor`` (default 2x)
-  wall-clock speedup at 4 pool workers and at 4 shards — skipped, loudly,
-  on smaller hosts where the target is physically impossible;
+  wall-clock speedup at 4 pool workers — skipped, loudly, on smaller hosts
+  where the target is physically impossible;
+* **pool overhead** (always): the 1-worker pool may not cost more than
+  ``--overhead-ceiling`` over serial;
 * **no serial regression** (same machine as the committed baseline only —
   wall-clock numbers do not transfer across machines): the serial sweep may
-  not fall more than ``--tolerance`` below the baseline's units/second, the
-  serial sharded scenario not more than ``--shard-tolerance`` (default 20%)
-  below the baseline's wall clock, and the 1-worker pool may not cost more
-  than ``--overhead-ceiling`` over serial.
+  not fall more than ``--tolerance`` below the baseline's units/second.
 """
 
 from __future__ import annotations
@@ -48,29 +40,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from run_benchmarks import machine_context, same_machine
 
-from repro.cluster import ScenarioConfig, ScenarioSpec
 from repro.experiments.fig7 import fig7_units
-from repro.parallel import run_sharded, run_units
+from repro.parallel import run_units
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
 #: Pool sizes measured for the sweep scaling curve.
 WORKER_STEPS = (1, 2, 4, 8)
 
-#: Shard counts measured for the sharded-scenario curve (1 exercises the
-#: explicit single-shard fallback path; digest identity is re-checked at
-#: every count).
-SHARD_STEPS = (1, 2, 4)
-
-#: Speedup floor at 4 workers / 4 shards (gated only with >= 4 CPUs).
+#: Speedup floor at 4 workers (gated only with >= 4 CPUs).
 SPEEDUP_FLOOR = 2.0
 
 #: The 1-worker pool may cost at most this fraction over in-process serial.
 OVERHEAD_CEILING = 0.50
-
-#: The serial sharded scenario may fall at most this fraction below the
-#: committed same-machine baseline ("> 20% regression fails").
-SHARD_TOLERANCE = 0.20
 
 FAST_GRID = dict(ratios=("1:1", "1:2", "2:2", "1:4"), speeds=(10.0,), mixes=("read",), total_ops=150)
 FULL_GRID = dict(
@@ -79,15 +61,6 @@ FULL_GRID = dict(
     mixes=("read", "rw50", "write"),
     total_ops=300,
 )
-
-#: Fig8-scale scale-out scenario: 4 target/initiator node pairs, 3
-#: throughput tenants per node.  Node pairs are independent star fabrics,
-#: so the partitioner runs them as connected components — the shape the
-#: shard runner is built to scale.  TC-only on purpose: a mixed TC+LS
-#: tenant set falls back to serial (the quiesce coupling; see
-#: ``repro.parallel.shards``), which the differential suite pins.
-SHARDED_FAST = dict(n_node_pairs=4, initiators_per_node=3, total_ops=150)
-SHARDED_FULL = dict(n_node_pairs=4, initiators_per_node=3, total_ops=600)
 
 
 def run_sweep(fast: bool) -> dict:
@@ -125,61 +98,8 @@ def run_sweep(fast: bool) -> dict:
     }
 
 
-def run_sharded_bench(fast: bool) -> dict:
-    """Serial-vs-sharded curve for one fig8-scale scenario, per protocol."""
-    shape = SHARDED_FAST if fast else SHARDED_FULL
-    protocols = {}
-    digests_identical = True
-    for protocol in ("spdk", "nvme-opf"):
-        config = ScenarioConfig(
-            protocol=protocol,
-            network_gbps=10.0,
-            op_mix="read",
-            total_ops=shape["total_ops"],
-            window_size=16,
-            seed=7,
-        )
-        spec = ScenarioSpec.scaleout(
-            config,
-            shape["n_node_pairs"],
-            shape["initiators_per_node"],
-            include_ls=False,
-        )
-        started = time.perf_counter()
-        serial = spec.build().run()
-        serial_s = time.perf_counter() - started
-        serial_digest = serial.metrics_digest()
-
-        scaling = []
-        for shards in SHARD_STEPS:
-            started = time.perf_counter()
-            report = run_sharded(spec, shards=shards)
-            elapsed = time.perf_counter() - started
-            identical = report.result.metrics_digest() == serial_digest
-            digests_identical = digests_identical and identical
-            scaling.append(
-                {
-                    "shards": shards,
-                    "mode": report.mode,
-                    "seconds": elapsed,
-                    "speedup_vs_serial": serial_s / elapsed,
-                    "digest_identical": identical,
-                    "phases": report.timings,
-                }
-            )
-        protocols[protocol] = {
-            "serial_seconds": serial_s,
-            "scaling": scaling,
-        }
-    return {
-        "scenario": dict(shape),
-        "protocols": protocols,
-        "digest_identical": digests_identical,
-    }
-
-
 def check(current: dict, committed: dict, tolerance: float, speedup_floor: float,
-          overhead_ceiling: float, shard_tolerance: float) -> int:
+          overhead_ceiling: float) -> int:
     failures = 0
     cpus = current["machine"]["cpu_count"] or 1
 
@@ -188,16 +108,6 @@ def check(current: dict, committed: dict, tolerance: float, speedup_floor: float
     print(f"check: determinism: pooled digests == serial -> {status}")
     if not current["digest_identical"]:
         failures += 1
-
-    sharded = current.get("sharded")
-    if sharded:
-        status = "ok" if sharded["digest_identical"] else "REGRESSION"
-        print(
-            f"check: determinism: sharded digests == serial "
-            f"(every shard count, every protocol) -> {status}"
-        )
-        if not sharded["digest_identical"]:
-            failures += 1
 
     # Gate 2: scaling, only meaningful with >= 4 CPUs to scale onto.
     by_workers = {s["workers"]: s for s in current["scaling"]}
@@ -217,27 +127,6 @@ def check(current: dict, committed: dict, tolerance: float, speedup_floor: float
         )
         if speedup4 < speedup_floor:
             failures += 1
-
-    if sharded:
-        for protocol, data in sharded["protocols"].items():
-            by_shards = {s["shards"]: s for s in data["scaling"]}
-            shard4 = by_shards.get(4, {}).get("speedup_vs_serial")
-            if shard4 is None:
-                print(f"check: sharded scaling [{protocol}]: no 4-shard point -> SKIPPED")
-            elif cpus < 4:
-                print(
-                    f"check: sharded scaling [{protocol}]: {shard4:.2f}x at 4 shards "
-                    f"on a {cpus}-CPU host -> SKIPPED "
-                    f"(floor {speedup_floor:.1f}x needs >= 4 CPUs)"
-                )
-            else:
-                status = "ok" if shard4 >= speedup_floor else "REGRESSION"
-                print(
-                    f"check: sharded scaling [{protocol}]: {shard4:.2f}x at 4 shards "
-                    f"(floor {speedup_floor:.1f}x, {cpus} CPUs) -> {status}"
-                )
-                if shard4 < speedup_floor:
-                    failures += 1
 
     # Gate 3a: the 1-worker pool must stay close to in-process serial.
     one = by_workers.get(1)
@@ -282,22 +171,6 @@ def check(current: dict, committed: dict, tolerance: float, speedup_floor: float
             )
             if cur_rate < floor:
                 failures += 1
-        # Gate 3c: serial sharded-scenario wall clock, same-machine only.
-        base_sharded = baseline.get("sharded", {}).get("protocols", {})
-        if sharded and base_sharded:
-            for protocol, data in sharded["protocols"].items():
-                base_s = base_sharded.get(protocol, {}).get("serial_seconds")
-                cur_s = data["serial_seconds"]
-                if not base_s:
-                    continue
-                ceiling = base_s * (1.0 + shard_tolerance)
-                status = "ok" if cur_s <= ceiling else "REGRESSION"
-                print(
-                    f"check: sharded serial [{protocol}]: {cur_s:.2f}s vs baseline "
-                    f"{base_s:.2f}s (ceiling {ceiling:.2f}s) -> {status}"
-                )
-                if cur_s > ceiling:
-                    failures += 1
     return failures
 
 
@@ -307,8 +180,6 @@ def main() -> int:
     parser.add_argument("--check", action="store_true", help="regression/scaling gate")
     parser.add_argument("--tolerance", type=float, default=0.5,
                         help="allowed serial units/s drop vs baseline (cross-machine noise)")
-    parser.add_argument("--shard-tolerance", type=float, default=SHARD_TOLERANCE,
-                        help="allowed sharded-scenario serial wall-clock growth vs baseline")
     parser.add_argument("--speedup-floor", type=float, default=SPEEDUP_FLOOR)
     parser.add_argument("--overhead-ceiling", type=float, default=OVERHEAD_CEILING)
     parser.add_argument(
@@ -323,11 +194,9 @@ def main() -> int:
         "mode": "fast" if args.fast else "full",
         "machine": machine_context(),
         **run_sweep(fast=args.fast),
-        "sharded": run_sharded_bench(fast=args.fast),
         "gates": {
             "speedup_floor_at_4_workers": args.speedup_floor,
             "one_worker_overhead_ceiling": args.overhead_ceiling,
-            "sharded_serial_tolerance": args.shard_tolerance,
         },
     }
     print(json.dumps(current, indent=2))
@@ -339,7 +208,7 @@ def main() -> int:
     if args.check:
         failures = check(
             current, committed, args.tolerance, args.speedup_floor,
-            args.overhead_ceiling, args.shard_tolerance,
+            args.overhead_ceiling,
         )
         if failures:
             print(f"check: {failures} gate(s) failed")

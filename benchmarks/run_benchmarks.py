@@ -4,11 +4,10 @@
 
 Unlike the pytest-benchmark files next to it, this is a plain script (no
 fixtures, no statistics plugins) so the exact same harness can be run on any
-commit — the committed ``BENCH_core.json`` carries a ``pre_refactor`` section
-captured before the batched/array hot-path refactor and a ``post_refactor``
-section captured after it.  Every section records the machine it was measured
-on (CPU count, Python version); the regression gate refuses to compare
-wall-clock numbers across different machines.
+commit.  The committed ``BENCH_core.json`` holds one ``current`` section,
+which records the machine it was measured on (CPU count, Python version);
+the regression gate refuses to compare wall-clock numbers across different
+machines.
 
 Usage::
 
@@ -18,15 +17,14 @@ Usage::
                                                         # the committed baseline
 
 ``--check`` exits non-zero when engine event throughput falls more than
-``--tolerance`` (default 20%) below the committed post-refactor baseline
+``--tolerance`` (default 20%) below the committed ``current`` baseline
 (skipped with a notice when the baseline was recorded on a different
 machine), when batched dispatch drops below the absolute
 ``ENGINE_CALLBACKS_FLOOR``, or when the disabled QoS control plane stops
 being free.
 
 Set ``BENCH_SRC=/path/to/other/src`` to benchmark a different source tree
-with this same harness (used to record ``pre_refactor`` sections from an
-earlier checkout).
+(an earlier checkout, say) with this same harness.
 """
 
 from __future__ import annotations
@@ -131,7 +129,7 @@ def bench_engine_callbacks(n: int) -> dict:
     dispatches back-to-back without per-item heap traffic.  (Each batch sits
     at its own timestamp, so the speed comes from the batch entry alone.)  On
     kernels without batching it falls back to the chained-scalar loop so the
-    same script can record pre-refactor sections.
+    same script can measure an earlier source tree (``BENCH_SRC``).
     """
 
     def run():
@@ -373,32 +371,10 @@ def run_all(fast: bool) -> dict:
     return results
 
 
-def fig7_speedup(committed: dict) -> dict | None:
-    """pre_refactor vs post_refactor fig7 wall-clock ratio, if comparable."""
-    pre = committed.get("pre_refactor")
-    post = committed.get("post_refactor")
-    if not pre or not post:
-        return None
-    if not same_machine(pre.get("machine"), post.get("machine")):
-        return None
-    try:
-        pre_s = sum(p["seconds"] for p in pre["fig7_sweep"]["protocols"].values())
-        post_s = sum(p["seconds"] for p in post["fig7_sweep"]["protocols"].values())
-    except KeyError:
-        return None
-    if post_s <= 0:
-        return None
-    return {
-        "pre_seconds": pre_s,
-        "post_seconds": post_s,
-        "speedup": pre_s / post_s,
-    }
-
-
 def check(current: dict, committed: dict, tolerance: float) -> int:
     """Regression gate: engine event throughput vs the committed baseline."""
     failures = 0
-    baseline = committed.get("post_refactor") or committed.get("current")
+    baseline = committed.get("current")
     if not baseline:
         print("check: no committed baseline in BENCH_core.json; skipping relative gates")
     elif not same_machine(current.get("machine"), baseline.get("machine")):
@@ -458,7 +434,7 @@ def main() -> int:
     parser.add_argument("--tolerance", type=float, default=0.2)
     parser.add_argument(
         "--save-as",
-        choices=["current", "pre_refactor", "post_refactor", "none"],
+        choices=["current", "none"],
         default="current",
         help="which BENCH_core.json section to overwrite (none: measure only)",
     )
@@ -480,10 +456,6 @@ def main() -> int:
 
     if args.save_as != "none":
         committed[args.save_as] = current
-        speedup = fig7_speedup(committed)
-        if speedup is not None:
-            committed["fig7_speedup"] = speedup
-            print(f"fig7 sweep speedup pre->post: {speedup['speedup']:.2f}x")
         BENCH_FILE.write_text(json.dumps(committed, indent=2) + "\n")
         print(f"wrote {BENCH_FILE} [{args.save_as}]")
     return 0

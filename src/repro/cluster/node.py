@@ -117,7 +117,6 @@ class InitiatorNode:
         target_node: TargetNode,
         protocol: str = PROTOCOL_SPDK,
         queue_depth: int = 128,
-        tenant_id: Optional[int] = None,
         costs: CpuCostModel = DEFAULT_COSTS,
         collector: Optional["Collector"] = None,
         window_size: "int | str" = 32,
@@ -127,18 +126,14 @@ class InitiatorNode:
         retry_policy=None,
         recovery_rng=None,
         events=None,
-        conn_id: Optional[int] = None,
         **opf_kwargs,
     ) -> NvmeOfInitiator:
         """Create one tenant connected to ``target_node``.
 
-        Tenant ids default to a fabric-wide running index so each initiator
+        Tenant ids come from a fabric-wide running index so each initiator
         is a distinct tenant at the target, as in the paper's experiments.
         ``transport`` selects the fabric binding: ``"tcp"`` (the paper's
         evaluation) or ``"rdma"`` (RoCE-style lossless QPs).
-
-        ``conn_id`` pins the TCP connection id (sharded runs replicate the
-        serial numbering).
         """
         if protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
@@ -146,8 +141,7 @@ class InitiatorNode:
             raise ConfigError(f"unknown transport {transport!r}; choose 'tcp' or 'rdma'")
         core = CpuCore(self.env, name=f"{self.name}/core{self._core_count}")
         self._core_count += 1
-        if tenant_id is None:
-            tenant_id = _next_tenant_id(self.fabric)
+        tenant_id = _next_tenant_id(self.fabric)
         if protocol == PROTOCOL_OPF:
             initiator: NvmeOfInitiator = OpfInitiator(
                 self.env,
@@ -185,9 +179,7 @@ class InitiatorNode:
             initiator.attach(PduTransport(sock_i, validate=validate_pdus))
             target_node.accept(PduTransport(sock_t, validate=validate_pdus))
         else:
-            sock_i, sock_t = self.fabric.connect(
-                self.name, target_node.name, name=tenant_name, conn_id=conn_id
-            )
+            sock_i, sock_t = self.fabric.connect(self.name, target_node.name, name=tenant_name)
             initiator.attach(PduTransport(sock_i, validate=validate_pdus))
             target_node.accept(PduTransport(sock_t, validate=validate_pdus))
         self.initiators.append(initiator)

@@ -36,6 +36,7 @@ from ..simcore.engine import Environment
 from ..simcore.events import Event
 from ..simcore.rng import RandomStreams
 from ..ssd.ftl import FtlConfig
+from ..ssd.latency import SsdProfile
 from ..units import BLOCK_4K
 from ..workloads.mixes import TenantSpec
 from ..workloads.perf import PerfConfig, PerfGenerator
@@ -91,6 +92,8 @@ class ScenarioConfig:
     conn_switch_cost: float = 0.5
     costs: CpuCostModel = DEFAULT_COSTS
     ftl_config: Optional[FtlConfig] = None
+    #: Drive model of every target SSD (None = the network preset's drive).
+    ssd_profile: Optional[SsdProfile] = None
     validate_pdus: bool = False
     namespace_blocks: int = 1 << 20
     target_cls: Optional[type] = None  # override (ablations)
@@ -300,127 +303,6 @@ class ScenarioResult:
         return "\n".join(lines)
 
 
-@dataclass
-class ResultAggregates:
-    """Plain-data counters gathered from live components after the drain.
-
-    Everything :func:`assemble_result` needs besides the collector — kept
-    picklable so sharded workers can ship their slice across a process
-    boundary and the coordinator can sum slices field-wise (every field is
-    an order-insensitive int sum, a max over floats, or per-component data
-    concatenated in global declaration order).
-    """
-
-    completion_notifications: int = 0
-    coalesced_notifications: int = 0
-    data_pdus_sent: int = 0
-    commands_received: int = 0
-    tenant_switches: int = 0
-    tcp_retransmits: int = 0
-    goodput_ops: int = 0
-    failed_ops: int = 0
-    recovery: Dict[str, int] = field(default_factory=dict)
-    opf: Dict[str, int] = field(default_factory=dict)
-    #: Per-target-core ``(busy_time, started_at)`` in declaration order; the
-    #: utilization division happens in :func:`assemble_result` against the
-    #: global final clock (shard-local clocks end early).
-    cores: List[Tuple[float, float]] = field(default_factory=list)
-    fabric_drops: int = 0
-    tc_names: List[str] = field(default_factory=list)
-    fault_events: Dict[str, int] = field(default_factory=dict)
-    fault_trace: str = ""
-
-
-def _core_utilization(busy_time: float, started_at: float, at: float) -> float:
-    """Mirror of :meth:`repro.cpu.core.CpuCore.utilization` on plain data.
-
-    Same expression and operand order, so a merged shard result reproduces
-    the serial float bit-for-bit.
-    """
-    elapsed = at - started_at
-    if elapsed <= 0:
-        return 0.0
-    return min(1.0, busy_time / elapsed)
-
-
-def assemble_result(
-    config: ScenarioConfig,
-    collector: Collector,
-    agg: ResultAggregates,
-    final_time: float,
-    qos_digest: Optional[Dict[str, object]] = None,
-    qos_report: Optional[QosReport] = None,
-) -> ScenarioResult:
-    """Compute a :class:`ScenarioResult` from a collector + gathered counters.
-
-    The single result-assembly path: the serial run and the sharded merge
-    both call this, so every floating-point reduction (per-tenant means,
-    pooled percentiles, aggregate rates) runs in exactly one code shape —
-    identical inputs produce bit-identical results regardless of how the
-    simulation was executed.
-    """
-    elapsed = collector.elapsed_us()
-
-    # One pass over the name-sorted summaries builds every aggregate.  The
-    # sums and pooled samples accumulate in the order the collector's own
-    # aggregate_* / combined_latency queries use, so each float reduction
-    # is the same; tenants without in-window records add nothing to any.
-    ls_pool = LatencyDistribution()
-    all_pool = LatencyDistribution()
-    tc_mbps = tc_iops = total_mbps = 0.0
-    per_tenant: Dict[str, Tuple[float, float]] = {}
-    for name, summary in collector.summaries().items():
-        latency = summary.latency
-        mbps = summary.throughput_mbps(elapsed)
-        per_tenant[name] = (mbps, latency.mean() if len(latency) else float("nan"))
-        total_mbps += mbps
-        all_pool.extend(latency.samples)
-        if summary.priority is Priority.THROUGHPUT:
-            tc_mbps += mbps
-            tc_iops += summary.iops(elapsed)
-        elif summary.priority is Priority.LATENCY:
-            ls_pool.extend(latency.samples)
-
-    util = (
-        max(_core_utilization(busy, started, final_time) for busy, started in agg.cores)
-        if agg.cores
-        else 0.0
-    )
-    tc_shares = [per_tenant[name][0] for name in agg.tc_names if name in per_tenant]
-    fairness = jain_fairness(tc_shares) if len(tc_shares) >= 2 else None
-
-    return ScenarioResult(
-        protocol=config.protocol,
-        network_gbps=config.network_gbps,
-        op_mix=config.op_mix,
-        elapsed_us=elapsed,
-        tc_throughput_mbps=tc_mbps,
-        tc_iops=tc_iops,
-        ls_tail_us=ls_pool.tail() if len(ls_pool) else None,
-        ls_mean_us=ls_pool.mean() if len(ls_pool) else None,
-        mean_latency_us=all_pool.mean() if len(all_pool) else None,
-        total_throughput_mbps=total_mbps,
-        completion_notifications=agg.completion_notifications,
-        coalesced_notifications=agg.coalesced_notifications,
-        data_pdus_sent=agg.data_pdus_sent,
-        commands_received=agg.commands_received,
-        fabric_drops=agg.fabric_drops,
-        tcp_retransmits=agg.tcp_retransmits,
-        tenant_switches=agg.tenant_switches,
-        target_cpu_utilization=util,
-        per_tenant=per_tenant,
-        goodput_ops=agg.goodput_ops,
-        failed_ops=agg.failed_ops,
-        recovery=agg.recovery,
-        opf=agg.opf,
-        fairness_index=fairness,
-        qos=qos_digest if qos_digest is not None else {},
-        qos_report=qos_report,
-        fault_events=agg.fault_events,
-        fault_trace=agg.fault_trace,
-    )
-
-
 class Scenario:
     """Builder + runner for one simulated experiment."""
 
@@ -445,7 +327,7 @@ class Scenario:
             switch_delay_us=tuning.switch_delay_us,
         )
         self.tcp_config = tuning.tcp
-        self.ssd_profile = preset.ssd
+        self.ssd_profile = config.ssd_profile if config.ssd_profile is not None else preset.ssd
         self.discovery = DiscoveryService()
         self.collector = Collector(self.env)
         self.target_nodes: List[TargetNode] = []
@@ -462,16 +344,6 @@ class Scenario:
         #: order (scenario-program actuator lookups).
         self.generators_by_name: Dict[str, PerfGenerator] = {}
         self.initiators_by_name: Dict[str, object] = {}
-        #: Sharded-execution overrides (see ``repro.parallel.shards``):
-        #: explicit tenant ids / TCP connection ids keyed by tenant name so a
-        #: shard replays the serial run's global assignment order.  Empty =
-        #: the serial defaults; behaviour is bit-identical.
-        self._tenant_ids: Dict[str, int] = {}
-        self._conn_id_overrides: Dict[str, int] = {}
-        #: Injector constructor override (sharded runs substitute a subclass
-        #: that replays the full schedule chain but applies only shard-local
-        #: faults).  None = the plain Injector.
-        self._injector_factory: Optional[Callable] = None
         self._ran = False
         #: Clock at workload launch (the handshake-complete anchor), set by
         #: :meth:`_launch_workload`; None before.  Scripted actions
@@ -512,23 +384,11 @@ class Scenario:
         initiator_node: InitiatorNode,
         target_node: TargetNode,
         nsid: int = 1,
-        tenant_id: Optional[int] = None,
-        conn_id: Optional[int] = None,
     ) -> None:
-        """Declare one tenant; instantiated (with workload) at run().
-
-        ``tenant_id`` / ``conn_id`` pin the fabric-wide identifiers that
-        would otherwise come from running counters in declaration order.
-        Shard builders pass the *global* assignment indices so a partial
-        (per-shard) build hands out exactly the ids the serial run would.
-        """
+        """Declare one tenant; instantiated (with workload) at run()."""
         if any(s.name == spec.name for s, _i, _t, _n in self._tenant_assignments):
             raise ConfigError(f"duplicate tenant name {spec.name!r}")
         self._tenant_assignments.append((spec, initiator_node, target_node, nsid))
-        if tenant_id is not None:
-            self._tenant_ids[spec.name] = tenant_id
-        if conn_id is not None:
-            self._conn_id_overrides[spec.name] = conn_id
 
     def at_workload_time(self, delay_us: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn()`` at ``delay_us`` after the workload starts.
@@ -567,13 +427,12 @@ class Scenario:
         """The run's phase machine: connect → launch → quota → quiesce → drain.
 
         A resumable generator of ``(phase, barrier)`` pairs, the one copy
-        every driver steps: the blocking :meth:`run`
-        (``env.run(until=barrier)``), the service layer's budgeted sessions
-        (``env.advance`` slices), and the component shard worker (which
-        advances to the global handshake anchor after the ``connect``
-        barrier).  The driver dispatches until ``barrier`` is processed — or,
-        for ``None``, until the queue drains — then resumes the generator,
-        which performs the next transition.  Every engine allocation a
+        both drivers step: the blocking :meth:`run`
+        (``env.run(until=barrier)``) and the service layer's budgeted
+        sessions (``env.advance`` slices).  The driver dispatches until
+        ``barrier`` is processed — or, for ``None``, until the queue
+        drains — then resumes the generator, which performs the next
+        transition.  Every engine allocation a
         transition makes therefore happens at the same simulated time and
         in the same order whichever driver reached it, so sequence numbers,
         and with them replay order, are identical.
@@ -630,9 +489,7 @@ class Scenario:
         Returns the connect events and the TC and LS generators.  All
         construction-order-sensitive allocation (tenant ids, connection ids,
         RNG stream derivation, event sequence numbers) happens here in
-        declaration order, so a per-shard build that pins the global ids via
-        ``add_tenant(..., tenant_id=, conn_id=)`` replays the serial
-        trajectory for its components exactly.
+        declaration order.
         """
         if self._ran:
             raise ConfigError("a Scenario can only run once; build a fresh one")
@@ -667,8 +524,6 @@ class Scenario:
                 tnode,
                 protocol=cfg.protocol,
                 queue_depth=spec.queue_depth,
-                tenant_id=self._tenant_ids.get(spec.name),
-                conn_id=self._conn_id_overrides.get(spec.name),
                 costs=cfg.effective_costs(),
                 collector=self.collector,
                 window_size=cfg.window_size,
@@ -749,10 +604,7 @@ class Scenario:
 
     def _launch_workload(self) -> None:
         """Arm everything that starts at workload onset (``env.now`` = the
-        handshake-complete anchor).  Sharded workers reach this after
-        advancing their clock to the *global* anchor H*, so the engine
-        allocations here happen at the same simulated time — and therefore
-        the same relative order — as the serial run."""
+        handshake-complete anchor)."""
         cfg = self.config
         env = self.env
         self.workload_start = env.now
@@ -802,8 +654,7 @@ class Scenario:
         for inode in self.initiator_nodes.values():
             for initiator in inode.initiators:
                 registry.add("initiator", initiator.name, initiator)
-        factory = self._injector_factory if self._injector_factory is not None else Injector
-        return factory(
+        return Injector(
             self.env,
             schedule,
             registry,
@@ -812,20 +663,34 @@ class Scenario:
         )
 
     # -- result assembly -------------------------------------------------------------------
-    def _gather_aggregates(self) -> ResultAggregates:
-        """Read every live-component counter into plain data.
+    def _build_result(self) -> ScenarioResult:
+        """Read the collector and every live component's counters (after the
+        drain) into a :class:`ScenarioResult`."""
+        cfg = self.config
+        collector = self.collector
+        elapsed = collector.elapsed_us()
 
-        Sharded workers call this on their slice of the scenario; the
-        coordinator sums slices field-wise.  Every value here is an integer
-        count, a per-core pair, or a canonical string — nothing order- or
-        float-sensitive (the float reductions all live in
-        :func:`assemble_result`).
-        """
-        completion_notifications = sum(t.target.stats.completion_notifications for t in self.target_nodes)
-        coalesced = sum(t.target.stats.coalesced_notifications for t in self.target_nodes)
-        data_pdus = sum(t.target.stats.data_pdus_sent for t in self.target_nodes)
-        commands = sum(t.target.stats.commands_received for t in self.target_nodes)
-        switches = sum(t.target.stats.tenant_switches for t in self.target_nodes)
+        # One pass over the name-sorted summaries builds every aggregate.  The
+        # sums and pooled samples accumulate in the order the collector's own
+        # aggregate_* / combined_latency queries use, so each float reduction
+        # is the same; tenants without in-window records add nothing to any.
+        ls_pool = LatencyDistribution()
+        all_pool = LatencyDistribution()
+        tc_mbps = tc_iops = total_mbps = 0.0
+        per_tenant: Dict[str, Tuple[float, float]] = {}
+        for name, summary in collector.summaries().items():
+            latency = summary.latency
+            mbps = summary.throughput_mbps(elapsed)
+            per_tenant[name] = (mbps, latency.mean() if len(latency) else float("nan"))
+            total_mbps += mbps
+            all_pool.extend(latency.samples)
+            if summary.priority is Priority.THROUGHPUT:
+                tc_mbps += mbps
+                tc_iops += summary.iops(elapsed)
+            elif summary.priority is Priority.LATENCY:
+                ls_pool.extend(latency.samples)
+
+        targets = [t.target for t in self.target_nodes]
         retransmits = 0
         goodput_ops = 0
         failed_ops = 0
@@ -848,10 +713,10 @@ class Scenario:
                     )
                     opf["forced_drains"] = opf.get("forced_drains", 0) + ipm.forced_drains
                     opf["window_evicted"] = opf.get("window_evicted", 0) + ipm.evicted
-        for tnode in self.target_nodes:
-            for conn in tnode.target.connections:
+        for target in targets:
+            for conn in target.connections:
                 retransmits += conn.transport.socket.stats.retransmits
-            tpm = getattr(tnode.target, "pm", None)
+            tpm = getattr(target, "pm", None)
             if tpm is not None and hasattr(tpm, "duplicate_commands"):
                 opf["duplicate_commands"] = (
                     opf.get("duplicate_commands", 0) + tpm.duplicate_commands
@@ -861,43 +726,44 @@ class Scenario:
                     opf.get("orphans_completed", 0) + tpm.orphans_completed
                 )
                 opf["orphans_requeued"] = opf.get("orphans_requeued", 0) + tpm.orphans_requeued
-        tc_names = [
-            spec.name
+
+        tc_shares = [
+            per_tenant[spec.name][0]
             for spec, _inode, _tnode, _nsid in self._tenant_assignments
-            if spec.priority is Priority.THROUGHPUT
+            if spec.priority is Priority.THROUGHPUT and spec.name in per_tenant
         ]
-        return ResultAggregates(
-            completion_notifications=completion_notifications,
-            coalesced_notifications=coalesced,
-            data_pdus_sent=data_pdus,
-            commands_received=commands,
-            tenant_switches=switches,
+        qos = self.qos_controller
+        return ScenarioResult(
+            protocol=cfg.protocol,
+            network_gbps=cfg.network_gbps,
+            op_mix=cfg.op_mix,
+            elapsed_us=elapsed,
+            tc_throughput_mbps=tc_mbps,
+            tc_iops=tc_iops,
+            ls_tail_us=ls_pool.tail() if len(ls_pool) else None,
+            ls_mean_us=ls_pool.mean() if len(ls_pool) else None,
+            mean_latency_us=all_pool.mean() if len(all_pool) else None,
+            total_throughput_mbps=total_mbps,
+            completion_notifications=sum(t.stats.completion_notifications for t in targets),
+            coalesced_notifications=sum(t.stats.coalesced_notifications for t in targets),
+            data_pdus_sent=sum(t.stats.data_pdus_sent for t in targets),
+            commands_received=sum(t.stats.commands_received for t in targets),
+            fabric_drops=self.fabric.total_drops(),
             tcp_retransmits=retransmits,
+            tenant_switches=sum(t.stats.tenant_switches for t in targets),
+            target_cpu_utilization=max(
+                (t.core.utilization() for t in self.target_nodes), default=0.0
+            ),
+            per_tenant=per_tenant,
             goodput_ops=goodput_ops,
             failed_ops=failed_ops,
             recovery=recovery,
             opf=opf,
-            cores=[(t.core._busy_time, t.core._started_at) for t in self.target_nodes],
-            fabric_drops=self.fabric.total_drops(),
-            tc_names=tc_names,
-            fault_events=self.collector.events.snapshot(),
+            fairness_index=jain_fairness(tc_shares) if len(tc_shares) >= 2 else None,
+            qos=qos.report.digest_items() if qos is not None else {},
+            qos_report=qos.report if qos is not None else None,
+            fault_events=collector.events.snapshot(),
             fault_trace=(
                 self.injector.trace_bytes().decode() if self.injector is not None else ""
-            ),
-        )
-
-    def _build_result(self) -> ScenarioResult:
-        return assemble_result(
-            self.config,
-            self.collector,
-            self._gather_aggregates(),
-            final_time=self.env.now,
-            qos_digest=(
-                self.qos_controller.report.digest_items()
-                if self.qos_controller is not None
-                else {}
-            ),
-            qos_report=(
-                self.qos_controller.report if self.qos_controller is not None else None
             ),
         )

@@ -4,18 +4,16 @@ A :class:`ScenarioSpec` is a picklable, declarative build description —
 node declarations plus tenant placements.  :meth:`Scenario.two_sided
 <repro.cluster.scenario.Scenario.two_sided>`,
 :func:`~repro.cluster.scaling.build_scaleout` and the scenario-program
-compiler each assemble one and call :meth:`ScenarioSpec.build`;
-:func:`repro.parallel.run_sharded` partitions the same description across
-processes.  Construction order is allocation order (tenant ids, connection
-ids and RNG streams follow it), so the spec records it exactly.
+compiler each assemble one and call :meth:`ScenarioSpec.build`.
+Construction order is allocation order (tenant ids, connection ids and RNG
+streams follow it), so the spec records it exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
-from ..core.flags import Priority
 from ..errors import ConfigError
 from ..workloads.mixes import TenantSpec
 from .node import InitiatorNode, TargetNode
@@ -24,18 +22,12 @@ from .scenario import Scenario, ScenarioConfig
 
 @dataclass(frozen=True)
 class TenantPlacement:
-    """One tenant declaration: which initiator node talks to which target.
-
-    ``index`` is the global declaration position — it pins the tenant id
-    (``index``) and TCP connection id (``index + 1``) a serial build would
-    have drawn from the running counters.
-    """
+    """One tenant declaration: which initiator node talks to which target."""
 
     spec: TenantSpec
     initiator_node: str
     target_node: str
     nsid: int
-    index: int
 
 
 @dataclass
@@ -65,12 +57,7 @@ class ScenarioSpec:
             seen.add(name)
             (targets if kind == "target" else initiators).add(name)
         names = set()
-        for pos, placement in enumerate(self.placements):
-            if placement.index != pos:
-                raise ConfigError(
-                    f"placement {placement.spec.name!r} has index "
-                    f"{placement.index}, expected declaration position {pos}"
-                )
+        for placement in self.placements:
             if placement.spec.name in names:
                 raise ConfigError(f"duplicate tenant name {placement.spec.name!r}")
             names.add(placement.spec.name)
@@ -85,23 +72,6 @@ class ScenarioSpec:
                     f"node {placement.target_node!r}"
                 )
 
-    # -- derived views --------------------------------------------------------------
-    @property
-    def target_node_names(self) -> List[str]:
-        return [name for kind, name, _ in self.node_order if kind == "target"]
-
-    @property
-    def initiator_node_names(self) -> List[str]:
-        return [name for kind, name, _ in self.node_order if kind == "initiator"]
-
-    @property
-    def has_tc(self) -> bool:
-        return any(p.spec.priority is Priority.THROUGHPUT for p in self.placements)
-
-    @property
-    def has_ls(self) -> bool:
-        return any(p.spec.priority is Priority.LATENCY for p in self.placements)
-
     # -- topologies -----------------------------------------------------------------
     @classmethod
     def two_sided(cls, config: ScenarioConfig, tenants: List[TenantSpec]) -> "ScenarioSpec":
@@ -111,7 +81,7 @@ class ScenarioSpec:
         placements = []
         for i, tenant in enumerate(tenants):
             node_order.append(("initiator", f"client{i}", 0))
-            placements.append(TenantPlacement(tenant, f"client{i}", "target0", 1, i))
+            placements.append(TenantPlacement(tenant, f"client{i}", "target0", 1))
         return cls(config, tuple(node_order), tuple(placements))
 
     @classmethod
@@ -138,34 +108,22 @@ class ScenarioSpec:
                 pair, initiators_per_node, config.op_mix, include_ls
             ):
                 placements.append(
-                    TenantPlacement(
-                        tenant, f"client{pair}", f"target{pair}", 1, len(placements)
-                    )
+                    TenantPlacement(tenant, f"client{pair}", f"target{pair}", 1)
                 )
         return cls(config, tuple(node_order), tuple(placements))
 
     # -- construction ---------------------------------------------------------------
-    def instantiate_nodes(
-        self, names: Iterable[str]
-    ) -> Tuple[Scenario, Dict[str, TargetNode], Dict[str, InitiatorNode]]:
-        """A fresh :class:`Scenario` holding the declared nodes in ``names``,
-        built in declaration order."""
-        keep = set(names)
+    def build(self) -> Scenario:
+        """A fresh :class:`Scenario` with every node built in declaration
+        order, then every tenant declared in placement order."""
         sc = Scenario(self.config)
         tmap: Dict[str, TargetNode] = {}
         imap: Dict[str, InitiatorNode] = {}
         for kind, name, n_ssds in self.node_order:
-            if name not in keep:
-                continue
             if kind == "target":
                 tmap[name] = sc.add_target_node(name, n_ssds)
             else:
                 imap[name] = sc.add_initiator_node(name)
-        return sc, tmap, imap
-
-    def build(self) -> Scenario:
-        """The serial build — the reference every sharded run must match."""
-        sc, tmap, imap = self.instantiate_nodes(name for _, name, _ in self.node_order)
         for p in self.placements:
             sc.add_tenant(p.spec, imap[p.initiator_node], tmap[p.target_node], p.nsid)
         return sc

@@ -130,7 +130,3 @@ class SharedQueueOpfTarget(OpfTarget):
     def stalled_requests(self) -> int:
         """Requests stuck in overflow (live-lock indicator)."""
         return len(self._overflow)
-
-    @property
-    def shared_queue_depth_now(self) -> int:
-        return len(self._shared)

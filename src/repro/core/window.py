@@ -123,9 +123,6 @@ class DrainWatchdog:
     def disarm(self, drain_cid: int) -> None:
         self._armed.pop(drain_cid, None)
 
-    def disarm_all(self) -> None:
-        self._armed.clear()
-
     def _on_deadline(self, token_pair) -> None:
         drain_cid, token = token_pair
         if self._armed.get(drain_cid) != token:

@@ -63,9 +63,6 @@ class FuzzResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def failing_seeds(self) -> List[int]:
-        return [f.seed for f in self.failures]
-
 
 def fuzz_units(
     n_programs: int,

@@ -69,12 +69,7 @@ def sweep_device_speed(
     total_ops: int = 400,
     seed: int = 1,
 ) -> List[SensitivityPoint]:
-    """Scale the SSD service means (slower/faster flash).
-
-    Scenario construction reads the profile via the network preset, so the
-    perturbed profile is injected after construction — the builder exposes
-    ``ssd_profile`` for exactly this kind of study.
-    """
+    """Scale the SSD service means (slower/faster flash)."""
     from ..config import CLOUDLAB_CL
 
     points = []
@@ -85,23 +80,8 @@ def sweep_device_speed(
             write_mean_us=CLOUDLAB_CL.ssd.write_mean_us * factor,
             channels=CLOUDLAB_CL.ssd.channels,
         )
-        out = {}
-        for protocol in ("spdk", "nvme-opf"):
-            cfg = ScenarioConfig(
-                protocol=protocol, network_gbps=100.0, op_mix="read",
-                total_ops=total_ops, window_size=32, warmup_us=200, seed=seed,
-            )
-            sc = Scenario(cfg)
-            sc.ssd_profile = profile  # perturb before nodes are built
-            targets = [sc.add_target_node()]
-            for i, spec in enumerate(tenants_for_ratio("1:4")):
-                node = sc.add_initiator_node()
-                sc.add_tenant(spec, node, targets[0])
-            out[protocol] = sc.run()
-        points.append(SensitivityPoint(
-            "device_speed", factor,
-            out["spdk"].tc_throughput_mbps, out["nvme-opf"].tc_throughput_mbps,
-        ))
+        spdk, opf = _run_pair({"ssd_profile": profile}, total_ops, seed)
+        points.append(SensitivityPoint("device_speed", factor, spdk, opf))
     return points
 
 

@@ -80,14 +80,6 @@ class Injector:
         self.rng = rng
         self.events = events if events is not None else EventCounter()
         self.trace: List[str] = []
-        #: Structured twin of ``trace``: one ``(time, phase_rank, ordinal)``
-        #: per line, where phase_rank is 0 for reverts / 1 for injects and
-        #: ordinal is the fault's position in ``schedule.ordered()``.  A
-        #: sharded run merges per-shard traces on this key, which reproduces
-        #: the serial heap order for co-timed lines: a revert's callback is
-        #: always scheduled before the injector process re-arms its timer,
-        #: and co-timed injects apply in ordered() sequence.
-        self.trace_meta: List[Tuple[float, int, int]] = []
         self.faults_injected = 0
         self.faults_reverted = 0
         #: Simulation time the replay was armed at.  Schedules are written
@@ -109,14 +101,14 @@ class Injector:
         self.env.process(self._run(), name="fault-injector")
 
     def _run(self):
-        for ordinal, fault in enumerate(self.schedule.ordered()):
+        for fault in self.schedule.ordered():
             delay = self.epoch_us + fault.at_us - self.env.now
             if delay > 0:
                 yield self.env.timeout(delay)
-            self._apply(fault, ordinal)
+            self._apply(fault)
 
     # -- application --------------------------------------------------------------
-    def _apply(self, fault: FaultEvent, ordinal: int = 0) -> None:
+    def _apply(self, fault: FaultEvent) -> None:
         from .adapters import FAULT_HANDLERS  # late: avoids import cycles
 
         handler = FAULT_HANDLERS.get(fault.kind)
@@ -124,20 +116,19 @@ class Injector:
             raise FaultError(f"no adapter for fault kind {fault.kind!r}")
         revert = handler(self, fault)
         self.faults_injected += 1
-        self._record("inject", fault, ordinal)
+        self._record("inject", fault)
         if revert is not None and fault.duration_us > 0:
-            self.env.call_later(fault.duration_us, self._on_revert, (fault, revert, ordinal))
+            self.env.call_later(fault.duration_us, self._on_revert, (fault, revert))
 
     def _on_revert(self, token) -> None:
-        fault, revert, ordinal = token
+        fault, revert = token
         revert()
         self.faults_reverted += 1
-        self._record("revert", fault, ordinal)
+        self._record("revert", fault)
 
-    def _record(self, phase: str, fault: FaultEvent, ordinal: int = 0) -> None:
+    def _record(self, phase: str, fault: FaultEvent) -> None:
         self.events.incr(f"fault/{fault.kind}/{phase}")
         self.trace.append(f"{self.env.now:.6f} {phase} {fault.kind} {fault.target}")
-        self.trace_meta.append((self.env.now, 0 if phase == "revert" else 1, ordinal))
 
     # -- introspection ------------------------------------------------------------
     def trace_bytes(self) -> bytes:

@@ -98,10 +98,6 @@ class Collector:
         self._measure_from = fallback_start
         return True
 
-    @property
-    def measuring_since(self) -> float:
-        return self._measure_from
-
     def elapsed_us(self) -> float:
         """Length of the measurement window so far."""
         end = self._measure_until if self._measure_until is not None else self.env.now
@@ -161,10 +157,9 @@ class Collector:
 
     def summaries(self) -> Dict[str, InitiatorSummary]:
         # Canonical (name-sorted) iteration: every cross-initiator float
-        # reduction downstream must not depend on first-completion order —
-        # a sharded merge cannot reconstruct the serial event interleaving
-        # that decides co-timed first completions, so the aggregation order
-        # is pinned to something both execution modes can agree on.
+        # reduction downstream follows this order, and the pinned fuzz-corpus
+        # digests were recorded with it, so changing it would move their
+        # last-digit floats and re-pin the corpus.
         out = {}
         for name in sorted(self._records):
             summary = self.summary(name)

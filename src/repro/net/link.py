@@ -54,12 +54,6 @@ class LinkStats:
         """Frames handed to the far end (every frame is data or an ACK)."""
         return self.data_packets + self.ack_packets
 
-    @property
-    def drop_rate(self) -> float:
-        total = self.enqueued + self.dropped
-        return self.dropped / total if total else 0.0
-
-
 class Link:
     """Unidirectional serialising link with a droptail packet queue."""
 

@@ -90,10 +90,6 @@ class Packet:
     def is_data(self) -> bool:
         return self.kind == "data"
 
-    @property
-    def is_ack(self) -> bool:
-        return self.kind == "ack"
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         if self.is_data:
             return (

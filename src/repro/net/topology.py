@@ -124,21 +124,14 @@ class Fabric:
         node_b: str,
         config: Optional[TcpConfig] = None,
         name: str = "conn",
-        conn_id: Optional[int] = None,
     ) -> Tuple[TcpSocket, TcpSocket]:
-        """Create a connected TCP socket pair between two attached nodes.
-
-        ``conn_id`` pins the connection id explicitly (sharded execution
-        reproduces the serial global numbering); ``None`` draws the next id
-        from the fabric's counter.
-        """
+        """Create a connected TCP socket pair between two attached nodes."""
         if node_a not in self._nics or node_b not in self._nics:
             raise NetworkError("both nodes must be attached before connecting "
                                f"({node_a!r}, {node_b!r})")
         if node_a == node_b:
             raise NetworkError("cannot connect a node to itself")
-        if conn_id is None:
-            conn_id = next(self._conn_ids)
+        conn_id = next(self._conn_ids)
         sock_a = TcpSocket(
             self.env, self._nics[node_a], node_b, conn_id, config=config,
             name=f"{name}:{node_a}",

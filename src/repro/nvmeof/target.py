@@ -18,7 +18,7 @@ from ..cpu.core import CpuCore
 from ..cpu.costs import CpuCostModel, DEFAULT_COSTS
 from ..errors import DeviceError, ProtocolError
 from ..simcore.events import Event
-from ..ssd.device import IoQpair, NvmeSsd
+from ..ssd.device import IoQpair
 from ..ssd.latency import OP_FLUSH, OP_READ
 from ..ssd.queues import NvmeCompletion
 from .capsule import OPCODE_NAMES, Cqe
@@ -183,9 +183,6 @@ class NvmeOfTarget:
     @property
     def connections(self) -> List[TargetConnection]:
         return list(self._connections)
-
-    def device_qpair(self, device: NvmeSsd) -> IoQpair:
-        return self._device_qpairs[id(device)]
 
     # -- crash / restart (fault adapters) -----------------------------------------
     def crash(self) -> None:

@@ -1,4 +1,4 @@
-"""Sharded parallel sweep/campaign runner (``repro.parallel``).
+"""Parallel sweep/campaign runner (``repro.parallel``).
 
 The engine sustains millions of events per second on one core; the next
 order of magnitude in sweep throughput is across cores.  This package
@@ -11,8 +11,7 @@ is byte-for-byte identical to a serial one (the differential test suite
 pins this under shuffled completion order and worker crash/retry).
 
 The figure and fuzz unit lists live with their experiments
-(``repro.experiments.fig7.fig7_units`` and friends); ``run_sharded``
-splits a single :class:`~repro.cluster.spec.ScenarioSpec` instead.
+(``repro.experiments.fig7.fig7_units`` and friends).
 """
 
 from .pool import (
@@ -22,13 +21,6 @@ from .pool import (
     merge_results,
     run_campaign,
     run_units,
-)
-from .shards import (
-    ShardAssignment,
-    ShardPlan,
-    ShardedRunReport,
-    partition,
-    run_sharded,
 )
 from .sweeps import (
     FAULT_MATRIX,
@@ -70,11 +62,6 @@ __all__ = [
     "program_units",
     "register_executor",
     "run_campaign",
-    "run_sharded",
     "run_units",
-    "ShardAssignment",
-    "ShardPlan",
-    "ShardedRunReport",
-    "partition",
     "unregister_executor",
 ]

@@ -175,7 +175,7 @@ class CompiledProgram:
                 node = f"client{joins}"
                 target = targets[joins % len(targets)]
                 node_order.append(("initiator", node, 0))
-                placements.append(TenantPlacement(spec, node, target, 1, len(placements)))
+                placements.append(TenantPlacement(spec, node, target, 1))
                 placement[action.tenant] = (node, target)
                 joins += 1
             elif isinstance(action, UsageBurst):
@@ -188,7 +188,7 @@ class CompiledProgram:
                     start_delay_us=cursor,
                     total_ops=action.ops,
                 )
-                placements.append(TenantPlacement(spec, node, target, 1, len(placements)))
+                placements.append(TenantPlacement(spec, node, target, 1))
                 bursts += 1
             elif isinstance(action, self.SCRIPTED_OPS):
                 scripted.append((action, cursor))

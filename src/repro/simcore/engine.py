@@ -32,8 +32,8 @@ equivalent loop of ``call_later`` calls.
 
 One dispatch loop: :meth:`Environment.advance` is the only code that pops
 the heap.  :meth:`Environment.run` wraps it (a stop event, or an URGENT
-marker for a time bound), so the blocking run, the service layer's budgeted
-slices and the sharded workers dispatch through exactly the same loop.
+marker for a time bound), so the blocking run and the service layer's
+budgeted slices dispatch through exactly the same loop.
 
 Typical usage::
 

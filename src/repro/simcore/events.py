@@ -79,10 +79,6 @@ class Event:
         """Mark a failed event as handled so it is not re-raised at top level."""
         self._defused = True
 
-    @property
-    def defused(self) -> bool:
-        return self._defused
-
     # -- triggering ----------------------------------------------------------
     def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
         """Trigger the event successfully with ``value``."""

@@ -111,19 +111,24 @@ class IoQpair:
         with one doorbell for the whole batch (see
         :meth:`SubmissionQueue.submit_batch`) — CID allocation, execution
         order, and completion scheduling match a loop of :meth:`submit`
-        calls exactly.
+        calls exactly.  A refused batch (a bad spec, or one the SQ cannot
+        fit) leaves no command outstanding and spends no CID.
         """
         commands: "List[NvmeCommand]" = []
+        seq = self._cid_seq
         for opcode, nsid, slba, nlb, context in specs:
             ns = self.device.namespace(nsid)
             if opcode != OP_FLUSH:
                 ns.check_range(slba, nlb)
-            seq = self._cid_seq
-            self._cid_seq = seq + 1
-            command = NvmeCommand(seq & 0xFFFF, opcode, nsid, slba, nlb, context)
-            self._outstanding[command.cid] = command
-            commands.append(command)
+            commands.append(NvmeCommand(seq & 0xFFFF, opcode, nsid, slba, nlb, context))
+            seq += 1
         self._qpair.sq.submit_batch(commands)
+        # Accepted.  The doorbell only schedules channel completions, so no
+        # CQE for these commands can have posted yet.
+        self._cid_seq = seq
+        outstanding = self._outstanding
+        for command in commands:
+            outstanding[command.cid] = command
         return commands
 
     def read(self, nsid: int, slba: int, nlb: int, context: object = None) -> NvmeCommand:
@@ -178,10 +183,6 @@ class NvmeSsd:
             return self._namespaces[nsid]
         except KeyError:
             raise DeviceError(f"unknown namespace {nsid} on {self.name!r}") from None
-
-    @property
-    def namespaces(self) -> Dict[int, Namespace]:
-        return dict(self._namespaces)
 
     def add_namespace(self, nsid: int, blocks: int) -> Namespace:
         """Carve an additional namespace (test/bench convenience)."""

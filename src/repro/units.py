@@ -43,11 +43,6 @@ def bytes_per_us_to_gbps(rate: float) -> float:
     return rate * 1e6 * 8.0 / 1e9
 
 
-def bytes_per_us_to_mbps(rate: float) -> float:
-    """Convert bytes/us to MB/s (decimal megabytes).  Numerically identity."""
-    return rate
-
-
 def us_to_ms(t: float) -> float:
     """Convert microseconds to milliseconds."""
     return t / MSEC

@@ -205,6 +205,28 @@ def test_iqpair_submit_batch_validates_lba_ranges():
         qp.submit_batch([(OP_READ, 1, ssd.profile.capacity_blocks, 8, None)])
 
 
+def test_iqpair_refused_batch_leaves_no_command_outstanding():
+    from repro.errors import DeviceError
+
+    env = Environment()
+    ssd = NvmeSsd(env)
+    qp = ssd.create_qpair(depth=4)  # 3 usable SQ slots
+    past_end = ssd.profile.capacity_blocks
+    with pytest.raises(DeviceError):
+        qp.submit_batch([(OP_READ, 1, 0, 1, None), (OP_READ, 1, past_end, 1, None)])
+    assert qp.outstanding == 0
+    with pytest.raises(QueueFullError):
+        qp.submit_batch([(OP_READ, 1, i, 1, None) for i in range(4)])
+    assert qp.outstanding == 0
+    done = []
+    qp.on_completion = done.append
+    command = qp.submit(OP_READ, slba=0, nlb=1)
+    assert command.cid == 0
+    env.run()
+    assert [c.cid for c in done] == [0] and done[0].ok
+    assert qp.outstanding == 0
+
+
 # ---------------------------------------------------------------------------
 # TCP sender framing arrays
 # ---------------------------------------------------------------------------

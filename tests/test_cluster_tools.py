@@ -7,12 +7,16 @@ import pytest
 from repro.cluster import (
     Scenario,
     ScenarioConfig,
+    ScenarioSpec,
+    TenantPlacement,
     build_scaleout,
     pattern1,
     pattern2,
     tenants_for_node,
 )
+from repro.core.flags import Priority
 from repro.errors import ConfigError
+from repro.workloads.mixes import TenantSpec
 
 
 # ------------------------------------------------------------- scaling ----
@@ -49,6 +53,44 @@ def test_build_scaleout_wiring():
     assert res.commands_received >= 80  # 2 TC x 40 (plus LS traffic)
     with pytest.raises(ConfigError):
         build_scaleout(cfg, 0, 1)
+
+
+_TC = TenantSpec("tc0", Priority.THROUGHPUT, 32)
+_TARGET = ("target", "target0", 1)
+_CLIENT = ("initiator", "client0", 0)
+
+
+@pytest.mark.parametrize(
+    "nodes, placements, offender",
+    [
+        ((_TARGET, ("switch", "sw0", 0)), (), "'switch'"),
+        ((_TARGET, _CLIENT, ("target", "client0", 1)), (), "'client0'"),
+        (
+            (_TARGET, _CLIENT),
+            (
+                TenantPlacement(_TC, "client0", "target0", 1),
+                TenantPlacement(_TC, "client0", "target0", 1),
+            ),
+            "'tc0'",
+        ),
+        ((_TARGET, _CLIENT), (TenantPlacement(_TC, "client9", "target0", 1),), "'client9'"),
+        (
+            (_TARGET, _CLIENT),
+            (TenantPlacement(_TC, "client0", "client0", 1),),
+            "target node 'client0'",
+        ),
+    ],
+    ids=[
+        "unknown-node-kind",
+        "duplicate-node",
+        "duplicate-tenant",
+        "unknown-initiator",
+        "unknown-target",
+    ],
+)
+def test_scenario_spec_refuses_bad_topologies(nodes, placements, offender):
+    with pytest.raises(ConfigError, match=offender):
+        ScenarioSpec(ScenarioConfig(), nodes, placements)
 
 
 #: sha256 of ``metrics_digest()`` for a 2-pair x 3-initiator scale-out

@@ -60,8 +60,8 @@ ENTRIES_BY_LAYER = {
 #: protocol -> Python calls in (repro.nvmeof, repro.ssd, repro.cpu).
 COMMAND_PATH = ("repro.nvmeof", "repro.ssd", "repro.cpu")
 COMMAND_PATH_CALLS = {
-    "nvme-opf": (12143, 7858, 3044),
-    "spdk": (16211, 7475, 3645),
+    "nvme-opf": (12143, 7858, 3046),
+    "spdk": (16211, 7475, 3647),
 }
 
 _PACKET_PATH = "repro.net"

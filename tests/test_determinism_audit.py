@@ -35,18 +35,13 @@ FORBIDDEN = (
 #: pure function of the seed — pinned by tests/test_scenario_fuzz_golden.py).
 #: The parallel campaign runner reads the wall clock only for elapsed-time
 #: provenance (``elapsed_s``/``attempts``/``worker_pid``), which the
-#: differential suite pins as *excluded* from every campaign digest.  The
-#: sharded runner reads the wall clock only for the per-phase timing
-#: breakdown (``ShardedRunReport.timings``), which lives outside the
-#: :class:`ScenarioResult` and therefore outside every digest — the sharded
-#: differential suite pins digest equality against the serial path.
+#: differential suite pins as *excluded* from every campaign digest.
 ALLOWED = {
     "simcore/rng.py",
     "experiments/runner.py",
     "experiments/fuzz.py",
     "scenarios/generate.py",
     "parallel/pool.py",
-    "parallel/shards.py",
     "parallel/units.py",
 }
 

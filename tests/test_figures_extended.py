@@ -65,6 +65,19 @@ def test_sensitivity_sweeps_return_points():
     assert "cpu_cost_scale" in text and "conn_switch_cost" in text
 
 
+def test_device_speed_sweep_is_pinned():
+    # The sweep builds the Figure 6/7 topology through ScenarioSpec with the
+    # drive carried by ScenarioConfig.ssd_profile; these are the MB/s of the
+    # hand-built topology it replaced, bit for bit.
+    from repro.experiments.sensitivity import sweep_device_speed
+
+    points = sweep_device_speed(factors=(0.5, 2.0), total_ops=200)
+    assert [(p.factor, p.spdk_mbps, p.opf_mbps) for p in points] == [
+        (0.5, 928.9680560728837, 1965.9341434140017),
+        (2.0, 669.9651698437862, 614.9270562180675),
+    ]
+
+
 # -------------------------------------------------------------- flush path ----
 def make_rig(protocol):
     env = Environment()

@@ -197,7 +197,7 @@ def test_improvement_and_reduction():
 
 @pytest.mark.parametrize("protocol", ["nvme-opf", "spdk"])
 def test_assembled_aggregates_equal_the_collector_queries(fig7_cell, protocol):
-    # assemble_result derives every aggregate in one pass over the
+    # Scenario._build_result derives every aggregate in one pass over the
     # summaries; the collector's own queries are the reference, and the
     # float reductions must agree bit for bit.
     scenario = fig7_cell(protocol=protocol)

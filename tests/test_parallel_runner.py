@@ -381,3 +381,25 @@ class TestValidation:
     def test_fault_matrix_rejects_unknown_kind(self):
         with pytest.raises(ConfigError, match="'kinds'"):
             fault_matrix_units(kinds=["no_such_fault"])
+
+
+class TestWorkersCliCpuCap:
+    """``--workers`` beyond the machine's CPU count is a ConfigError (CLI)."""
+
+    def test_runner_cli_rejects_oversubscription(self, capsys):
+        from repro.experiments.runner import main
+
+        over = (os.cpu_count() or 1) + 1
+        if over > 64:
+            pytest.skip("cpu_count + 1 exceeds MAX_WORKERS; cap hit first")
+        assert main(["table1", "--workers", str(over)]) == 2
+        err = capsys.readouterr().err
+        assert "CPU count" in err and "'workers'" in err
+
+    def test_fuzz_cli_rejects_oversubscription(self, capsys):
+        from repro.experiments.fuzz import main
+
+        over = (os.cpu_count() or 1) + 1
+        assert main(["--count", "3", "--workers", str(over)]) == 2
+        err = capsys.readouterr().err
+        assert "CPU count" in err and "'workers'" in err
