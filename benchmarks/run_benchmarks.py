@@ -24,7 +24,8 @@ machine), when batched dispatch drops below the absolute
 being free.
 
 Set ``BENCH_SRC=/path/to/other/src`` to benchmark a different source tree
-(an earlier checkout, say) with this same harness.
+(another checkout, say) with this same harness; the tree must have the
+batched kernel (``Environment.call_later`` and ``call_later_batch``).
 """
 
 from __future__ import annotations
@@ -127,9 +128,7 @@ def bench_engine_callbacks(n: int) -> dict:
     refactor — a layer completes a window of items at one timestamp and
     ``call_later_batch`` puts them on one heap entry, which the engine
     dispatches back-to-back without per-item heap traffic.  (Each batch sits
-    at its own timestamp, so the speed comes from the batch entry alone.)  On
-    kernels without batching it falls back to the chained-scalar loop so the
-    same script can measure an earlier source tree (``BENCH_SRC``).
+    at its own timestamp, so the speed comes from the batch entry alone.)
     """
 
     def run():
@@ -139,49 +138,29 @@ def bench_engine_callbacks(n: int) -> dict:
         def tick(_arg):
             state["count"] += 1
 
-        if hasattr(env, "call_later_batch"):
-            chunk = 1_000
-            batches = max(1, n // chunk)
-            args = tuple(range(chunk))
-            for i in range(batches):
-                env.call_later_batch(float(i + 1), tick, args)
-            env.run()
-            return batches * chunk - state["count"]
-        return _chained_callbacks(env, n, tick)
+        chunk = 1_000
+        batches = max(1, n // chunk)
+        args = tuple(range(chunk))
+        for i in range(batches):
+            env.call_later_batch(float(i + 1), tick, args)
+        env.run()
+        return batches * chunk - state["count"]
 
     elapsed, left = _best_of(run)
     assert left == 0
     return {"events": n, "seconds": elapsed, "events_per_sec": n / elapsed}
 
 
-def _chained_callbacks(env, n: int, tick_counter) -> int:
+def _chained_callbacks(env, n: int) -> int:
     """One completion schedules the next — the pre-batching idiom."""
     state = {"left": n}
 
-    if hasattr(env, "call_later"):
-        def tick(_arg):
-            state["left"] -= 1
-            if state["left"] > 0:
-                env.call_later(1.0, tick, None)
+    def tick(_arg):
+        state["left"] -= 1
+        if state["left"] > 0:
+            env.call_later(1.0, tick, None)
 
-        env.call_later(1.0, tick, None)
-    else:  # pre-refactor fallback: raw Event per completion
-        from repro.simcore import Event
-
-        def tick(_event):
-            state["left"] -= 1
-            if state["left"] > 0:
-                ev = Event(env)
-                ev._ok = True
-                ev._value = None
-                ev.callbacks.append(tick)
-                env.schedule(ev, delay=1.0)
-
-        ev = Event(env)
-        ev._ok = True
-        ev._value = None
-        ev.callbacks.append(tick)
-        env.schedule(ev, delay=1.0)
+    env.call_later(1.0, tick, None)
     env.run()
     return state["left"]
 
@@ -191,7 +170,7 @@ def bench_engine_callbacks_chained(n: int) -> dict:
 
     def run():
         env = Environment()
-        return _chained_callbacks(env, n, None)
+        return _chained_callbacks(env, n)
 
     elapsed, left = _best_of(run)
     assert left == 0

@@ -19,13 +19,17 @@ compares this target against :class:`~repro.core.target.OpfTarget`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, List, Tuple
 
+from ..nvmeof.capsule import OPCODE_FLUSH
 from ..nvmeof.pdu import CapsuleCmdPdu
 from ..nvmeof.target import TargetConnection
 from .coalescing import DrainGroup
-from .flags import Priority
+from .flags import Priority, unpack_flags
 from .target import OpfTarget
+
+#: One arrival in the shared queue: (conn, pdu, tenant id, draining).
+_Shared = Tuple[TargetConnection, CapsuleCmdPdu, int, bool]
 
 
 class SharedQueueOpfTarget(OpfTarget):
@@ -43,88 +47,82 @@ class SharedQueueOpfTarget(OpfTarget):
         super().__init__(*args, **kwargs)
         self.tc_queue_depth = tc_queue_depth
         self.lock_cost = lock_cost
-        #: The one shared queue: (conn, pdu, tenant_id) in arrival order.
-        self._shared: Deque[Tuple[TargetConnection, CapsuleCmdPdu, int]] = deque()
+        #: The one shared queue, in arrival order.
+        self._shared: Deque[_Shared] = deque()
         #: Arrivals rejected by a full queue; they wait indefinitely.
-        self._overflow: Deque[Tuple[TargetConnection, CapsuleCmdPdu, int]] = deque()
+        self._overflow: Deque[_Shared] = deque()
         self.premature_flushes = 0
         self.individual_tc_responses = 0
 
     # -- Alg. 3 replacement: one queue for everyone ---------------------------------
     def _handle_command(self, conn: TargetConnection, pdu: CapsuleCmdPdu) -> None:
-        priority, _draining, tenant_id = self.pm.classify(pdu.sqe)
+        sqe = pdu.sqe
+        priority, draining = unpack_flags(sqe.rsvd_priority)
         if priority is Priority.LATENCY:
             super()._handle_command(conn, pdu)
             return
         cost = self.costs.pdu_rx + self.costs.retire + self.lock_cost
-        self.core.run_later(cost, self._enqueue_shared_args, (conn, pdu, tenant_id))
+        self.core.run_later(cost, self._enqueue_shared, (conn, pdu, sqe.rsvd_tenant, draining))
 
-    def _enqueue_shared_args(
-        self, args: Tuple[TargetConnection, CapsuleCmdPdu, int]
-    ) -> None:
-        self._enqueue_shared(*args)
-
-    def _enqueue_shared(self, conn: TargetConnection, pdu: CapsuleCmdPdu, tenant_id: int) -> None:
+    def _enqueue_shared(self, arrival: _Shared) -> None:
         if len(self._shared) >= self.tc_queue_depth:
             # Full shared queue: the request can neither queue nor execute.
             # If the drains needed to free space are themselves stuck here,
             # this is the live-lock of §IV-A.
-            self._overflow.append((conn, pdu, tenant_id))
+            self._overflow.append(arrival)
             return
-        self._shared.append((conn, pdu, tenant_id))
-        _prio, draining, _tid = self.pm.classify(pdu.sqe)
+        self._shared.append(arrival)
+        _conn, _pdu, tenant_id, draining = arrival
         if draining:
-            self._flush_shared(conn, tenant_id)
+            self._flush_shared(tenant_id)
 
-    def _flush_shared(self, drain_conn: TargetConnection, drain_tenant: int) -> None:
+    def _flush_shared(self, drain_tenant: int) -> None:
         """A drain from *any* tenant flushes *everyone's* queued requests."""
         batch = list(self._shared)
         self._shared.clear()
 
         mine: List[Tuple[TargetConnection, CapsuleCmdPdu]] = []
-        others: List[Tuple[TargetConnection, CapsuleCmdPdu, int]] = []
-        drain_cid: Optional[int] = None
-        for conn, pdu, tenant_id in batch:
+        others: List[_Shared] = []
+        for arrival in batch:
+            conn, pdu, tenant_id, _draining = arrival
             if tenant_id == drain_tenant:
                 mine.append((conn, pdu))
-                _p, draining, _t = self.pm.classify(pdu.sqe)
-                if draining:
-                    drain_cid = pdu.sqe.cid
             else:
-                others.append((conn, pdu, tenant_id))
+                others.append(arrival)
         if others:
             self.premature_flushes += 1
 
-        # The draining tenant still gets a coalesced window.
-        assert drain_cid is not None
+        # The draining tenant still gets a coalesced window.  Its draining
+        # command arrived last, so it ends the window, and it is the only
+        # entry that can be a drain marker.
+        drain_pdu = mine[-1][1]
         group = DrainGroup(
             tenant_id=drain_tenant,
-            drain_cid=drain_cid,
+            drain_cid=drain_pdu.sqe.cid,
             cids=[p.sqe.cid for _c, p in mine],
             formed_at=self.env.now,
         )
         self.pm.stats.record_flush(group.size)
         self._group_fifo.setdefault(drain_tenant, []).append(group)
-        n_device = sum(1 for _c, p in mine if not self._is_drain_marker(p))
+        marker = mine.pop() if drain_pdu.sqe.opcode == OPCODE_FLUSH else None
         cost = (
-            self.costs.nvme_submit * n_device
+            self.costs.nvme_submit * len(mine)
             + self.lock_cost * len(batch)
             + self._tenant_switch_cost(drain_tenant)
         )
-        self.core.run_later(cost, self._execute_batch_args, (group, mine))
+        self.core.run_later(cost, self._execute_batch, (group, mine, marker))
 
         # Other tenants' windows were flushed early: each of their requests
         # executes now but must be answered individually (group=None), so
         # their coalescing benefit is destroyed.
-        for conn, pdu, tenant_id in others:
+        for conn, pdu, tenant_id, _draining in others:
             self.individual_tc_responses += 1
             cost = self.costs.nvme_submit + self._tenant_switch_cost(tenant_id)
             self.core.run_later(cost, self._submit_to_device, (conn, pdu, tenant_id))
 
         # Space freed: admit overflow arrivals in order.
         while self._overflow and len(self._shared) < self.tc_queue_depth:
-            conn, pdu, tenant_id = self._overflow.popleft()
-            self._enqueue_shared(conn, pdu, tenant_id)
+            self._enqueue_shared(self._overflow.popleft())
 
     @property
     def stalled_requests(self) -> int:

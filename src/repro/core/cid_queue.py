@@ -20,7 +20,7 @@ Priority Managers agree on.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Set
+from typing import Deque, List, Optional, Sequence, Set
 
 from ..errors import ProtocolError, QueueFullError
 
@@ -97,7 +97,7 @@ class CidQueue:
             raise ProtocolError(f"CID out of 16-bit range: {cid}")
         if cid in self._members:
             raise ProtocolError(f"CID {cid} already queued")
-        if self.is_full:
+        if self.capacity is not None and len(self._queue) >= self.capacity:  # inlined is_full
             raise QueueFullError(f"CID queue full (capacity {self.capacity})")
         # A reused CID starts a fresh life: forget the retired record so a
         # genuine drain for the new incarnation is not mistaken for a stale
@@ -116,12 +116,23 @@ class CidQueue:
         """Whether ``cid`` was retired recently enough to still be remembered."""
         return cid in self._retired
 
-    def _remember_retired(self, cid: int) -> None:
-        if len(self._retired_ring) == self._retired_ring.maxlen:
-            self._retired.discard(self._retired_ring[0])
-        self._retired_ring.append(cid)
-        self._retired.add(cid)
-        self.last_retired = cid
+    def _remember_retired(self, cids: Sequence[int]) -> None:
+        """Remember a non-empty run of retired CIDs, oldest first.
+
+        Once the ring is full, each new CID evicts the oldest remembered
+        one, exactly as if the run were retired one CID at a time.
+        """
+        ring = self._retired_ring
+        retired = self._retired
+        room = ring.maxlen - len(ring)
+        for cid in cids:
+            if room:
+                room -= 1
+            else:
+                retired.discard(ring[0])
+            ring.append(cid)
+            retired.add(cid)
+        self.last_retired = cids[-1]
 
     def drain_through(self, cid: int) -> List[int]:
         """Pop every CID up to and including ``cid``, in queue order.
@@ -138,14 +149,16 @@ class CidQueue:
                 self.duplicate_drains += 1
                 return []
             raise ProtocolError(f"drain for unknown CID {cid}")
+        queue = self._queue
+        members = self._members
         drained: List[int] = []
-        while self._queue:
-            head = self._queue.popleft()
-            self._members.discard(head)
-            self._remember_retired(head)
+        while queue:
+            head = queue.popleft()
+            members.discard(head)
             drained.append(head)
             if head == cid:
                 break
+        self._remember_retired(drained)
         self.total_drained += len(drained)
         return drained
 
@@ -159,7 +172,7 @@ class CidQueue:
             raise ProtocolError(f"cannot remove unknown CID {cid}")
         self._queue.remove(cid)
         self._members.discard(cid)
-        self._remember_retired(cid)
+        self._remember_retired((cid,))
         self.total_drained += 1
 
     def evict(self, cid: int) -> None:
@@ -174,17 +187,17 @@ class CidQueue:
             raise ProtocolError(f"cannot evict unknown CID {cid}")
         self._queue.remove(cid)
         self._members.discard(cid)
-        self._remember_retired(cid)
+        self._remember_retired((cid,))
         self.total_evicted += 1
 
     def drain_all(self) -> List[int]:
         """Pop everything (target-side full flush)."""
         drained = list(self._queue)
-        self._queue.clear()
-        self._members.clear()
-        for cid in drained:
-            self._remember_retired(cid)
-        self.total_drained += len(drained)
+        if drained:
+            self._queue.clear()
+            self._members.clear()
+            self._remember_retired(drained)
+            self.total_drained += len(drained)
         return drained
 
     def advance_epoch(self) -> int:

@@ -22,7 +22,6 @@ from ..nvmeof.capsule import OPCODE_NAMES
 from ..nvmeof.pdu import CapsuleCmdPdu
 from ..nvmeof.target import RequestContext, TargetConnection
 from ..ssd.latency import OP_FLUSH
-from .flags import Priority
 from .target import OpfTarget
 
 
@@ -42,13 +41,13 @@ class DevicePriorityOpfTarget(OpfTarget):
         self.urgent_submissions = 0
 
     def _submit_to_device(self, args: "Tuple[TargetConnection, CapsuleCmdPdu, int]") -> None:
+        """Route a latency-sensitive command through the device's urgent class.
+
+        Only latency-sensitive commands reach this stage: window members are
+        submitted through ``_submit_to_device_batch``.
+        """
         conn, pdu, tenant_id = args
         sqe = pdu.sqe
-        priority, _draining, _tenant = self.pm.classify(sqe)
-        if priority is not Priority.LATENCY:
-            super()._submit_to_device(args)
-            return
-        # Latency-sensitive: route through the device's urgent class.
         try:
             qp, device_nsid, block_size = self._urgent_routes[sqe.nsid]
         except KeyError:

@@ -19,7 +19,7 @@ Manager in the IC handshake (window resync).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from ..net.tcp import _RestartableTimer
 from ..nvmeof.capsule import Sqe
@@ -36,9 +36,6 @@ from .window import (
     clamp_to_queue_depth,
     select_window,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 
 class OpfInitiator(NvmeOfInitiator):
@@ -137,14 +134,16 @@ class OpfInitiator(NvmeOfInitiator):
 
     # -- Alg. 1: before send ---------------------------------------------------------
     def _fill_reserved(self, sqe: Sqe, request: IoRequest) -> None:
-        if request.priority is Priority.THROUGHPUT and self.pm.is_registered(sqe.cid):
+        pm = self.pm
+        # pm.is_registered(sqe.cid), read straight from the window's members.
+        if request.priority is Priority.THROUGHPUT and sqe.cid in pm.cid_queue._members:
             # Resend (retry or reconnect replay): the command is already a
             # window member.  Re-stamp the original flags — same priority,
             # tenant, and draining decision — without re-registering the
             # CID or advancing the window counter.
-            self.pm.restamp(sqe, request.priority, request.draining, self.tenant_id)
+            pm.restamp(sqe, request.priority, request.draining, self.tenant_id)
         else:
-            request.draining = self.pm.before_send(sqe, request.priority, self.tenant_id)
+            request.draining = pm.before_send(sqe, request.priority, self.tenant_id)
         if request.draining and self._drain_watchdog is not None:
             self._drain_watchdog.arm(sqe.cid)
         if self._idle_timer is not None:

@@ -2,9 +2,13 @@
 
 The initiator-side manager implements Algorithms 1 and 2 (flagging, window
 counting, drain-response queue walks); the target-side manager implements
-Algorithms 3 and 4 (per-tenant queuing, latency-sensitive bypass, drain
-execution, coalesced completion).  Keeping them free of any transport or
-CPU-model dependency makes the paper's pseudocode directly unit-testable.
+Algorithm 3 (per-tenant queuing and window flushes) and forms the drain
+groups whose members Algorithm 4 completes
+(:meth:`~repro.core.coalescing.DrainGroup.mark_complete`).  The target
+decodes each command's flags once on arrival, and latency-sensitive
+commands bypass the manager there.  Keeping the managers free of any
+transport or CPU-model dependency makes the paper's pseudocode directly
+unit-testable.
 
 Both managers are hardened for chaos: the paper's pseudocode assumes every
 window member and drain response arrives exactly once, which a retried
@@ -24,7 +28,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from ..errors import ConfigError, ProtocolError
 from .cid_queue import CidQueue, cid_le
 from .coalescing import CoalescingStats, DrainGroup
-from .flags import Priority, pack_flags, unpack_flags
+from .flags import FLAG_DRAINING, FLAG_THROUGHPUT_CRITICAL, Priority, pack_flags
 from .tenant import TenantRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -86,16 +90,20 @@ class InitiatorPriorityManager:
 
     def before_send(self, sqe: "Sqe", priority: Priority, tenant_id: int) -> bool:
         """Alg. 1: stamp flags/tenant into the SQE; returns drain decision."""
+        # The flag byte is written directly (pack_flags' encoding).
         draining = False
+        flags = 0
         if priority is Priority.THROUGHPUT:
             self.cid_queue.push(sqe.cid)
+            flags = FLAG_THROUGHPUT_CRITICAL
             self._since_drain += 1
             if self._since_drain >= self.window_size:
                 draining = True
+                flags = FLAG_THROUGHPUT_CRITICAL | FLAG_DRAINING
                 self._since_drain = 0
                 self.drains_sent += 1
                 self._outstanding_drains.add(sqe.cid)
-        sqe.rsvd_priority = pack_flags(priority, draining)
+        sqe.rsvd_priority = flags
         sqe.rsvd_tenant = tenant_id
         return draining
 
@@ -219,11 +227,12 @@ class InitiatorPriorityManager:
 
 
 class TargetPriorityManager:
-    """Target-side PM: Alg. 3 (ready to execute) and Alg. 4 (completion)."""
+    """Target-side PM: Alg. 3 (queue, or flush the window into a drain group)."""
 
     def __init__(self, registry: Optional[TenantRegistry] = None) -> None:
         self.registry = registry or TenantRegistry()
         self.stats = CoalescingStats()
+        #: Latency-sensitive commands the target answered without queuing.
         self.ls_bypassed = 0
         #: Window members delivered more than once (command retries whose
         #: original is still queued) — ignored, never double-queued.
@@ -239,22 +248,16 @@ class TargetPriorityManager:
         #: Per-tenant drain epoch last announced by the initiator.
         self._epochs: Dict[int, int] = {}
 
-    @staticmethod
-    def classify(sqe: "Sqe") -> Tuple[Priority, bool, int]:
-        """Decode (priority, draining, tenant id) from the reserved bytes."""
-        priority, draining = unpack_flags(sqe.rsvd_priority)
-        return priority, draining, sqe.rsvd_tenant
-
     def on_command(
-        self, conn: "TargetConnection", pdu: "CapsuleCmdPdu"
-    ) -> Tuple[Priority, Optional[DrainGroup], List[Tuple["TargetConnection", "CapsuleCmdPdu"]]]:
-        """Alg. 3 for one arriving command.
+        self, conn: "TargetConnection", pdu: "CapsuleCmdPdu", draining: bool, tenant_id: int
+    ) -> Optional[Tuple[DrainGroup, List[Tuple["TargetConnection", "CapsuleCmdPdu"]]]]:
+        """Alg. 3 for one arriving throughput-critical command.
 
-        Returns ``(priority, group, to_execute)``:
-
-        * latency-sensitive -> ``(LATENCY, None, [this command])`` — bypass.
-        * TC without drain -> ``(THROUGHPUT, None, [])`` — queued, nothing runs.
-        * TC with drain    -> ``(THROUGHPUT, group, whole window)`` — flush.
+        ``draining`` and ``tenant_id`` are the command's reserved bytes,
+        decoded once when it arrives (latency-sensitive commands bypass the
+        manager there).  Returns None while the command only queues, and
+        ``(group, batch)`` when it drains the window: the tenant's queued
+        commands in submission order, this draining command last.
 
         Duplicate-tolerant: a retried command whose original is still
         queued is counted and ignored — window membership stays
@@ -262,33 +265,37 @@ class TargetPriorityManager:
         indistinguishable from a new one and is re-queued; the initiator's
         duplicate-response handling absorbs the second completion.)
         """
-        priority, draining, tenant_id = self.classify(pdu.sqe)
-        if priority is Priority.LATENCY:
-            self.ls_bypassed += 1
-            return priority, None, [(conn, pdu)]
-
-        tenant = self.registry.get_or_create(tenant_id)
-        if pdu.sqe.cid in tenant.cid_queue:
+        # get_or_create, whose id check and tenant limit matter only for a
+        # tenant not seen before.
+        registry = self.registry
+        tenant = registry._tenants.get(tenant_id)
+        if tenant is None:
+            tenant = registry.get_or_create(tenant_id)
+        cid = pdu.sqe.cid
+        pending = tenant.pending_cmds
+        if cid in pending:
             # Retried window member; the original still holds its slot.  A
             # queued member never carries DRAINING (a draining command
             # flushes on arrival), so dropping the duplicate loses nothing.
             self.duplicate_commands += 1
-            return priority, None, []
-        tenant.enqueue(conn, pdu)
+            return None
+        # Queue the CID; the capsule waits beside it, keyed by CID.
+        tenant.cid_queue.push(cid)
+        pending[cid] = (conn, pdu)
+        tenant.connection = conn
         if not draining:
-            return priority, None, []
+            return None
 
         batch = tenant.flush()
-        now = 0.0
         group = DrainGroup(
             tenant_id=tenant_id,
-            drain_cid=pdu.sqe.cid,
+            drain_cid=cid,
             cids=[p.sqe.cid for _c, p in batch],
-            formed_at=now,
+            formed_at=0.0,
         )
         self.stats.record_flush(group.size)
         tenant.stats.record_flush(group.size)
-        return priority, group, batch
+        return group, batch
 
     def resync(
         self, tenant_id: int, epoch: int, last_retired: Optional[int]
@@ -331,15 +338,3 @@ class TargetPriorityManager:
         self.orphans_completed += len(orphans)
         self.orphans_requeued += tenant.queued
         return orphans
-
-    @staticmethod
-    def on_completion(group: Optional[DrainGroup], cid: int, status: int) -> bool:
-        """Alg. 4 for one device completion.
-
-        Returns True when a response capsule must be sent now: always for
-        latency-sensitive requests (``group is None``), and for
-        throughput-critical requests only once their whole group is done.
-        """
-        if group is None:
-            return True
-        return group.mark_complete(cid, status)

@@ -14,23 +14,35 @@ Extends the baseline target with the target-side Priority Manager:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-from ..nvmeof.capsule import Cqe
+from ..nvmeof.capsule import OPCODE_FLUSH, Cqe
 from ..nvmeof.pdu import C2HDataPdu, CapsuleCmdPdu, CapsuleRespPdu, IcReqPdu
 from ..nvmeof.target import NvmeOfTarget, RequestContext, TargetConnection
-from ..ssd.latency import OP_FLUSH, OP_READ
+from ..ssd.latency import OP_READ
+from ..ssd.queues import NvmeCompletion
 from .coalescing import DrainGroup
-from .flags import FLAG_DRAINING, Priority
+from .flags import FLAG_DRAINING, FLAG_THROUGHPUT_CRITICAL, unpack_flags
 from .priority_manager import TargetPriorityManager
 from .tenant import TenantRegistry
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
+#: The flag byte of a throughput-critical command that drains its window.
+_TC_DRAINING = FLAG_THROUGHPUT_CRITICAL | FLAG_DRAINING
+
+#: One received command and the connection it arrived on.
+_Entry = Tuple[TargetConnection, CapsuleCmdPdu]
 
 
 class OpfTarget(NvmeOfTarget):
-    """Priority-aware target (the paper's contribution, storage side)."""
+    """Priority-aware target (the paper's contribution, storage side).
+
+    Each stage of a command is one ``run_later`` callback taking one
+    argument tuple, and each is the override point for its stage:
+    :meth:`_handle_command` (arrival, flags decoded once),
+    :meth:`_enqueue_tc` (Alg. 3), :meth:`_execute_batch` (the flushed
+    window), :meth:`_on_device_completion` (the device-completion hook,
+    shared with the baseline) and :meth:`_tc_completed` (Alg. 4).
+    """
 
     runtime_name = "nvme-opf"
 
@@ -64,95 +76,84 @@ class OpfTarget(NvmeOfTarget):
 
     # -- Alg. 3: command arrival -----------------------------------------------------
     def _handle_command(self, conn: TargetConnection, pdu: CapsuleCmdPdu) -> None:
-        priority, _draining, tenant_id = self.pm.classify(pdu.sqe)
-        if priority is Priority.LATENCY:
-            # Bypass: identical cost and path to the baseline.
+        sqe = pdu.sqe
+        flags = sqe.rsvd_priority
+        tenant_id = sqe.rsvd_tenant
+        if not flags:
+            # Latency-sensitive bypass: identical cost and path to the
+            # baseline, and the Priority Manager never sees the command.
             self.pm.ls_bypassed += 1
             cost = (
                 self.costs.pdu_rx + self.costs.nvme_submit + self._tenant_switch_cost(tenant_id)
             )
             self.core.run_later(cost, self._submit_to_device, (conn, pdu, tenant_id))
             return
+        draining = flags == _TC_DRAINING
+        if not draining and flags != FLAG_THROUGHPUT_CRITICAL:
+            unpack_flags(flags)  # every other byte is malformed: raises ProtocolError
 
         # Throughput-critical: receive + queue-push only; execution waits
         # for the window's draining flag.
         cost = self.costs.pdu_rx + self.costs.retire
-        self.core.run_later(cost, self._enqueue_tc_args, (conn, pdu))
+        self.core.run_later(cost, self._enqueue_tc, (conn, pdu, draining, tenant_id))
 
-    def _enqueue_tc_args(self, args: "Tuple[TargetConnection, CapsuleCmdPdu]") -> None:
-        self._enqueue_tc(*args)
-
-    def _enqueue_tc(self, conn: TargetConnection, pdu: CapsuleCmdPdu) -> None:
-        _priority, group, batch = self.pm.on_command(conn, pdu)
-        if group is None:
+    def _enqueue_tc(self, args: "Tuple[TargetConnection, CapsuleCmdPdu, bool, int]") -> None:
+        conn, pdu, draining, tenant_id = args
+        flushed = self.pm.on_command(conn, pdu, draining, tenant_id)
+        if flushed is None:
             return  # queued; nothing executes yet
+        group, batch = flushed
         group.formed_at = self.env.now
-        self._group_fifo.setdefault(group.tenant_id, []).append(group)
+        self._group_fifo.setdefault(tenant_id, []).append(group)
+        # The draining command -- this one, the batch's last entry -- is the
+        # only one that can be an explicit drain marker (a flush carrying
+        # DRAINING): a queued member never drains.  The marker is consumed
+        # here and never reaches the device.
+        marker = batch.pop() if pdu.sqe.opcode == OPCODE_FLUSH else None
         # Batch execution: one tenant switch for the whole window, one
         # device doorbell per member.
-        n_device = sum(1 for _c, p in batch if not self._is_drain_marker(p))
-        cost = self.costs.nvme_submit * n_device + self._tenant_switch_cost(group.tenant_id)
-        self.core.run_later(cost, self._execute_batch_args, (group, batch))
+        cost = self.costs.nvme_submit * len(batch) + self._tenant_switch_cost(tenant_id)
+        self.core.run_later(cost, self._execute_batch, (group, batch, marker))
 
-    def _execute_batch_args(
-        self, args: "Tuple[DrainGroup, List[Tuple[TargetConnection, CapsuleCmdPdu]]]"
-    ) -> None:
-        self._execute_batch(*args)
-
-    @staticmethod
-    def _is_drain_marker(pdu: CapsuleCmdPdu) -> bool:
-        """An explicit drain (flush + DRAINING) is consumed by the PM."""
-        sqe = pdu.sqe
-        return sqe.op_name == OP_FLUSH and bool(sqe.rsvd_priority & FLAG_DRAINING)
-
-    def _execute_batch(
-        self,
-        group: DrainGroup,
-        batch: List[Tuple[TargetConnection, CapsuleCmdPdu]],
-    ) -> None:
-        markers: List[Tuple[TargetConnection, CapsuleCmdPdu]] = []
-        members: List[Tuple[TargetConnection, CapsuleCmdPdu]] = []
-        for conn, pdu in batch:
-            if self._is_drain_marker(pdu):
-                markers.append((conn, pdu))
-            else:
-                members.append((conn, pdu))
+    def _execute_batch(self, args: "Tuple[DrainGroup, List[_Entry], Optional[_Entry]]") -> None:
+        """Submit a flushed window's members, then complete its drain marker."""
+        group, members, marker = args
         if members:
             # One doorbell per consecutive same-device run instead of one
             # per member; submission order (and so CID/draw/seq order) is
             # exactly that of per-member _submit_to_device calls.
-            self._submit_to_device_batch(members, group.tenant_id, group=group)
-        # Drain markers complete instantly in the PM (they never touch the
-        # device); doing this *after* real submissions keeps group.pending
-        # consistent even for a marker-only group.
-        for conn, pdu in markers:
+            self._submit_to_device_batch(members, group.tenant_id, group)
+        if marker is not None:
+            # A drain marker completes at once (it never touches the
+            # device); doing this *after* real submissions keeps
+            # group.pending consistent even for a marker-only group.
+            conn, pdu = marker
             self.stats.requests_completed += 1
             if group.mark_complete(pdu.sqe.cid, 0):
                 self._finish_group(conn, group)
 
     # -- Alg. 4: device completion -----------------------------------------------------
-    def _complete_request(self, ctx: RequestContext, status: int) -> None:
-        group: Optional[DrainGroup] = ctx.group
-        if group is None:
+    def _on_device_completion(self, completion: NvmeCompletion) -> None:
+        ctx: RequestContext = completion.command.context
+        if ctx.group is None:
             # Latency-sensitive: the baseline's immediate-response path.
-            super()._complete_request(ctx, status)
+            super()._on_device_completion(completion)
             return
-
         cost = self.costs.nvme_complete + self.costs.retire
         if ctx.op == OP_READ:
             cost += self.costs.pdu_tx  # read data still flows per request
-        self.core.run_later(cost, self._tc_completed_args, (ctx, status))
+        self.core.run_later(cost, self._tc_completed, (ctx, completion.status))
 
-    def _tc_completed_args(self, args: "Tuple[RequestContext, int]") -> None:
-        self._tc_completed(*args)
-
-    def _tc_completed(self, ctx: RequestContext, status: int) -> None:
+    def _tc_completed(self, args: "Tuple[RequestContext, int]") -> None:
+        """Alg. 4 for one window member: respond once the whole group is done."""
+        ctx, status = args
         self.stats.requests_completed += 1
         if ctx.op == OP_READ:
             self.stats.data_pdus_sent += 1
             ctx.conn.send(C2HDataPdu(cid=ctx.cid, data_len=ctx.nbytes))
-        if self.pm.on_completion(ctx.group, ctx.cid, status):
-            self._finish_group(ctx.conn, ctx.group)
+        group = ctx.group
+        if group.mark_complete(ctx.cid, status):
+            self._finish_group(ctx.conn, group)
 
     def _finish_group(self, conn: TargetConnection, group: DrainGroup) -> None:
         """Mark the window done and emit responses in formation order."""

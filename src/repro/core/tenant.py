@@ -31,9 +31,10 @@ class TenantContext:
         self.tenant_id = tenant_id
         #: CIDs queued awaiting a drain (zero-copy: ids only).
         self.cid_queue = CidQueue()
-        #: Queued command capsules awaiting execution, keyed by CID.  These
-        #: are references to SPDK-owned buffers in the real system; the
-        #: *priority queue* itself stores only CIDs (see ``cid_queue``).
+        #: Queued command capsules awaiting execution, keyed by CID (the
+        #: target's Priority Manager fills both this and ``cid_queue``).
+        #: These are references to SPDK-owned buffers in the real system;
+        #: the *priority queue* itself stores only CIDs (see ``cid_queue``).
         self.pending_cmds: Dict[int, Tuple["TargetConnection", "CapsuleCmdPdu"]] = {}
         self.stats = CoalescingStats()
         self.connection: Optional["TargetConnection"] = None
@@ -41,12 +42,6 @@ class TenantContext:
     @property
     def queued(self) -> int:
         return len(self.cid_queue)
-
-    def enqueue(self, conn: "TargetConnection", pdu: "CapsuleCmdPdu") -> None:
-        cid = pdu.sqe.cid
-        self.cid_queue.push(cid)
-        self.pending_cmds[cid] = (conn, pdu)
-        self.connection = conn
 
     def flush(self) -> List[Tuple["TargetConnection", "CapsuleCmdPdu"]]:
         """Drain the whole queue, returning commands in submission order."""

@@ -22,7 +22,7 @@ C2HData                7       controller-to-host data (read payloads)
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from ..errors import ProtocolError

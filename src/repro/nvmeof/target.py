@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from ..cpu.core import CpuCore
 from ..cpu.costs import CpuCostModel, DEFAULT_COSTS
 from ..errors import DeviceError, ProtocolError
-from ..simcore.events import Event
 from ..ssd.device import IoQpair
 from ..ssd.latency import OP_FLUSH, OP_READ
 from ..ssd.queues import NvmeCompletion
@@ -302,15 +301,16 @@ class NvmeOfTarget:
 
     # -- completion path -----------------------------------------------------------
     def _on_device_completion(self, completion: NvmeCompletion) -> None:
-        ctx: RequestContext = completion.command.context
-        self._complete_request(ctx, completion.status)
+        """Baseline: each completion produces data (reads) + one response.
 
-    def _complete_request(self, ctx: RequestContext, status: int) -> None:
-        """Baseline: each completion produces data (reads) + one response."""
+        The device-completion hook of every device qpair, and the override
+        point for a runtime that answers completions differently.
+        """
+        ctx: RequestContext = completion.command.context
         cost = self.costs.nvme_complete + self.costs.cqe_build + self.costs.pdu_tx
         if ctx.op == OP_READ:
             cost += self.costs.pdu_tx  # the C2HData PDU
-        self.core.run_later(cost, self._send_response, (ctx, status))
+        self.core.run_later(cost, self._send_response, (ctx, completion.status))
 
     def _send_response(self, args: "Tuple[RequestContext, int]") -> None:
         ctx, status = args

@@ -26,7 +26,6 @@ from ..faults.schedule import (
     KIND_LINK_DOWN,
     KIND_LINK_LOSS,
     KIND_NIC_DOWN,
-    KIND_QPAIR_DISCONNECT,
     KIND_SSD_ERROR,
     KIND_SSD_SPIKE,
     KIND_SWITCH_PRESSURE,

@@ -12,9 +12,11 @@ batch that does not fit its SQ is refused whole.  So while no fetched
 command waits for a channel and a channel is free, a newly submitted
 command is the only one a doorbell would fetch, and
 :meth:`~repro.ssd.device.IoQpair.submit` starts it directly with the
-doorbell's exact effects.  Likewise a polled host reaps each CQE the
-moment it posts, so its CQ is empty between completions and the
-controller posts and reaps in one step.
+doorbell's exact effects.  For the same reason a channel that frees up
+starts the next fetched command itself: arbitration there would fetch
+nothing.  Likewise a polled host reaps each CQE the moment it posts, so
+its CQ is empty between completions and the controller posts and reaps in
+one step.
 """
 
 from __future__ import annotations
@@ -156,8 +158,14 @@ class NvmeController:
                 empty_streak += 1
                 continue
             empty_streak = 0
+            # sq.pop(), inlined: the SQ is known non-empty.
+            ring = sq._ring
+            head = sq._head
+            command = ring[head]
+            ring[head] = None
+            sq._head = (head + 1) % sq.depth
             queue = self._dispatch_urgent if qpair.urgent else self._dispatch
-            queue.append((sq.pop(), qpair))
+            queue.append((command, qpair))
         self._rr_index = rr
 
     def _fill_channels(self) -> None:
@@ -232,10 +240,20 @@ class NvmeController:
             # A polled host reaps at once: post and reap in one step.
             cq._head = cq._tail = (cq._tail + 1) % cq.depth
             host(completion)
-        if self._dispatch_urgent or self._dispatch:
-            # A channel freed up and fetched commands wait for one.
-            self._arbitrate()
-            self._fill_channels()
+        if self._free_channels:
+            # Start the next fetched command, urgent class first, on the
+            # channel just freed -- unless the host's callback took it.
+            # Every SQ is empty here (see the module docstring), so there is
+            # nothing to arbitrate, and a waiting command means every other
+            # channel is busy.
+            if self._dispatch_urgent:
+                command, qpair = self._dispatch_urgent.popleft()
+            elif self._dispatch:
+                command, qpair = self._dispatch.popleft()
+            else:
+                return
+            self._free_channels -= 1
+            self._execute(command, qpair)
 
     def _validate(self, command: NvmeCommand) -> int:
         if command.opcode == OP_WRITE or command.opcode == OP_READ:

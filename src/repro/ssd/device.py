@@ -115,11 +115,16 @@ class IoQpair:
         fit) leaves no command outstanding and spends no CID.
         """
         commands: "List[NvmeCommand]" = []
+        namespaces = self._namespaces
         seq = self._cid_seq
         for opcode, nsid, slba, nlb, context in specs:
-            ns = self.device.namespace(nsid)
-            if opcode != OP_FLUSH:
-                ns.check_range(slba, nlb)
+            # The namespace lookup and range check, inlined as in submit.
+            if nsid in namespaces:
+                ns = namespaces[nsid]
+            else:
+                ns = self.device.namespace(nsid)  # raises DeviceError
+            if opcode != OP_FLUSH and (slba < 0 or nlb < 1 or slba + nlb > ns.blocks):
+                ns.check_range(slba, nlb)  # raises DeviceError
             commands.append(NvmeCommand(seq & 0xFFFF, opcode, nsid, slba, nlb, context))
             seq += 1
         self._qpair.sq.submit_batch(commands)

@@ -1,12 +1,19 @@
-"""Unit tests for Algorithms 1-4 (Fig. 5) via the priority managers."""
+"""Unit tests for Algorithms 1-4 (Fig. 5) via the priority managers.
+
+The latency-sensitive bypass happens in the oPF target, which decodes each
+command's flags before the target manager sees it, so those two tests
+drive an :class:`OpfTarget`.
+"""
 
 import pytest
 
-from repro.core import DrainGroup, Priority, TenantRegistry
+from repro.core import DrainGroup, OpfTarget, Priority, TenantRegistry
 from repro.core.priority_manager import InitiatorPriorityManager, TargetPriorityManager
 from repro.errors import ConfigError, ProtocolError, TenantError
 from repro.nvmeof.capsule import OPCODE_READ, Sqe
 from repro.nvmeof.pdu import CapsuleCmdPdu
+from tests.test_opf_command_path import LS as LS_FLAGS
+from tests.test_opf_command_path import LS_TENANT, _build, _cmd
 
 
 def make_sqe(cid, priority=Priority.THROUGHPUT, draining=False, tenant=0):
@@ -99,25 +106,29 @@ def test_force_drain_flags():
 
 
 # ------------------------------------------------ Alg. 3: target arrival ----
+def arrive(pm, cid, tenant=0, draining=False):
+    """Alg. 3's entry with the flags a target decoded from the capsule."""
+    return pm.on_command(None, make_cmd(cid, draining=draining, tenant=tenant), draining, tenant)
+
+
 def test_alg3_ls_bypasses_queues():
-    pm = TargetPriorityManager()
-    priority, group, batch = pm.on_command(None, make_cmd(1, Priority.LATENCY))
-    assert priority is Priority.LATENCY
-    assert group is None
-    assert len(batch) == 1
-    assert pm.ls_bypassed == 1
-    assert pm.registry.total_queued() == 0
+    """An LS command goes straight to the device; the PM never queues it."""
+    env, target, _profile, wires, log = _build(OpfTarget)
+    env.call_at(1.0, wires[LS_TENANT].deliver, _cmd(1, LS_TENANT, LS_FLAGS))
+    env.run()
+    assert target.pm.ls_bypassed == 1
+    assert target.pm.registry.total_queued() == 0
+    assert len(target.pm.registry) == 0
+    assert [row[2:4] for row in log if row[2] != "icresp"] == [("data", 1), ("resp", 1)]
 
 
 def test_alg3_tc_queues_until_drain():
     pm = TargetPriorityManager()
     for cid in range(3):
-        _p, group, batch = pm.on_command(None, make_cmd(cid, tenant=4))
-        assert group is None and batch == []
+        assert arrive(pm, cid, tenant=4) is None
     assert pm.registry.get(4).queued == 3
 
-    _p, group, batch = pm.on_command(None, make_cmd(3, tenant=4, draining=True))
-    assert group is not None
+    group, batch = arrive(pm, 3, tenant=4, draining=True)
     assert group.drain_cid == 3
     assert group.cids == [0, 1, 2, 3]
     assert [p.sqe.cid for _c, p in batch] == [0, 1, 2, 3]
@@ -127,32 +138,41 @@ def test_alg3_tc_queues_until_drain():
 def test_alg3_tenant_isolation():
     """Lock-free design: tenant A's drain must not flush tenant B."""
     pm = TargetPriorityManager()
-    pm.on_command(None, make_cmd(0, tenant=1))
-    pm.on_command(None, make_cmd(1, tenant=2))
-    _p, group, batch = pm.on_command(None, make_cmd(2, tenant=1, draining=True))
+    arrive(pm, 0, tenant=1)
+    arrive(pm, 1, tenant=2)
+    group, _batch = arrive(pm, 2, tenant=1, draining=True)
     assert group.cids == [0, 2]
     assert pm.registry.get(2).queued == 1  # tenant 2 untouched
 
 
 def test_alg3_same_cids_different_tenants_allowed():
     pm = TargetPriorityManager()
-    pm.on_command(None, make_cmd(7, tenant=1))
-    pm.on_command(None, make_cmd(7, tenant=2))  # same CID, distinct tenant
+    arrive(pm, 7, tenant=1)
+    arrive(pm, 7, tenant=2)  # same CID, distinct tenant
     assert pm.registry.get(1).queued == 1
     assert pm.registry.get(2).queued == 1
 
 
 # ---------------------------------------------- Alg. 4: target completion ----
 def test_alg4_ls_completion_responds_immediately():
-    assert TargetPriorityManager.on_completion(None, cid=1, status=0) is True
+    """An LS completion is answered on its own, with no drain group."""
+    env, target, _profile, wires, log = _build(OpfTarget)
+    env.call_at(1.0, wires[LS_TENANT].deliver, _cmd(1, LS_TENANT, LS_FLAGS))
+    env.run()
+    responses = [row for row in log if row[2] == "resp"]
+    assert [(cid, coalesced, count) for _t, _n, _k, cid, coalesced, count, _s in responses] == [
+        (1, False, 1)
+    ]
+    assert target.pm.stats.windows_flushed == 0
+    assert target.stats.coalesced_notifications == 0
 
 
 def test_alg4_tc_group_responds_only_when_all_done():
     group = DrainGroup(tenant_id=0, drain_cid=3, cids=[0, 1, 2, 3], formed_at=0.0)
-    assert not TargetPriorityManager.on_completion(group, 1, 0)
-    assert not TargetPriorityManager.on_completion(group, 3, 0)  # drain done early!
-    assert not TargetPriorityManager.on_completion(group, 0, 0)
-    assert TargetPriorityManager.on_completion(group, 2, 0)  # last member
+    assert not group.mark_complete(1, 0)
+    assert not group.mark_complete(3, 0)  # drain done early!
+    assert not group.mark_complete(0, 0)
+    assert group.mark_complete(2, 0)  # last member
 
 
 def test_drain_group_out_of_order_completion_safe():
@@ -203,5 +223,5 @@ def test_registry_unknown_tenant():
 def test_registry_space_accounting():
     pm = TargetPriorityManager()
     for cid in range(10):
-        pm.on_command(None, make_cmd(cid, tenant=1))
+        arrive(pm, cid, tenant=1)
     assert pm.registry.total_space_bytes() == 20  # 10 CIDs x 2 bytes

@@ -16,9 +16,10 @@ why (with the old and new values) in CHANGES.md.
   ``heapq``, ``bisect``) in its caller's.  The packet path
   (``repro.net.*``) and the PDU transport (``repro.nvmeof.transport``) are
   pinned, and so is the command path: ``repro.nvmeof`` (the transport
-  included), ``repro.ssd`` and ``repro.cpu``.  CPython minor versions
-  differ in which library functions are Python frames, so the call pins
-  are checked only on the version they were recorded on.
+  included), ``repro.ssd``, ``repro.cpu`` and the oPF core,
+  ``repro.core``.  CPython minor versions differ in which library
+  functions are Python frames, so the call pins are checked only on the
+  version they were recorded on.
 
 ``layerbench/run.py --trace 1`` gives the same split per layer for the
 benchmark's workloads (under cProfile, which also counts C calls).
@@ -57,11 +58,11 @@ ENTRIES_BY_LAYER = {
     ),
 }
 
-#: protocol -> Python calls in (repro.nvmeof, repro.ssd, repro.cpu).
-COMMAND_PATH = ("repro.nvmeof", "repro.ssd", "repro.cpu")
+#: protocol -> Python calls in (repro.nvmeof, repro.ssd, repro.cpu, repro.core).
+COMMAND_PATH = ("repro.nvmeof", "repro.ssd", "repro.cpu", "repro.core")
 COMMAND_PATH_CALLS = {
-    "nvme-opf": (12143, 7858, 3046),
-    "spdk": (16211, 7475, 3647),
+    "nvme-opf": (10935, 5090, 3046, 12028),
+    "spdk": (15808, 6150, 3647, 9),
 }
 
 _PACKET_PATH = "repro.net"

@@ -249,8 +249,6 @@ def test_shared_queue_livelock_when_windows_exceed_depth():
         sc.add_tenant(TenantSpec(f"tc{i}", Priority.THROUGHPUT, 128), inode, tnode)
 
     # The run would never finish: drive the environment manually instead.
-    import repro.errors as errors
-
     # Build everything by invoking run() in a bounded way: we replicate its
     # setup through a deadline, expecting zero TC completions.
     connect_events = []

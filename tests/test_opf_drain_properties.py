@@ -15,6 +15,8 @@ assert the hardened protocol's core invariants:
   announced high-water mark, exactly once per new epoch.
 """
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,6 +107,67 @@ class TestCidQueueDuplicates:
         assert q.advance_epoch() == 1
         assert q.advance_epoch() == 2
         assert list(q.as_list()) == [1]
+
+
+class _PerCidMemory:
+    """Reference: the retired-CID memory kept one retired CID at a time."""
+
+    def __init__(self, size):
+        self.ring = deque(maxlen=size)
+        self.retired = set()
+        self.last = None
+
+    def push(self, cid):
+        self.retired.discard(cid)
+
+    def retire(self, cid):
+        if len(self.ring) == self.ring.maxlen:
+            self.retired.discard(self.ring[0])
+        self.ring.append(cid)
+        self.retired.add(cid)
+        self.last = cid
+
+
+QUEUE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["push", "drain_through", "drain_all", "evict", "remove"]),
+        st.integers(min_value=0, max_value=7),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=QUEUE_OPS, memory=st.integers(min_value=1, max_value=5))
+def test_retired_memory_matches_the_per_cid_reference(ops, memory):
+    """A drain walk or flush remembers its CIDs exactly as one-by-one retirement.
+
+    Eight CIDs and a ring of at most five make reuse and eviction common,
+    so the ring, the lookup set and the high-water mark are compared after
+    every operation.
+    """
+    q = CidQueue(retired_memory=memory)
+    ref = _PerCidMemory(memory)
+    for op, cid in ops:
+        if op == "push":
+            if cid in q:
+                continue
+            q.push(cid)
+            ref.push(cid)
+        elif op == "drain_all":
+            for retired in q.drain_all():
+                ref.retire(retired)
+        elif cid not in q:
+            continue
+        elif op == "drain_through":
+            for retired in q.drain_through(cid):
+                ref.retire(retired)
+        else:
+            getattr(q, op)(cid)
+            ref.retire(cid)
+        assert list(q._retired_ring) == list(ref.ring)
+        assert q._retired == ref.retired
+        assert q.last_retired == ref.last
 
 
 # -- drain watchdog -----------------------------------------------------------------
@@ -214,25 +277,31 @@ def _cmd(cid, tenant=0, draining=False, op=OP_READ):
     return CapsuleCmdPdu(sqe=sqe)
 
 
+def _arrive(pm, conn, pdu):
+    """Alg. 3 for ``pdu`` with the flags decoded as the target decodes them."""
+    sqe = pdu.sqe
+    _priority, draining = unpack_flags(sqe.rsvd_priority)
+    return pm.on_command(conn, pdu, draining, sqe.rsvd_tenant)
+
+
 class TestTargetDuplicates:
     def test_duplicate_queued_member_is_dropped(self):
         pm = TargetPriorityManager()
         conn = _FakeConn()
-        pm.on_command(conn, _cmd(1))
-        _p, group, batch = pm.on_command(conn, _cmd(1))  # retry of a queued member
-        assert group is None and batch == []
+        _arrive(pm, conn, _cmd(1))
+        assert _arrive(pm, conn, _cmd(1)) is None  # retry of a queued member
         assert pm.duplicate_commands == 1
-        _p, group, batch = pm.on_command(conn, _cmd(2, draining=True))
+        _group, batch = _arrive(pm, conn, _cmd(2, draining=True))
         assert [p.sqe.cid for _c, p in batch] == [1, 2]
 
     def test_retry_of_executed_member_requeues(self):
         pm = TargetPriorityManager()
         conn = _FakeConn()
-        pm.on_command(conn, _cmd(1))
-        pm.on_command(conn, _cmd(2, draining=True))  # flushes {1, 2}
-        _p, group, batch = pm.on_command(conn, _cmd(1))  # late resend of 1
-        assert group is None and batch == [] and pm.duplicate_commands == 0
-        _p, group, batch = pm.on_command(conn, _cmd(3, draining=True))
+        _arrive(pm, conn, _cmd(1))
+        _arrive(pm, conn, _cmd(2, draining=True))  # flushes {1, 2}
+        assert _arrive(pm, conn, _cmd(1)) is None  # late resend of 1
+        assert pm.duplicate_commands == 0
+        _group, batch = _arrive(pm, conn, _cmd(3, draining=True))
         assert [p.sqe.cid for _c, p in batch] == [1, 3]
 
 
@@ -241,7 +310,7 @@ class TestResync:
         pm = TargetPriorityManager()
         conn = _FakeConn()
         for cid in (10, 11, 12):
-            pm.on_command(conn, _cmd(cid, tenant=1))
+            _arrive(pm, conn, _cmd(cid, tenant=1))
         return pm
 
     def test_initial_epoch_zero_reconciles_nothing(self):
@@ -278,7 +347,7 @@ class TestResync:
         pm = TargetPriorityManager()
         conn = _FakeConn()
         for cid in (0xFFFE, 0xFFFF, 0x0001):
-            pm.on_command(conn, _cmd(cid, tenant=2))
+            _arrive(pm, conn, _cmd(cid, tenant=2))
         pm.resync(2, epoch=0, last_retired=None)
         orphans = pm.resync(2, epoch=1, last_retired=0xFFFF)
         assert [p.sqe.cid for _c, p in orphans] == [0xFFFE, 0xFFFF]
@@ -358,10 +427,10 @@ class _Harness:
         sqe = _sqe(cid)
         sqe.rsvd_priority = pack_flags(Priority.THROUGHPUT, draining)
         sqe.rsvd_tenant = 0
-        _p, group, batch = self.tpm.on_command(self.conn, CapsuleCmdPdu(sqe=sqe))
-        if group is not None:
+        flushed = _arrive(self.tpm, self.conn, CapsuleCmdPdu(sqe=sqe))
+        if flushed is not None:
             # Device completes the whole window instantly in this model.
-            self.pending_responses.append(group.drain_cid)
+            self.pending_responses.append(flushed[0].drain_cid)
 
     def send(self):
         cid = self.next_cid

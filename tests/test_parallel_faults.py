@@ -21,7 +21,7 @@ import traceback
 
 import pytest
 
-from repro.errors import CampaignError, ConfigError, InvariantViolation
+from repro.errors import CampaignError, InvariantViolation
 from repro.parallel import WorkUnit, register_executor, run_campaign, run_units
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
