@@ -4,36 +4,48 @@
 Starts the control plane in-process on an ephemeral port, then acts as a
 remote client:
 
-  1. submit the library's QoS-guard scenario program as JSON,
-  2. long-poll live telemetry while the run progresses — per-tenant
-     goodput, streaming p99, and SLO verdicts straight from the QoS plane,
-  3. inject an ``slo_change`` at a future virtual time (tightening ls0's
+  1. submit the library's QoS-guard scenario program as JSON, without
+     starting it,
+  2. inject an ``slo_change`` at a future virtual time (tightening ls0's
      ceiling mid-run, exactly like an operator amending a tenant contract),
+     then start the run,
+  3. long-poll live telemetry while the run progresses — per-tenant
+     goodput, streaming p99, and SLO verdicts straight from the QoS plane,
   4. pause the session, serialize a checkpoint, restore it as a *new*
      session, and run both to completion,
   5. verify the two sealed digests are bit-identical — interruption,
      checkpointing, and resumption left no trace on the timeline.
 
+The session starts only after the injection, so however fast the server
+runs, the injection time is still in the future and the run is still
+going when the pause arrives.
+
 Run:  python examples/service_session.py
 """
 
 from repro.scenarios.actions import SloChange
-from repro.scenarios.library import fig7_cell_program
+from repro.scenarios.library import qos_guard_program
 from repro.service import ServiceClient, ServiceServer
 
 
 def main() -> None:
-    program = fig7_cell_program().to_dict()
-    # Arm the QoS plane so slo_change is legal and telemetry carries verdicts.
-    program["config"]["slos"] = [{"tenant": "ls0", "p99_ceiling_us": 5_000.0}]
-    program["name"] = "fig7-opf-1to2-slo"
+    program = qos_guard_program()
 
     with ServiceServer(workers=2, slice_events=256) as server:
         client = ServiceClient(server.host, server.port)
         print(f"service up at {server.address}: {client.health()}")
 
-        session_id = client.submit(program)
-        print(f"submitted {program['name']!r} as session {session_id}")
+        session_id = client.submit(program, start=False)
+        print(f"submitted {program.name!r} as session {session_id}")
+
+        # Tighten ls0's ceiling at a future virtual instant, then start.
+        client.inject(
+            session_id,
+            SloChange(tenant="ls0", p99_ceiling_us=500.0),
+            at_us=3_333.3,
+        )
+        print("injected slo_change(ls0, p99<=500us) at t=+3333.3us")
+        client.resume(session_id)
 
         # Stream a few telemetry snapshots while the run is live.
         cursor, seen = 0, 0
@@ -50,14 +62,6 @@ def main() -> None:
                 if snap["state"] in ("finished", "failed"):
                     seen = 3
                     break
-
-        # Tighten ls0's ceiling at a future virtual instant.
-        client.inject(
-            session_id,
-            SloChange(tenant="ls0", p99_ceiling_us=900.0),
-            at_us=3_333.3,
-        )
-        print("injected slo_change(ls0, p99<=900us) at t=+3333.3us")
 
         # Pause -> checkpoint -> restore as a second session.
         client.pause(session_id)

@@ -49,8 +49,10 @@ class SharedQueueOpfTarget(OpfTarget):
         self.lock_cost = lock_cost
         #: The one shared queue, in arrival order.
         self._shared: Deque[_Shared] = deque()
-        #: Arrivals rejected by a full queue; they wait indefinitely.
-        self._overflow: Deque[_Shared] = deque()
+        #: Arrivals rejected by a full queue (live-lock indicator).  A
+        #: rejected arrival is never admitted: only an admitted drain
+        #: flushes, and a full queue admits nothing.
+        self.stalled_requests = 0
         self.premature_flushes = 0
         self.individual_tc_responses = 0
 
@@ -69,7 +71,7 @@ class SharedQueueOpfTarget(OpfTarget):
             # Full shared queue: the request can neither queue nor execute.
             # If the drains needed to free space are themselves stuck here,
             # this is the live-lock of §IV-A.
-            self._overflow.append(arrival)
+            self.stalled_requests += 1
             return
         self._shared.append(arrival)
         _conn, _pdu, tenant_id, draining = arrival
@@ -119,12 +121,3 @@ class SharedQueueOpfTarget(OpfTarget):
             self.individual_tc_responses += 1
             cost = self.costs.nvme_submit + self._tenant_switch_cost(tenant_id)
             self.core.run_later(cost, self._submit_to_device, (conn, pdu, tenant_id))
-
-        # Space freed: admit overflow arrivals in order.
-        while self._overflow and len(self._shared) < self.tc_queue_depth:
-            self._enqueue_shared(self._overflow.popleft())
-
-    @property
-    def stalled_requests(self) -> int:
-        """Requests stuck in overflow (live-lock indicator)."""
-        return len(self._overflow)

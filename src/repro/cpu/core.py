@@ -4,9 +4,9 @@ SPDK runs each reactor as one busy-polling thread pinned to a core; all
 protocol work on that reactor serialises.  :class:`CpuCore` models exactly
 that: tasks execute in submission order, each occupying the core for its cost.
 
-The implementation is O(1) per task and allocates a single event per task:
-rather than simulating a server process, the core tracks the time it becomes
-available (``_avail_at``) and schedules each task's completion directly.
+The implementation is O(1) per task and allocates no event: rather than
+simulating a server process, the core tracks the time it becomes available
+(``_avail_at``) and schedules each task's completion callback directly.
 This "busy-until" formulation is exact for a non-preemptive FIFO server and
 keeps the event count low enough for the large scale-out experiments.
 """
@@ -17,7 +17,6 @@ from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Optional
 
 from ..errors import SimulationError
-from ..simcore.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcore.engine import Environment
@@ -36,34 +35,13 @@ class CpuCore:
         self._started_at = env.now
 
     # -- execution -------------------------------------------------------------
-    def execute(self, cost: float) -> Event:
-        """Schedule ``cost`` microseconds of work; the event fires when done.
-
-        Work submitted while the core is busy queues behind earlier work
-        (FIFO).  ``cost`` may be zero, in which case the event still respects
-        queueing order (it fires when the core has drained prior work).
-        """
-        if cost < 0:
-            raise SimulationError(f"negative CPU cost: {cost}")
-        env = self.env
-        start = self._avail_at if self._avail_at > env.now else env.now
-        finish = start + cost
-        self._avail_at = finish
-        self._busy_time += cost
-
-        done = Event(env)
-        done._ok = True
-        done._value = None
-        env.schedule(done, delay=finish - env.now)
-        return done
-
     def run_later(self, cost, fn, arg=None) -> float:
         """Schedule ``cost`` us of work and ``fn(arg)`` at its completion.
 
-        The callback variant of :meth:`execute`: same FIFO queueing and
-        accounting, same heap position for the completion, but no Event is
-        allocated — use on per-PDU/per-command hot paths where nothing ever
-        yields on the work.  Returns the completion time.
+        Work submitted while the core is busy queues behind earlier work
+        (FIFO).  ``cost`` may be zero, in which case the callback still
+        respects queueing order (it runs when the core has drained prior
+        work).  Returns the completion time.
         """
         if cost < 0:
             raise SimulationError(f"negative CPU cost: {cost}")

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..cpu.costs import DEFAULT_COSTS, CpuCostModel
-
 
 @dataclass(frozen=True)
 class PaperTarget:
@@ -90,11 +88,6 @@ PAPER_TARGETS: Dict[str, PaperTarget] = {
         "9a", "h5bench write bandwidth gain at 40 ranks", "gain_pct", 25.2, strict=False,
     ),
 }
-
-
-def tuned_costs() -> CpuCostModel:
-    """The frozen cost model used by every experiment."""
-    return DEFAULT_COSTS
 
 
 #: Operating points the figure harnesses iterate (mirrors §V-A).

@@ -131,10 +131,3 @@ def format_fig8(curves: List[Fig8Curve]) -> str:
         rows,
         title="Figure 8: scale-out, 100 Gbps",
     )
-
-
-def curve_gain_at_max_scale(curves: List[Fig8Curve], panel: str) -> float:
-    """oPF-over-SPDK throughput gain (%) at the largest tenant count."""
-    spdk = next(c for c in curves if c.panel == panel and c.protocol == "spdk")
-    opf = next(c for c in curves if c.panel == panel and c.protocol == "nvme-opf")
-    return improvement_pct(opf.points[-1].throughput_mbps, spdk.points[-1].throughput_mbps)

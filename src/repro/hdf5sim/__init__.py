@@ -2,7 +2,7 @@
 
 from .dataset import Dataset, Extent
 from .file import H5File, METADATA_BLOCKS
-from .mpi import Communicator, SimRank, spawn_ranks
+from .mpi import Communicator, SimRank
 from .vol import VolConnector
 
 __all__ = [
@@ -13,5 +13,4 @@ __all__ = [
     "METADATA_BLOCKS",
     "SimRank",
     "VolConnector",
-    "spawn_ranks",
 ]

@@ -8,7 +8,7 @@ events (all ranks arrive, everyone releases).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, List, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..errors import ConfigError
 from ..simcore.events import Event
@@ -68,13 +68,3 @@ class SimRank:
     def done(self) -> "Process":
         """The process doubles as the rank's completion event."""
         return self.process
-
-
-def spawn_ranks(
-    env: "Environment",
-    n_ranks: int,
-    body: Callable[[SimRank], Generator],
-) -> List[SimRank]:
-    """Create a communicator and start ``n_ranks`` processes over it."""
-    comm = Communicator(env, n_ranks)
-    return [SimRank(env, rank, comm, body) for rank in range(n_ranks)]

@@ -5,7 +5,6 @@ from .events import EventCounter
 from .export import rows_for, to_row, write_csv
 from .percentile import LatencyDistribution, P2Quantile, exact_percentile
 from .report import (
-    FairnessIndex,
     format_table,
     improvement_pct,
     jain_fairness,
@@ -16,7 +15,6 @@ from .report import (
 __all__ = [
     "Collector",
     "EventCounter",
-    "FairnessIndex",
     "InitiatorSummary",
     "LatencyDistribution",
     "P2Quantile",

@@ -138,12 +138,6 @@ class LatencyDistribution:
     def percentile(self, q: float) -> float:
         return exact_percentile(self._samples, q)
 
-    def p50(self) -> float:
-        return self.percentile(50.0)
-
-    def p99(self) -> float:
-        return self.percentile(99.0)
-
     def tail(self) -> float:
         """The paper's headline tail metric: p99.99."""
         return self.percentile(99.99)
@@ -152,26 +146,3 @@ class LatencyDistribution:
         if not self._samples:
             raise ConfigError("no samples")
         return float(np.max(self._samples))
-
-    def cdf_points(self, n_points: int = 50) -> List[tuple]:
-        """(latency, cumulative fraction) pairs for CDF plotting."""
-        if not self._samples:
-            raise ConfigError("no samples")
-        if n_points < 2:
-            raise ConfigError("need at least two CDF points")
-        ordered = np.sort(np.asarray(self._samples, dtype=float))
-        fractions = np.linspace(0.0, 1.0, n_points)
-        idx = np.minimum((fractions * (len(ordered) - 1)).astype(int), len(ordered) - 1)
-        return [(float(ordered[i]), float(f)) for i, f in zip(idx, fractions)]
-
-    def histogram_ascii(self, bins: int = 12, width: int = 40) -> str:
-        """A terminal histogram (log-friendly tails read best in text)."""
-        if not self._samples:
-            raise ConfigError("no samples")
-        counts, edges = np.histogram(self._samples, bins=bins)
-        peak = counts.max() if counts.max() else 1
-        lines = []
-        for count, lo, hi in zip(counts, edges, edges[1:]):
-            bar = "#" * int(round(width * count / peak))
-            lines.append(f"{lo:10.1f}-{hi:10.1f} us |{bar:<{width}} {count}")
-        return "\n".join(lines)

@@ -28,25 +28,6 @@ def jain_fairness(values: Sequence[float]) -> float:
     return (total * total) / (len(xs) * squares)
 
 
-class FairnessIndex:
-    """Accumulator form of :func:`jain_fairness` (one ``add`` per tenant)."""
-
-    def __init__(self) -> None:
-        self._values: List[float] = []
-
-    def add(self, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"allocation must be non-negative, got {value}")
-        self._values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def index(self) -> float:
-        return jain_fairness(self._values)
-
-
 def format_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],

@@ -39,7 +39,6 @@ from .units import (
     execute_unit,
     known_kinds,
     register_executor,
-    unregister_executor,
 )
 
 __all__ = [
@@ -63,5 +62,4 @@ __all__ = [
     "register_executor",
     "run_campaign",
     "run_units",
-    "unregister_executor",
 ]

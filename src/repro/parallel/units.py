@@ -102,11 +102,6 @@ def register_executor(
     _EXECUTORS[kind] = fn
 
 
-def unregister_executor(kind: str) -> None:
-    """Drop a registered kind (test cleanup)."""
-    _EXECUTORS.pop(kind, None)
-
-
 def known_kinds() -> Tuple[str, ...]:
     return tuple(sorted(_EXECUTORS))
 

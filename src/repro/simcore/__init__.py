@@ -2,23 +2,22 @@
 
 Public surface::
 
-    from repro.simcore import Environment, Interrupt
+    from repro.simcore import Environment
     env = Environment()
     env.process(my_generator(env))
     env.run(until=1000.0)
 
 The engine uses generator-based processes with SimPy-compatible semantics
-(events, conditions, interrupts, stores) implemented in-tree so
+(events, conditions, stores) implemented in-tree so
 the reproduction has no external runtime dependencies.
 """
 
 from .engine import Environment, Infinity
 from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout, NORMAL, URGENT
-from .process import Interrupt, Process
+from .process import Process
 from .resources import Store
-from .rng import RandomStreams, ScopedStreams, lognormal_with_mean
+from .rng import RandomStreams, ScopedStreams
 from .trace import NULL_TRACER, TraceRecord, Tracer
-from .monitor import Sampler
 
 __all__ = [
     "AllOf",
@@ -28,17 +27,14 @@ __all__ = [
     "Environment",
     "Event",
     "Infinity",
-    "Interrupt",
     "NORMAL",
     "NULL_TRACER",
     "Process",
     "RandomStreams",
-    "Sampler",
     "ScopedStreams",
     "Store",
     "Timeout",
     "TraceRecord",
     "Tracer",
     "URGENT",
-    "lognormal_with_mean",
 ]

@@ -9,7 +9,7 @@ Two scheduling APIs share the one heap (see docs/ARCHITECTURE.md, "Two
 scheduling APIs"):
 
 * **Processes** — generators yielding :class:`Event` objects.  Expressive
-  (interrupts, conditions, error propagation); one object per occurrence.
+  (conditions, error propagation); one object per occurrence.
   Use for the cold control plane: connect/handshake, recovery, experiment
   orchestration.
 * **Plain callbacks** — :meth:`Environment.call_later` /
@@ -93,7 +93,7 @@ def _process_event(event: Event) -> None:
 class Environment:
     """Execution environment for a single simulation run."""
 
-    __slots__ = ("now", "_queue", "_seq", "_active_proc")
+    __slots__ = ("now", "_queue", "_seq")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self.now = float(initial_time)
@@ -102,18 +102,12 @@ class Environment:
         # run of sequence numbers with one addition instead of len(batch)
         # next() calls.
         self._seq = 0
-        self._active_proc: Optional[Process] = None
 
     # -- clock & introspection -----------------------------------------------
     # ``now`` is a plain data attribute, not a property: the clock is read on
     # every hot-path callback across every layer, and a slot read is the
     # cheapest access Python offers.  Treat it as read-only outside the run
     # loop.
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (if any)."""
-        return self._active_proc
 
     def __len__(self) -> int:
         return len(self._queue)

@@ -15,59 +15,16 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from ..errors import SimulationError
-from .events import Event, Initialize, NORMAL, URGENT
+from .events import Event, Initialize, NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Environment
 
 
-class Interrupt(Exception):
-    """Raised inside a process when :meth:`Process.interrupt` is called.
-
-    The interrupt ``cause`` is available as ``exc.cause``.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0]
-
-    def __str__(self) -> str:
-        return f"Interrupt({self.cause!r})"
-
-
-class _InterruptEvent(Event):
-    """Internal urgent event delivering an interrupt to a process."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, env: "Environment", process: "Process", cause: Any) -> None:
-        super().__init__(env)
-        self.process = process
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self.callbacks = [self._deliver]
-        env.schedule(self, delay=0.0, priority=URGENT)
-
-    def _deliver(self, event: Event) -> None:
-        process = self.process
-        if process.triggered:
-            return  # process already finished; interrupt is a no-op
-        # Detach the process from whatever it was waiting on; the old
-        # target may still fire but must no longer resume the process.
-        target = process._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(process._resume)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        process._resume(self)
-
-
 class Process(Event):
     """A running simulation process (also usable as an event to wait on)."""
 
-    __slots__ = ("_generator", "_target", "name", "_send", "_throw", "_resume_cb")
+    __slots__ = ("_generator", "name", "_send", "_throw", "_resume_cb")
 
     def __init__(
         self,
@@ -85,31 +42,12 @@ class Process(Event):
         self._throw = generator.throw
         self._resume_cb = self._resume
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = Initialize(env, self)
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on (if any)."""
-        return self._target
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield."""
-        if self.triggered:
-            raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
-        if self.env.active_process is self:
-            raise SimulationError("a process cannot interrupt itself")
-        _InterruptEvent(self.env, self, cause)
+        Initialize(env, self)
 
     # -- engine plumbing -----------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
         env = self.env
-        env._active_proc = self
         send = self._send
         while True:
             try:
@@ -120,15 +58,11 @@ class Process(Event):
                     event._defused = True
                     next_event = self._throw(event._value)
             except StopIteration as exc:
-                self._target = None
-                env._active_proc = None
                 self._ok = True
                 self._value = exc.value
                 env.schedule(self, delay=0.0, priority=NORMAL)
                 return
             except BaseException as exc:
-                self._target = None
-                env._active_proc = None
                 self._ok = False
                 self._value = exc
                 env.schedule(self, delay=0.0, priority=NORMAL)
@@ -137,8 +71,6 @@ class Process(Event):
             try:
                 callbacks = next_event.callbacks
             except AttributeError:
-                self._target = None
-                env._active_proc = None
                 err = SimulationError(
                     f"process {self.name!r} yielded a non-event: {next_event!r}"
                 )
@@ -150,14 +82,11 @@ class Process(Event):
             if callbacks is not None:
                 # Pending event: register and suspend.
                 callbacks.append(self._resume_cb)
-                self._target = next_event
-                break
+                return
 
             # The yielded event was already processed: loop immediately with
             # its (final) outcome instead of going through the queue again.
             event = next_event
-
-        env._active_proc = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Process {self.name!r} {'done' if self.triggered else 'alive'}>"

@@ -121,26 +121,3 @@ class NormalBuffer:
         if size is not None:
             return np.array([self.lognormal(mean, sigma) for _ in range(size)])
         return math.exp(mean + sigma * self.standard_normal())
-
-
-def lognormal_with_mean(
-    rng: np.random.Generator, mean: float, cv: float, size: Optional[int] = None
-):
-    """Draw lognormal samples with arithmetic mean ``mean`` and coefficient of
-    variation ``cv`` (std/mean).
-
-    SSD service times are well modelled as lognormal: most completions sit
-    near the mode with a long right tail — exactly the behaviour the paper's
-    p99.99 tail-latency studies depend on.
-    """
-    if mean <= 0:
-        raise ValueError("mean must be positive")
-    if cv < 0:
-        raise ValueError("cv must be non-negative")
-    if cv == 0:
-        if size is None:
-            return mean
-        return np.full(size, mean)
-    sigma2 = np.log(1.0 + cv * cv)
-    mu = np.log(mean) - sigma2 / 2.0
-    return rng.lognormal(mean=mu, sigma=np.sqrt(sigma2), size=size)

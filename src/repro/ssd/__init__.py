@@ -10,7 +10,6 @@ from .latency import (
     OP_READ,
     OP_WRITE,
     SsdProfile,
-    profile_for_network,
 )
 from .queues import (
     CompletionQueue,
@@ -42,5 +41,4 @@ __all__ = [
     "STATUS_LBA_OUT_OF_RANGE",
     "STATUS_SUCCESS",
     "SubmissionQueue",
-    "profile_for_network",
 ]

@@ -32,9 +32,9 @@ def _lognorm_params(mean: float, cv: float):
     """Precompute the (mu, sigma) of a lognormal with arithmetic mean
     ``mean`` and coefficient of variation ``cv``; None for a degenerate cv.
 
-    Uses the same ``np.log``/``np.sqrt`` expressions as
-    :func:`repro.simcore.rng.lognormal_with_mean`, so a draw made with the
-    cached parameters is bit-identical to one that recomputes them.
+    The parameters are computed with ``np.log``/``np.sqrt``, not ``math``:
+    the two can differ in the last bit, and every service-time draw, and so
+    every golden digest, depends on these exact values.
     """
     if cv == 0:
         return None
@@ -151,8 +151,3 @@ CHAMELEON_SSD = SsdProfile(
     write_mean_us=25.5,
     capacity_bytes=3200 * 1000 * 1000 * 1000,
 )
-
-
-def profile_for_network(rate_gbps: float) -> SsdProfile:
-    """The testbed pairing from Table I: 100 Gbps -> CloudLab, else Chameleon."""
-    return CLOUDLAB_SSD if rate_gbps >= 100 else CHAMELEON_SSD

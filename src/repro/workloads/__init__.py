@@ -11,7 +11,7 @@ from .mixes import (
 from .patterns import AddressPattern, RANDOM, SEQUENTIAL
 from .perf import READ, RW50, WRITE, PerfConfig, PerfGenerator
 from .phased import DEFAULT_PHASES, PhaseResult, PhaseSpec, PhasedGenerator
-from .replay import TraceRecordEntry, TraceReplayer, load_trace, save_trace, synthesize_trace
+from .replay import TraceRecordEntry, TraceReplayer, synthesize_trace
 
 __all__ = [
     "AddressPattern",
@@ -32,9 +32,7 @@ __all__ = [
     "TraceRecordEntry",
     "TraceReplayer",
     "WRITE",
-    "load_trace",
     "parse_ratio",
-    "save_trace",
     "synthesize_trace",
     "tenants_for_ratio",
 ]

@@ -1,28 +1,17 @@
 """Trace-driven workload replay.
 
 Production storage studies replay captured block traces.  This module
-reads a simple CSV trace format and replays it **open-loop** (requests are
+replays a list of :class:`TraceRecordEntry` **open-loop** (requests are
 issued at their recorded timestamps, regardless of completions — the
 standard method for measuring how a system copes with a fixed offered
 load, as opposed to the closed-loop perf generator).
-
-Trace format (header required, extra columns ignored)::
-
-    time_us,op,slba,nlb,priority
-    0.0,read,128,1,latency
-    12.5,write,4096,8,throughput
-
-``priority`` is optional (default throughput).  :func:`synthesize_trace`
-generates Poisson-arrival traces for tests and examples, so the replay
-path is usable without shipping trace files.
+:func:`synthesize_trace` generates the Poisson-arrival traces it replays.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -53,50 +42,6 @@ class TraceRecordEntry:
             raise WorkloadError(f"unknown op {self.op!r} in trace")
         if self.nlb < 1 or self.slba < 0:
             raise WorkloadError("invalid LBA range in trace")
-
-
-def load_trace(path: Union[str, Path]) -> List[TraceRecordEntry]:
-    """Parse a CSV trace file (see the module docstring for the format)."""
-    entries: List[TraceRecordEntry] = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"time_us", "op", "slba", "nlb"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise WorkloadError(
-                f"trace needs columns {sorted(required)}; got {reader.fieldnames}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                entries.append(
-                    TraceRecordEntry(
-                        time_us=float(row["time_us"]),
-                        op=row["op"].strip(),
-                        slba=int(row["slba"]),
-                        nlb=int(row["nlb"]),
-                        priority=Priority.parse(row.get("priority") or "throughput"),
-                    )
-                )
-            except (ValueError, KeyError) as exc:
-                raise WorkloadError(f"bad trace row at line {line_no}: {exc}") from exc
-    if not entries:
-        raise WorkloadError(f"empty trace: {path}")
-    if any(b.time_us < a.time_us for a, b in zip(entries, entries[1:])):
-        raise WorkloadError("trace timestamps must be non-decreasing")
-    return entries
-
-
-def save_trace(path: Union[str, Path], entries: Iterable[TraceRecordEntry]) -> Path:
-    """Write entries back out in the canonical CSV format."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_us", "op", "slba", "nlb", "priority"])
-        for entry in entries:
-            writer.writerow(
-                [entry.time_us, entry.op, entry.slba, entry.nlb, entry.priority.value]
-            )
-    return path
 
 
 def synthesize_trace(

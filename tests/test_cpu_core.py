@@ -55,13 +55,10 @@ def test_core_serializes_fifo():
     core = CpuCore(env)
     finish_times = []
 
-    def waiter(env, cost):
-        yield core.execute(cost)
+    def record(_):
         finish_times.append(env.now)
 
-    env.process(waiter(env, 2.0))
-    env.process(waiter(env, 3.0))
-    env.process(waiter(env, 1.0))
+    assert [core.run_later(cost, record) for cost in (2.0, 3.0, 1.0)] == [2.0, 5.0, 6.0]
     env.run()
     assert finish_times == [pytest.approx(2.0), pytest.approx(5.0), pytest.approx(6.0)]
 
@@ -69,33 +66,24 @@ def test_core_serializes_fifo():
 def test_core_idle_gap_then_work():
     env = Environment()
     core = CpuCore(env)
+    finished = []
 
-    def proc(env):
-        yield core.execute(1.0)
-        yield env.timeout(10.0)  # idle gap
-        yield core.execute(1.0)
-        return env.now
+    def record(_):
+        finished.append(env.now)
 
-    p = env.process(proc(env))
+    core.run_later(1.0, record)
     env.run()
-    assert p.value == pytest.approx(12.0)
+    env.call_later(10.0, lambda _: core.run_later(1.0, record))  # idle gap
+    env.run()
+    assert finished == [pytest.approx(1.0), pytest.approx(12.0)]
 
 
 def test_core_zero_cost_preserves_order():
     env = Environment()
     core = CpuCore(env)
     order = []
-
-    def a(env):
-        yield core.execute(5.0)
-        order.append("a")
-
-    def b(env):
-        yield core.execute(0.0)
-        order.append("b")
-
-    env.process(a(env))
-    env.process(b(env))
+    core.run_later(5.0, order.append, "a")
+    core.run_later(0.0, order.append, "b")
     env.run()
     assert order == ["a", "b"]
 
@@ -104,7 +92,7 @@ def test_core_negative_cost_rejected():
     env = Environment()
     core = CpuCore(env)
     with pytest.raises(SimulationError):
-        core.execute(-1.0)
+        core.run_later(-1.0, print)
     with pytest.raises(SimulationError):
         core.charge(-1.0)
 
@@ -121,13 +109,9 @@ def test_core_charge_advances_availability():
 def test_core_utilization():
     env = Environment()
     core = CpuCore(env)
-
-    def proc(env):
-        yield core.execute(5.0)
-        yield env.timeout(5.0)
-
-    env.process(proc(env))
+    core.run_later(5.0, lambda _: env.call_later(5.0, lambda _: None))
     env.run()
+    assert env.now == pytest.approx(10.0)
     assert core.utilization() == pytest.approx(0.5)
 
 

@@ -31,13 +31,11 @@ def test_fig7_format_contains_all_cells():
 
 
 def test_fig8_format_and_gain_helper():
-    from repro.experiments import curve_gain_at_max_scale, format_fig8, run_fig8
+    from repro.experiments import format_fig8, run_fig8
 
     curves = run_fig8(mixes=("read",), patterns=(2,), pairs_range=[1, 2], total_ops=60)
     text = format_fig8(curves)
-    assert "panel" in text
-    gain = curve_gain_at_max_scale(curves, "d")
-    assert isinstance(gain, float)
+    assert "panel" in text and "+%" in text
 
 
 def test_fig9_format():

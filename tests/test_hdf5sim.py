@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError, Hdf5Error
-from repro.hdf5sim import Communicator, Dataset, H5File, METADATA_BLOCKS, SimRank, spawn_ranks
+from repro.hdf5sim import Communicator, Dataset, H5File, METADATA_BLOCKS, SimRank
 from repro.simcore import Environment
 
 
@@ -136,7 +136,8 @@ def test_spawn_ranks():
         yield rank_obj.comm.barrier()
         return rank_obj.rank
 
-    ranks = spawn_ranks(env, 4, body)
+    comm = Communicator(env, 4)
+    ranks = [SimRank(env, rank, comm, body) for rank in range(4)]
     env.run()
     assert [r.done.value for r in ranks] == [0, 1, 2, 3]
 

@@ -49,8 +49,8 @@ def test_latency_distribution_summary():
     dist.extend([1.0, 2.0, 3.0, 4.0, 100.0])
     assert dist.mean() == pytest.approx(22.0)
     assert dist.max() == 100.0
-    assert dist.p50() == 3.0
-    assert dist.tail() >= dist.p99() >= dist.p50()
+    assert dist.percentile(50.0) == 3.0
+    assert dist.tail() >= dist.percentile(99.0) >= dist.percentile(50.0)
     assert len(dist) == 5
 
 

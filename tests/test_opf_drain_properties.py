@@ -26,7 +26,7 @@ from repro.core.flags import Priority, unpack_flags
 from repro.core.priority_manager import InitiatorPriorityManager, TargetPriorityManager
 from repro.core.window import DrainWatchdog
 from repro.errors import ConfigError, ProtocolError
-from repro.metrics.report import FairnessIndex, jain_fairness
+from repro.metrics.report import jain_fairness
 from repro.nvmeof.capsule import Sqe
 from repro.nvmeof.pdu import CapsuleCmdPdu, IcReqPdu
 from repro.simcore.engine import Environment
@@ -381,15 +381,6 @@ class TestFairness:
     def test_empty_and_zero_are_fair_by_convention(self):
         assert jain_fairness([]) == 1.0
         assert jain_fairness([0.0, 0.0]) == 1.0
-
-    def test_accumulator_matches_function(self):
-        fi = FairnessIndex()
-        for v in (1.0, 2.0, 3.0):
-            fi.add(v)
-        assert len(fi) == 3
-        assert fi.index == pytest.approx(jain_fairness([1.0, 2.0, 3.0]))
-        with pytest.raises(ValueError):
-            fi.add(-1.0)
 
 
 # -- the property: randomized chaos interleavings ------------------------------------

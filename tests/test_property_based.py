@@ -10,7 +10,8 @@ from repro.metrics.percentile import P2Quantile, exact_percentile
 from repro.nvmeof.capsule import Cqe, OPCODE_FLUSH, OPCODE_READ, OPCODE_WRITE, Sqe
 from repro.nvmeof.pdu import C2HDataPdu, CapsuleCmdPdu, CapsuleRespPdu, decode_pdu
 from repro.simcore import Environment
-from repro.simcore.rng import RandomStreams, lognormal_with_mean
+from repro.simcore.rng import RandomStreams
+from repro.ssd.latency import OP_READ, SsdProfile
 
 # ------------------------------------------------------------ capsule codec ----
 
@@ -153,10 +154,9 @@ def test_exact_percentile_monotone_in_q(samples):
 @settings(max_examples=25)
 def test_lognormal_with_mean_hits_requested_mean(mean, cv):
     rng = RandomStreams(7).stream("x")
-    samples = lognormal_with_mean(rng, mean, cv, size=4000)
-    import numpy as np
-
-    got = float(np.mean(samples))
+    profile = SsdProfile(read_mean_us=mean, read_cv=cv)
+    samples = [profile.service_time(rng, OP_READ, 4096) for _ in range(4000)]
+    got = sum(samples) / len(samples)
     tolerance = 0.15 * mean if cv > 0 else 1e-9
     assert abs(got - mean) <= max(tolerance, 0.15 * mean * cv + 1e-9)
 

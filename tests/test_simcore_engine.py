@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simcore import Environment, Interrupt
+from repro.simcore import Environment
 from repro.simcore.events import URGENT
 
 
@@ -252,71 +252,6 @@ def test_yield_non_event_fails_process():
     with pytest.raises(SimulationError, match="non-event"):
         env.run()
     assert not p.ok
-
-
-def test_interrupt_wakes_process_with_cause():
-    env = Environment()
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as exc:
-            return ("interrupted", exc.cause, env.now)
-
-    def interrupter(env, victim):
-        yield env.timeout(3.0)
-        victim.interrupt("reason")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert victim.value == ("interrupted", "reason", 3.0)
-
-
-def test_interrupting_finished_process_raises():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-def test_self_interrupt_rejected():
-    env = Environment()
-
-    def proc(env):
-        with pytest.raises(SimulationError):
-            env.active_process.interrupt()
-        yield env.timeout(1.0)
-
-    env.process(proc(env))
-    env.run()
-
-
-def test_interrupted_process_can_continue_waiting():
-    env = Environment()
-
-    def sleeper(env):
-        start = env.now
-        try:
-            yield env.timeout(100.0)
-        except Interrupt:
-            pass
-        yield env.timeout(10.0)
-        return env.now - start
-
-    def interrupter(env, victim):
-        yield env.timeout(5.0)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert victim.value == 15.0  # 5 (interrupted) + 10
 
 
 def test_len_counts_queued_entries():

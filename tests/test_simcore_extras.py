@@ -1,11 +1,9 @@
-"""Tests for tracing, sampling monitors, RNG streams, and units."""
+"""Tests for tracing, RNG streams, and units."""
 
-import numpy as np
 import pytest
 
 from repro import units
-from repro.simcore import Environment, RandomStreams, Sampler, Tracer
-from repro.simcore.rng import lognormal_with_mean
+from repro.simcore import RandomStreams, Tracer
 from repro.simcore.trace import NULL_TRACER, TraceRecord
 
 
@@ -56,45 +54,6 @@ def test_null_tracer_is_noop():
     assert NULL_TRACER.records == []
 
 
-# ----------------------------------------------------------------- sampler ----
-def test_sampler_collects_at_interval():
-    env = Environment()
-    state = {"v": 0}
-
-    def bump(env):
-        while True:
-            yield env.timeout(1.0)
-            state["v"] += 1
-
-    env.process(bump(env))
-    sampler = Sampler(env, probe=lambda: state["v"], interval=2.0)
-    env.run(until=10.0)
-    assert len(sampler.samples) == 5  # t=0,2,4,6,8
-    assert sampler.times == [0.0, 2.0, 4.0, 6.0, 8.0]
-    assert sampler.values[0] == 0
-    assert sampler.mean() >= 0
-
-
-def test_sampler_stop():
-    env = Environment()
-    sampler = Sampler(env, probe=lambda: 1, interval=1.0)
-
-    def stopper(env):
-        yield env.timeout(3.5)
-        sampler.stop()
-        sampler.stop()  # idempotent
-
-    env.process(stopper(env))
-    env.run()
-    assert len(sampler.samples) == 4
-
-
-def test_sampler_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Sampler(env, probe=lambda: 0, interval=0.0)
-
-
 # --------------------------------------------------------------------- rng ----
 def test_streams_are_independent():
     streams = RandomStreams(9)
@@ -114,21 +73,6 @@ def test_scoped_streams_prefix():
     assert direct == via_scope
     nested = streams2.spawn("node").spawn("dev").stream("x")
     assert nested is streams2.stream("node/dev/x")
-
-
-def test_lognormal_zero_cv_is_deterministic():
-    rng = np.random.default_rng(0)
-    assert lognormal_with_mean(rng, 10.0, 0.0) == 10.0
-    arr = lognormal_with_mean(rng, 10.0, 0.0, size=5)
-    assert np.all(arr == 10.0)
-
-
-def test_lognormal_validation():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        lognormal_with_mean(rng, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        lognormal_with_mean(rng, 1.0, -0.5)
 
 
 # ------------------------------------------------------------------- units ----

@@ -1,15 +1,12 @@
-"""Coverage for ``simcore/monitor.py`` and ``simcore/trace.py``.
+"""Coverage for ``simcore/trace.py``.
 
 Pins the contracts the hot paths rely on: the Tracer's enabled/disabled
 pre-check and exactly-once lazy-thunk evaluation, the per-record limit,
-sink fan-out ordering, and the Sampler's cadence/stop/aggregation
-behaviour.
+and sink fan-out ordering.
 """
 
 import pytest
 
-from repro.simcore import Environment
-from repro.simcore.monitor import Sampler
 from repro.simcore.trace import NULL_TRACER, TraceRecord, Tracer
 
 
@@ -113,52 +110,3 @@ def test_trace_record_is_frozen():
     r = TraceRecord(1.0, "s", "k", "p")
     with pytest.raises(AttributeError):
         r.time = 2.0
-
-
-# ---------------------------------------------------------------------------
-# Sampler
-# ---------------------------------------------------------------------------
-
-
-def test_sampler_rejects_nonpositive_interval():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Sampler(env, lambda: 0, interval=0.0)
-    with pytest.raises(ValueError):
-        Sampler(env, lambda: 0, interval=-1.0)
-
-
-def test_sampler_records_probe_at_fixed_cadence():
-    env = Environment()
-    clock = []
-    s = Sampler(env, lambda: len(clock), interval=10.0, name="probe")
-    env.call_later(5.0, lambda _: clock.append(1), None)
-    env.call_later(15.0, lambda _: clock.append(1), None)
-    env.run(until=35.0)
-    assert s.times == [0.0, 10.0, 20.0, 30.0]
-    assert s.values == [0, 1, 2, 2]
-
-
-def test_sampler_stop_is_idempotent_and_halts_sampling():
-    env = Environment()
-    s = Sampler(env, lambda: 1, interval=1.0)
-    env.run(until=3.5)
-    assert len(s.samples) == 4  # t=0,1,2,3
-    s.stop()
-    s.stop()  # safe to call twice
-    env.run(until=10.0)
-    assert len(s.samples) == 4  # no further samples after stop
-
-
-def test_sampler_mean_over_numeric_samples():
-    env = Environment()
-    values = iter([1.0, 2.0, 3.0, 4.0])
-    s = Sampler(env, lambda: next(values), interval=1.0)
-    env.run(until=3.5)
-    assert s.mean() == pytest.approx(2.5)
-
-
-def test_sampler_mean_empty_is_zero():
-    env = Environment()
-    s = Sampler(env, lambda: 1.0, interval=1.0)
-    assert s.mean() == 0.0  # nothing sampled before the run starts

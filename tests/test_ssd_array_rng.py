@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.simcore import Environment
-from repro.simcore.rng import NormalBuffer, RandomStreams, lognormal_with_mean
+from repro.simcore.rng import NormalBuffer, RandomStreams
 from repro.ssd.device import NvmeSsd
 from repro.ssd.latency import (
     CLOUDLAB_SSD,
@@ -46,22 +46,6 @@ def test_buffered_standard_normal_bit_identical_to_scalar():
     buffered = NormalBuffer(np.random.default_rng(42), batch=3)
     for _ in range(20):
         assert float(scalar.standard_normal()) == float(buffered.standard_normal())
-
-
-def test_lognormal_with_mean_polymorphic_over_buffer():
-    """The shared helper draws identically through either rng flavour,
-    including the cv=0 branch that must consume no randomness."""
-    scalar = np.random.default_rng(9)
-    buffered = NormalBuffer(np.random.default_rng(9), batch=4)
-    for i in range(50):
-        mean, cv = (25.0, 0.25) if i % 3 else (25.5, 0.35)
-        assert float(lognormal_with_mean(scalar, mean, cv)) == float(
-            lognormal_with_mean(buffered, mean, cv)
-        )
-        if i % 7 == 0:
-            # cv=0 short-circuits before any draw on both paths.
-            assert lognormal_with_mean(scalar, 10.0, 0.0) == 10.0
-            assert lognormal_with_mean(buffered, 10.0, 0.0) == 10.0
 
 
 def test_buffered_lognormal_size_path_matches_scalar_loop():
@@ -103,6 +87,16 @@ def test_flush_consumes_no_draws_through_buffer():
     before = (buffered._pos, buffered._n)
     assert profile.service_time(buffered, OP_FLUSH, 0) == profile.flush_us
     assert (buffered._pos, buffered._n) == before
+
+
+def test_zero_cv_read_is_the_mean_and_consumes_no_draws():
+    profile = SsdProfile(read_mean_us=10.0, read_cv=0.0)
+    scalar = np.random.default_rng(5)
+    buffered = NormalBuffer(np.random.default_rng(5), batch=8)
+    for rng in (scalar, buffered):
+        assert [profile.service_time(rng, OP_READ, 4096) for _ in range(3)] == [10.0] * 3
+    assert (buffered._pos, buffered._n) == (0, 0)
+    assert scalar.random() == np.random.default_rng(5).random()
 
 
 # ---------------------------------------------------------------------------

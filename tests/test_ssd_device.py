@@ -262,6 +262,13 @@ def test_iops_ceiling_matches_profile():
     assert profile.write_iops_ceiling() == pytest.approx(320_000)
 
 
+def test_profile_refuses_bad_service_parameters():
+    for bad in ({"read_mean_us": -1.0}, {"write_mean_us": 0.0}, {"read_cv": -0.5},
+                {"write_cv": -0.1}):
+        with pytest.raises(ConfigError):
+            SsdProfile(**bad)
+
+
 def test_device_sustains_near_ceiling_throughput():
     env = Environment()
     ssd = make_ssd(env, channels=4, read_mean_us=10.0, read_cv=0.2)

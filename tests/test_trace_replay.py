@@ -1,4 +1,4 @@
-"""Tests for trace synthesis, (de)serialisation, and open-loop replay."""
+"""Tests for trace synthesis and open-loop replay."""
 
 import pytest
 
@@ -7,13 +7,7 @@ from repro.core.flags import Priority
 from repro.errors import WorkloadError
 from repro.net import Fabric
 from repro.simcore import Environment, RandomStreams
-from repro.workloads import (
-    TraceRecordEntry,
-    TraceReplayer,
-    load_trace,
-    save_trace,
-    synthesize_trace,
-)
+from repro.workloads import TraceRecordEntry, TraceReplayer, synthesize_trace
 
 
 def make_rig(protocol="nvme-opf", queue_depth=64):
@@ -48,34 +42,6 @@ def test_synthesize_validation():
         synthesize_trace(rng, duration_us=0, iops=100)
     with pytest.raises(WorkloadError):
         synthesize_trace(rng, duration_us=100, iops=100, read_fraction=2.0)
-
-
-# --------------------------------------------------------------- file I/O ----
-def test_save_and_load_roundtrip(tmp_path):
-    rng = RandomStreams(2).stream("trace")
-    trace = synthesize_trace(rng, duration_us=5_000, iops=10_000)
-    path = save_trace(tmp_path / "t.csv", trace)
-    back = load_trace(path)
-    assert back == trace
-
-
-def test_load_trace_validation(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("nope\n1\n")
-    with pytest.raises(WorkloadError):
-        load_trace(bad)
-    empty = tmp_path / "empty.csv"
-    empty.write_text("time_us,op,slba,nlb\n")
-    with pytest.raises(WorkloadError):
-        load_trace(empty)
-    unordered = tmp_path / "unordered.csv"
-    unordered.write_text("time_us,op,slba,nlb\n5,read,0,1\n1,read,0,1\n")
-    with pytest.raises(WorkloadError):
-        load_trace(unordered)
-    badrow = tmp_path / "badrow.csv"
-    badrow.write_text("time_us,op,slba,nlb\nxx,read,0,1\n")
-    with pytest.raises(WorkloadError):
-        load_trace(badrow)
 
 
 def test_trace_entry_validation():
@@ -136,25 +102,3 @@ def test_replay_validation():
     env, initiator = make_rig()
     with pytest.raises(WorkloadError):
         TraceReplayer(env, initiator, [])
-
-
-# --------------------------------------------------------- CDF reporting ----
-def test_cdf_points_and_histogram():
-    from repro.metrics import LatencyDistribution
-
-    dist = LatencyDistribution()
-    dist.extend(float(x) for x in range(1, 101))
-    points = dist.cdf_points(n_points=5)
-    assert points[0][1] == 0.0 and points[-1][1] == 1.0
-    values = [v for v, _f in points]
-    assert values == sorted(values)
-    assert points[-1][0] == 100.0
-    text = dist.histogram_ascii(bins=5)
-    assert text.count("\n") == 4
-    assert "#" in text
-    from repro.errors import ConfigError
-
-    with pytest.raises(ConfigError):
-        LatencyDistribution().cdf_points()
-    with pytest.raises(ConfigError):
-        dist.cdf_points(n_points=1)

@@ -5,9 +5,12 @@ the code around it.  This test collects every function, method, property
 and class that ``src/repro`` defines and fails on any whose name appears
 nowhere in ``src``, ``benchmarks``, ``examples`` or ``layerbench`` as a
 name, an attribute, an imported name or a string constant (string
-constants cover ``__all__`` and ``getattr``).  The match is by name alone,
-so a dead method that shares its name with a live one passes: the scan
-can miss dead code, but it never flags code that runs.
+constants cover ``getattr`` keys).  Inside ``src/repro`` a re-export is not
+a caller: an import alias and the strings of an ``__all__`` assignment do
+not count there, so a name a package only re-exports is flagged.  Imports
+in ``benchmarks``, ``examples`` and ``layerbench`` still count.  The match
+is by name alone, so a dead method that shares its name with a live one
+passes: the scan can miss dead code, but it never flags code that runs.
 
 Dunder methods (the interpreter calls them) and ``do_*`` methods
 (``BaseHTTPRequestHandler`` dispatches HTTP verbs to them) are exempt by
@@ -40,18 +43,17 @@ TEST_ONLY = {
     "buffer_level": "FTL write-buffer level the FTL drain tests assert on",
     "bytes_per_us_to_gbps": "inverse of gbps_to_bytes_per_us; the units test round-trips both",
     "cancel": "StoreGet withdrawal the resource tests pin",
-    "cdf_points": "latency CDF rendering the trace-replay tests check",
     "connected": "initiator connection state the runtime and recovery tests assert on",
     "cwnd": "TCP congestion window the transport tests assert on",
-    "execute": "Event form of CpuCore.run_later; the CPU-core tests pin FIFO order through it",
-    "histogram_ascii": "latency histogram rendering the trace-replay tests check",
+    "DeviceErrorInjector": "test fake that fails every Nth command at the SSD controller",
+    "fault_matrix_units": "fault-matrix campaign the pool differential tests run",
     "lookup": "discovery query the subsystem tests check",
     "metadata_lbas": "H5File layout the hdf5sim tests check",
     "outstanding_drains": "drain bookkeeping the drain-property tests assert on",
-    "p50": "latency quantile the metrics tests check",
     "p99_estimate": "P2 tail estimate the telemetry tests compare to exact quantiles",
     "pdus_received": "transport counter the subsystem tests check",
     "pdus_sent": "transport counter the subsystem tests check",
+    "program_units": "scenario-program campaign the pool differential and worker golden-pin tests run",
     "raise_for_status": "typed error of a failed request; the recovery tests pin the mapping",
     "read_iops_ceiling": "profile ceiling the device throughput tests compare to",
     "reap": "host reap of an unpolled CQE; the SSD ring tests use it",
@@ -61,14 +63,12 @@ TEST_ONLY = {
     "send_backlog": "socket send backlog the transport tests assert on",
     "service_time": "reference draw the controller's inlined service time is compared to",
     "spawn": "scoped RNG streams whose derivation the RNG tests pin",
-    "stalled_requests": "ablation live-lock indicator the integration test asserts is zero",
     "subsystems": "discovery listing the subsystem tests check",
     "summary_lines": "QoS report text the QoS tests check",
     "tap": "telemetry completion hook the QoS tests feed directly",
     "target_per_request_baseline": "cost-model total the CPU tests check against calibration",
     "target_per_request_coalesced": "cost-model total the CPU tests check against calibration",
     "tenant_report": "per-tenant coalescing stats the reporting tests check",
-    "times": "sampler timestamps the monitor tests check",
     "total_queued": "tenant-registry total the priority-manager tests assert on",
     "total_space_bytes": "tenant-registry footprint the priority-manager tests assert on",
     "trigger": "event chaining the engine tests pin",
@@ -101,15 +101,32 @@ def _defined():
     return out
 
 
+def _exports(tree):
+    """The nodes of the module's ``__all__`` assignments."""
+    return {
+        part
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for part in ast.walk(node.value)
+    }
+
+
 def _referenced(dirs):
     names = set()
-    for _path, tree in _trees(dirs):
+    for path, tree in _trees(dirs):
+        in_library = path.is_relative_to(ROOT / LIBRARY)
+        skipped = _exports(tree) if in_library else set()
         for node in ast.walk(tree):
+            if node in skipped:
+                continue
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
             elif isinstance(node, ast.alias):
+                if in_library:
+                    continue
                 names.update(node.name.split("."))
                 if node.asname:
                     names.add(node.asname)
