@@ -24,7 +24,7 @@ from typing import Any, Optional
 from ..net.tcp import _RestartableTimer
 from ..nvmeof.capsule import Sqe
 from ..nvmeof.initiator import NvmeOfInitiator
-from ..nvmeof.pdu import CapsuleRespPdu, IcReqPdu
+from ..nvmeof.pdu import CapsuleCmdPdu, CapsuleRespPdu, IcReqPdu
 from ..nvmeof.qpair import IoRequest
 from ..ssd.latency import OP_FLUSH
 from .flags import Priority
@@ -199,10 +199,7 @@ class OpfInitiator(NvmeOfInitiator):
         self.stats.submitted += 1
         sqe = Sqe.for_io(OP_FLUSH, cid=request.cid)
         self.pm.force_drain_flags(sqe, self.tenant_id, forced=forced)
-        from ..nvmeof.pdu import CapsuleCmdPdu
-
-        pdu = CapsuleCmdPdu(sqe=sqe, data_len=0)
-        self.core.run_later(self.costs.pdu_tx, self._tx, pdu)
+        self.core.run_later(self.costs.pdu_tx, self._tx, CapsuleCmdPdu(sqe))
         if self.retry_policy is not None:
             # Markers are commands too: give them the per-command watchdog
             # (a lost marker is retried like any other send) and a drain

@@ -6,12 +6,22 @@ Records are retained and filtered lazily against the measurement window
 (``start_measuring``/``stop_measuring``), so a window chosen badly (e.g. a
 warmup longer than the whole run) can be repaired after the fact with
 :meth:`ensure_window` instead of silently producing nonsense rates.
+
+Each initiator's records are kept in two flat arrays that hold no Python
+objects, so the garbage collector never tracks or scans them: an
+``array('d')`` of ``(completed_at, latency)`` pairs and an ``array('q')``
+of ``(nbytes, op, status)`` triples, record *i* at ``[2i:2i+2]`` and
+``[3i:3i+3]``.  That is 40 bytes per completed request.  Every query
+reads the records in the order they were recorded, so each sum,
+percentile and digest sees the same floats in the same order as a list of
+record objects would give it.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..core.flags import Priority
 from ..errors import ProtocolError
@@ -23,18 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..nvmeof.qpair import IoRequest
     from ..simcore.engine import Environment
 
-
-class _Record:
-    """One completed request, reduced to what aggregation needs."""
-
-    __slots__ = ("completed_at", "latency", "nbytes", "op", "status")
-
-    def __init__(self, completed_at: float, latency: float, nbytes: int, op: str, status: int) -> None:
-        self.completed_at = completed_at
-        self.latency = latency
-        self.nbytes = nbytes
-        self.op = op
-        self.status = status
+#: Codes of the op column (any other op is stored as 0).
+_READ = 1
+_WRITE = 2
 
 
 @dataclass
@@ -62,7 +63,8 @@ class Collector:
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
-        self._records: Dict[str, List[_Record]] = {}
+        #: initiator name -> (float column, int column); see the module doc.
+        self._records: Dict[str, Tuple[array, array]] = {}
         self._priorities: Dict[str, Priority] = {}
         self._measure_from: float = 0.0
         self._measure_until: Optional[float] = None
@@ -91,10 +93,11 @@ class Collector:
         Returns True when the window had to be repaired — e.g. a warmup
         boundary that landed after the workload already finished.
         """
-        if any(
-            self._in_window(r) for records in self._records.values() for r in records
-        ):
-            return False
+        start, end = self._measure_from, self._measure_until
+        for times, _ints in self._records.values():
+            for at in times[::2]:
+                if not (at < start or (end is not None and at > end)):
+                    return False
         self._measure_from = fallback_start
         return True
 
@@ -103,32 +106,25 @@ class Collector:
         end = self._measure_until if self._measure_until is not None else self.env.now
         return max(0.0, end - self._measure_from)
 
-    def _in_window(self, record: _Record) -> bool:
-        if record.completed_at < self._measure_from:
-            return False
-        if self._measure_until is not None and record.completed_at > self._measure_until:
-            return False
-        return True
-
     # -- recording ------------------------------------------------------------------
     def record(self, initiator_name: str, request: "IoRequest") -> None:
         """Record one completed request (called by the initiator runtime)."""
         self.total_recorded += 1
-        records = self._records.get(initiator_name)
-        if records is None:
-            # First record from this initiator: register its list and pin
-            # its priority (record() is the only writer of either dict).
-            records = self._records[initiator_name] = []
+        columns = self._records.get(initiator_name)
+        if columns is None:
+            # First record from this initiator: register its columns and
+            # pin its priority (record() is the only writer of either dict).
+            columns = self._records[initiator_name] = (array("d"), array("q"))
             self._priorities.setdefault(initiator_name, request.priority)
         completed_at = request.completed_at
         if completed_at is None:
             raise ProtocolError(f"request cid={request.cid} not yet complete")
-        records.append(
-            _Record(
-                completed_at,
-                completed_at - request.submitted_at,  # IoRequest.latency
+        op = request.op
+        columns[0].extend((completed_at, completed_at - request.submitted_at))  # IoRequest.latency
+        columns[1].extend(
+            (
                 request.nbytes,
-                request.op,
+                _READ if op == "read" else _WRITE if op == "write" else 0,
                 request.status or 0,
             )
         )
@@ -138,21 +134,26 @@ class Collector:
         summary = InitiatorSummary(
             name=initiator_name, priority=self._priorities.get(initiator_name)
         )
+        columns = self._records.get(initiator_name)
+        if columns is None:
+            return summary
+        times, ints = columns
         start, end = self._measure_from, self._measure_until
-        for record in self._records.get(initiator_name, []):
-            # _in_window, inlined: this loop visits every record of a run.
-            at = record.completed_at
+        for at, latency, nbytes, op, status in zip(
+            times[::2], times[1::2], ints[::3], ints[1::3], ints[2::3]
+        ):
+            # The window test, inlined: this loop visits every record of a run.
             if at < start or (end is not None and at > end):
                 continue
             summary.requests += 1
-            summary.bytes_moved += record.nbytes
-            if record.op == "read":
+            summary.bytes_moved += nbytes
+            if op == _READ:
                 summary.reads += 1
-            elif record.op == "write":
+            elif op == _WRITE:
                 summary.writes += 1
-            if record.status != 0:
+            if status != 0:
                 summary.failed += 1
-            summary.latency.add(record.latency)
+            summary.latency.add(latency)
         return summary
 
     def summaries(self) -> Dict[str, InitiatorSummary]:
@@ -187,10 +188,14 @@ class Collector:
     def combined_latency(self, priority: Optional[Priority] = None) -> LatencyDistribution:
         """Pooled latency distribution across matching initiators."""
         pooled = LatencyDistribution()
+        start, end = self._measure_from, self._measure_until
         for name in sorted(self._records):  # canonical order; see summaries()
             if priority is not None and self._priorities.get(name) is not priority:
                 continue
+            times = self._records[name][0]
             pooled.extend(
-                r.latency for r in self._records[name] if self._in_window(r)
+                latency
+                for at, latency in zip(times[::2], times[1::2])
+                if not (at < start or (end is not None and at > end))
             )
         return pooled

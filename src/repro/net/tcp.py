@@ -217,7 +217,12 @@ class TcpSocket:
         # segment framing is a bisect slice and the ACK prune is a bisect
         # head advance — O(log n + k) per segment instead of the old
         # deque-of-tuples linear scan.  ``_msg_head`` is the consumed
-        # (acked) prefix; storage compacts lazily once the prefix dominates.
+        # (acked) prefix.  An ACK of every queued byte empties the arrays;
+        # any other ACK deletes the prefix once it holds 64 messages and
+        # at least half the arrays.  After each ACK, then, a socket keeps
+        # its unacked messages and fewer than max(64, unacked) acked ones
+        # alive, never the run's history, and each message is deleted
+        # once (amortized O(1)).
         self._msg_ends: List[int] = []
         self._msg_payloads: List[Any] = []
         self._msg_head = 0
@@ -383,16 +388,22 @@ class TcpSocket:
                 # the recovery efficiency SACK gives real Linux TCP.
                 self._snd_nxt = ackno
             self._dup_acks = 0
-            # Prune acked messages: advance the consumed-prefix index, and
-            # compact storage once the dead prefix is both large and the
-            # majority of the arrays.
-            head = bisect_right(self._msg_ends, ackno, self._msg_head)
-            if head != self._msg_head:
-                self._msg_head = head
-                if head >= 1024 and head * 2 >= len(self._msg_ends):
-                    del self._msg_ends[:head]
-                    del self._msg_payloads[:head]
-                    self._msg_head = 0
+            # Prune acked messages, releasing their payloads: all of them
+            # when everything queued is acked, else advance the consumed
+            # prefix and delete it once it is both 64 messages long and at
+            # least half the arrays.
+            if ackno == self._buffered_end:
+                del self._msg_ends[:]
+                del self._msg_payloads[:]
+                self._msg_head = 0
+            else:
+                head = bisect_right(self._msg_ends, ackno, self._msg_head)
+                if head != self._msg_head:
+                    self._msg_head = head
+                    if head >= 64 and head * 2 >= len(self._msg_ends):
+                        del self._msg_ends[:head]
+                        del self._msg_payloads[:head]
+                        self._msg_head = 0
             # RTT sample (Karn-filtered).
             if self._rtt_seq is not None and ackno >= self._rtt_seq:
                 self._rtt_update(self.env.now - self._rtt_sent)

@@ -41,35 +41,55 @@ OPCODE_READ = 0x02
 
 #: Opcode -> the SSD substrate's mnemonic ('read' / 'write' / 'flush').
 OPCODE_NAMES = {OPCODE_FLUSH: OP_FLUSH, OPCODE_WRITE: OP_WRITE, OPCODE_READ: OP_READ}
-_NAME_TO_OPCODE = {v: k for k, v in OPCODE_NAMES.items()}
+#: The mnemonic -> its opcode (the inverse of :data:`OPCODE_NAMES`).
+OPCODE_BY_NAME = {v: k for k, v in OPCODE_NAMES.items()}
 
 _SQE_PACK = struct.Struct("<BBHIBB6x8x16sQH14x")
 _CQE_PACK = struct.Struct("<I4xHHHH")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Sqe:
-    """One submission queue entry (command capsule payload)."""
+    """One submission queue entry (command capsule payload).
+
+    Built in one frame: ``__init__`` checks every field inline.
+    """
 
     opcode: int
     cid: int
-    nsid: int = 1
-    slba: int = 0
-    nlb: int = 1
-    rsvd_priority: int = 0  # byte 8: oPF priority/draining flag bits
-    rsvd_tenant: int = 0  # byte 9: oPF tenant id
+    nsid: int
+    slba: int
+    nlb: int
+    rsvd_priority: int  # byte 8: oPF priority/draining flag bits
+    rsvd_tenant: int  # byte 9: oPF tenant id
 
-    def __post_init__(self) -> None:
-        if self.opcode not in OPCODE_NAMES:
-            raise ProtocolError(f"unsupported opcode {self.opcode:#x}")
-        if not (0 <= self.cid <= 0xFFFF):
-            raise ProtocolError(f"CID out of range: {self.cid}")
-        if not (0 <= self.rsvd_priority <= 0xFF):
+    def __init__(
+        self,
+        opcode: int,
+        cid: int,
+        nsid: int = 1,
+        slba: int = 0,
+        nlb: int = 1,
+        rsvd_priority: int = 0,
+        rsvd_tenant: int = 0,
+    ) -> None:
+        if opcode not in OPCODE_NAMES:
+            raise ProtocolError(f"unsupported opcode {opcode:#x}")
+        if not (0 <= cid <= 0xFFFF):
+            raise ProtocolError(f"CID out of range: {cid}")
+        if not (0 <= rsvd_priority <= 0xFF):
             raise ProtocolError("priority byte out of range")
-        if not (0 <= self.rsvd_tenant <= 0xFF):
+        if not (0 <= rsvd_tenant <= 0xFF):
             raise ProtocolError("tenant byte out of range")
-        if self.opcode != OPCODE_FLUSH and self.nlb < 1:
+        if opcode != OPCODE_FLUSH and nlb < 1:
             raise ProtocolError("nlb must be >= 1 for I/O commands")
+        self.opcode = opcode
+        self.cid = cid
+        self.nsid = nsid
+        self.slba = slba
+        self.nlb = nlb
+        self.rsvd_priority = rsvd_priority
+        self.rsvd_tenant = rsvd_tenant
 
     @property
     def op_name(self) -> str:
@@ -86,7 +106,7 @@ class Sqe:
         nlb: int = 1,
     ) -> "Sqe":
         try:
-            opcode = _NAME_TO_OPCODE[op_name]
+            opcode = OPCODE_BY_NAME[op_name]
         except KeyError:
             raise ProtocolError(f"unknown op {op_name!r}") from None
         if op_name == OP_FLUSH:
@@ -127,21 +147,31 @@ class Sqe:
         )
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Cqe:
-    """One completion queue entry (response capsule payload)."""
+    """One completion queue entry (response capsule payload).
+
+    Built in one frame: ``__init__`` checks the CID and status inline.
+    """
 
     cid: int
-    status: int = 0
-    sqid: int = 1
-    sqhd: int = 0
-    result: int = 0
+    status: int
+    sqid: int
+    sqhd: int
+    result: int
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.cid <= 0xFFFF):
-            raise ProtocolError(f"CID out of range: {self.cid}")
-        if not (0 <= self.status <= 0xFFFF):
-            raise ProtocolError(f"status out of range: {self.status}")
+    def __init__(
+        self, cid: int, status: int = 0, sqid: int = 1, sqhd: int = 0, result: int = 0
+    ) -> None:
+        if not (0 <= cid <= 0xFFFF):
+            raise ProtocolError(f"CID out of range: {cid}")
+        if not (0 <= status <= 0xFFFF):
+            raise ProtocolError(f"status out of range: {status}")
+        self.cid = cid
+        self.status = status
+        self.sqid = sqid
+        self.sqhd = sqhd
+        self.result = result
 
     @property
     def ok(self) -> bool:

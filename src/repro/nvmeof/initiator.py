@@ -15,10 +15,10 @@ from ..cpu.core import CpuCore
 from ..cpu.costs import CpuCostModel, DEFAULT_COSTS
 from ..errors import ProtocolError
 from ..simcore.events import Event
-from ..ssd.latency import OP_READ, OP_WRITE
+from ..ssd.latency import OP_FLUSH, OP_READ, OP_WRITE
 from ..ssd.queues import STATUS_INTERNAL_ERROR
 from ..units import BLOCK_4K
-from .capsule import Sqe
+from .capsule import OPCODE_BY_NAME, OPCODE_FLUSH, Sqe
 from .pdu import C2HDataPdu, CapsuleCmdPdu, CapsuleRespPdu, IcReqPdu, IcRespPdu
 from .qpair import FabricQpair, IoRequest, STATUS_HOST_TIMEOUT
 
@@ -266,11 +266,13 @@ class NvmeOfInitiator:
             self.stats.deferred_sends += 1
             self._count("recovery/deferred_send")
             return
-        sqe = Sqe.for_io(request.op, request.cid, request.nsid,
-                         request.slba, request.nlb)
+        op = request.op
+        if op == OP_FLUSH:  # no LBA range, as Sqe.for_io builds it
+            sqe = Sqe(OPCODE_FLUSH, request.cid, request.nsid, 0, 1)
+        else:
+            sqe = Sqe(OPCODE_BY_NAME[op], request.cid, request.nsid, request.slba, request.nlb)
         self._fill_reserved(sqe, request)
-        data_len = request.nbytes if request.op == OP_WRITE else 0
-        pdu = CapsuleCmdPdu(sqe, data_len)
+        pdu = CapsuleCmdPdu(sqe, request.nbytes if op == OP_WRITE else 0)
         # Callback fast path: no Event (and no closure) per command send.
         self.core.run_later(self.costs.pdu_tx, self._tx, pdu)
 

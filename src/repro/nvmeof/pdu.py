@@ -5,6 +5,11 @@ by a PDU-specific header and, for data-bearing PDUs, a payload.  Headers are
 encoded to real bytes (roundtrip-tested); bulk data is represented by its
 length only — the simulator is zero-copy, like the runtime it models.
 
+``wire_size`` (the framed message size) is the class's fixed ``HLEN`` for
+the fixed-size PDUs, and a slot set once at construction for the PDUs that
+carry data.  Each PDU is built in one frame: the checks run inline in
+``__init__``.
+
 PDU types implemented (NVMe/TCP transport spec, §3.2):
 
 =====================  ======  =============================================
@@ -22,7 +27,7 @@ C2HData                7       controller-to-host data (read payloads)
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from ..errors import ProtocolError
@@ -65,10 +70,7 @@ class IcReqPdu:
     has_last_retired: bool = False
 
     HLEN = 128  # fixed by spec
-
-    @property
-    def wire_size(self) -> int:
-        return self.HLEN
+    wire_size = HLEN
 
     def encode(self) -> bytes:
         flags = 0x01 if self.has_last_retired else 0
@@ -111,10 +113,7 @@ class IcRespPdu:
     maxh2cdata: int = 131072
 
     HLEN = 128
-
-    @property
-    def wire_size(self) -> int:
-        return self.HLEN
+    wire_size = HLEN
 
     def encode(self) -> bytes:
         body = struct.pack("<HBI", self.pfv, self.cpda, self.maxh2cdata)
@@ -128,22 +127,23 @@ class IcRespPdu:
         return cls(pfv=pfv, cpda=cpda, maxh2cdata=maxh2cdata)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class CapsuleCmdPdu:
     """Command capsule: CH + SQE (+ in-capsule data for writes)."""
 
     sqe: Sqe
-    data_len: int = 0  # in-capsule data (write payload), bytes
+    data_len: int  # in-capsule data (write payload), bytes
+    #: ``HLEN + data_len``, fixed at construction.
+    wire_size: int = field(init=False, repr=False, compare=False)
 
     HLEN = CH_SIZE + SQE_SIZE
 
-    def __post_init__(self) -> None:
-        if self.data_len < 0:
+    def __init__(self, sqe: Sqe, data_len: int = 0) -> None:
+        if data_len < 0:
             raise ProtocolError("negative data_len")
-
-    @property
-    def wire_size(self) -> int:
-        return self.HLEN + self.data_len
+        self.sqe = sqe
+        self.data_len = data_len
+        self.wire_size = self.HLEN + data_len
 
     def encode(self) -> bytes:
         """Header bytes only; the payload is represented by ``data_len``."""
@@ -169,10 +169,7 @@ class CapsuleRespPdu:
     coalesced_count: int = 1
 
     HLEN = CH_SIZE + CQE_SIZE
-
-    @property
-    def wire_size(self) -> int:
-        return self.HLEN
+    wire_size = HLEN
 
     def encode(self) -> bytes:
         flags = 0x80 if self.coalesced else 0
@@ -186,24 +183,27 @@ class CapsuleRespPdu:
         return cls(cqe=cqe, coalesced=bool(flags & 0x80))
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class C2HDataPdu:
     """Controller-to-host data (read payload)."""
 
     cid: int
     data_len: int
-    offset: int = 0
-    last: bool = True
+    offset: int
+    last: bool
+    #: ``HLEN + data_len``, fixed at construction.
+    wire_size: int = field(init=False, repr=False, compare=False)
 
     HLEN = CH_SIZE + 16  # PSH: cccid(2) rsvd(2) datao(4) datal(4) rsvd(4)
 
-    def __post_init__(self) -> None:
-        if self.data_len < 1:
+    def __init__(self, cid: int, data_len: int, offset: int = 0, last: bool = True) -> None:
+        if data_len < 1:
             raise ProtocolError("C2HData requires at least one byte")
-
-    @property
-    def wire_size(self) -> int:
-        return self.HLEN + self.data_len
+        self.cid = cid
+        self.data_len = data_len
+        self.offset = offset
+        self.last = last
+        self.wire_size = self.HLEN + data_len
 
     def encode(self) -> bytes:
         flags = 0x04 if self.last else 0  # LAST_PDU
@@ -218,7 +218,7 @@ class C2HDataPdu:
         return cls(cid=cid, data_len=data_len, offset=offset, last=bool(flags & 0x04))
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class H2CDataPdu:
     """Host-to-controller data (unused on the happy path; writes are
     in-capsule, matching SPDK's configuration, but the type exists for
@@ -226,18 +226,21 @@ class H2CDataPdu:
 
     cid: int
     data_len: int
-    offset: int = 0
-    last: bool = True
+    offset: int
+    last: bool
+    #: ``HLEN + data_len``, fixed at construction.
+    wire_size: int = field(init=False, repr=False, compare=False)
 
     HLEN = CH_SIZE + 16
 
-    def __post_init__(self) -> None:
-        if self.data_len < 1:
+    def __init__(self, cid: int, data_len: int, offset: int = 0, last: bool = True) -> None:
+        if data_len < 1:
             raise ProtocolError("H2CData requires at least one byte")
-
-    @property
-    def wire_size(self) -> int:
-        return self.HLEN + self.data_len
+        self.cid = cid
+        self.data_len = data_len
+        self.offset = offset
+        self.last = last
+        self.wire_size = self.HLEN + data_len
 
     def encode(self) -> bytes:
         flags = 0x04 if self.last else 0

@@ -70,14 +70,17 @@ class PduTransport:
 
     @staticmethod
     def _restore_data_len(original: AnyPdu, twin: AnyPdu) -> AnyPdu:
-        # encode() emits header bytes only; re-attach payload lengths and
-        # simulation-only envelope fields that do not travel in headers.
+        # encode() emits header bytes only; re-attach payload lengths (with
+        # the wire size stored from them) and simulation-only envelope
+        # fields that do not travel in headers.
         if isinstance(original, CapsuleCmdPdu) and isinstance(twin, CapsuleCmdPdu):
             twin.data_len = original.data_len
+            twin.wire_size = original.wire_size
         elif isinstance(original, (C2HDataPdu, H2CDataPdu)) and isinstance(
             twin, (C2HDataPdu, H2CDataPdu)
         ):
             twin.data_len = original.data_len
+            twin.wire_size = original.wire_size
         elif isinstance(original, CapsuleRespPdu) and isinstance(twin, CapsuleRespPdu):
             twin.coalesced_count = original.coalesced_count
         return twin

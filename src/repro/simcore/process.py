@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Process(Event):
     """A running simulation process (also usable as an event to wait on)."""
 
-    __slots__ = ("_generator", "name", "_send", "_throw", "_resume_cb")
+    __slots__ = ("name", "_send", "_throw", "_resume_cb")
 
     def __init__(
         self,
@@ -35,9 +35,9 @@ class Process(Event):
         if not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
         super().__init__(env)
-        self._generator = generator
         # Hot-path caches: one bound-method/attribute lookup per process
-        # instead of one per resume (hundreds of thousands per run).
+        # instead of one per resume (hundreds of thousands per run).  The
+        # bound methods are also what keeps the generator alive.
         self._send = generator.send
         self._throw = generator.throw
         self._resume_cb = self._resume

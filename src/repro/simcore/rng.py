@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -112,12 +112,7 @@ class NormalBuffer:
         self._pos = pos + 1
         return self._buf[pos]
 
-    def lognormal(self, mean: float = 0.0, sigma: float = 1.0, size: Optional[int] = None):
-        """Scalar-compatible ``Generator.lognormal`` over the buffer.
-
-        ``size=None`` is the hot path; an explicit ``size`` consumes that
-        many buffered draws (equivalent to ``size`` scalar calls).
-        """
-        if size is not None:
-            return np.array([self.lognormal(mean, sigma) for _ in range(size)])
+    def lognormal(self, mean: float = 0.0, sigma: float = 1.0) -> float:
+        """Scalar-compatible ``Generator.lognormal(mean, sigma)`` over the
+        buffer: one buffered draw per call."""
         return math.exp(mean + sigma * self.standard_normal())

@@ -41,8 +41,8 @@ CALLS_RECORDED_ON = (3, 11)
 #: for ``build_fig7_cell(protocol=...)`` (1 LS + 2 TC tenants, read, 10 Gbps,
 #: 200 ops per TC tenant, seed 1).
 BUDGET = {
-    "nvme-opf": (4395, 406, 17018, 858),
-    "spdk": (5804, 403, 25081, 1227),
+    "nvme-opf": (4395, 406, 17013, 858),
+    "spdk": (5804, 403, 25036, 1227),
 }
 
 #: protocol -> heap entries dispatched per layer, and entries still queued
@@ -61,8 +61,8 @@ ENTRIES_BY_LAYER = {
 #: protocol -> Python calls in (repro.nvmeof, repro.ssd, repro.cpu, repro.core).
 COMMAND_PATH = ("repro.nvmeof", "repro.ssd", "repro.cpu", "repro.core")
 COMMAND_PATH_CALLS = {
-    "nvme-opf": (10935, 5090, 3046, 12028),
-    "spdk": (15808, 6150, 3647, 9),
+    "nvme-opf": (8439, 5090, 3046, 12028),
+    "spdk": (12578, 6150, 3647, 9),
 }
 
 _PACKET_PATH = "repro.net"

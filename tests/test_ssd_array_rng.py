@@ -48,14 +48,6 @@ def test_buffered_standard_normal_bit_identical_to_scalar():
         assert float(scalar.standard_normal()) == float(buffered.standard_normal())
 
 
-def test_buffered_lognormal_size_path_matches_scalar_loop():
-    scalar = np.random.default_rng(3)
-    buffered = NormalBuffer(np.random.default_rng(3), batch=4)
-    expected = [float(scalar.lognormal(2.0, 0.3)) for _ in range(10)]
-    got = buffered.lognormal(2.0, 0.3, size=10)
-    assert [float(x) for x in got] == expected
-
-
 def test_buffer_rejects_nonpositive_batch():
     with pytest.raises(ValueError):
         NormalBuffer(np.random.default_rng(0), batch=0)
