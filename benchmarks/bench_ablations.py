@@ -12,7 +12,7 @@ from conftest import run_once
 
 from repro.cluster import Scenario, ScenarioConfig
 from repro.core import SharedQueueOpfTarget, select_window
-from repro.core.cid_queue import ENTRY_BYTES
+from repro.core.cid_queue import ENTRY_BYTES, RETIRED_MEMORY
 from repro.metrics import format_table
 from repro.workloads import TenantSpec, tenants_for_ratio
 from repro.core.flags import Priority
@@ -125,23 +125,55 @@ def test_ablation_priority_awareness(benchmark, show):
     ))
 
 
+#: Retired-CID memory one queue may hold at the default ``RETIRED_MEMORY``:
+#: an 8 KiB bitmap plus a 4,096-entry u16 ring, with their object headers.
+RETIRED_BYTES_BOUND = int(16.5 * 1024)
+
+
+def _cid_queues(sc):
+    """Every CID queue a scenario's oPF initiators and targets hold."""
+    queues = [i.pm.cid_queue for node in sc.initiator_nodes.values() for i in node.initiators]
+    for node in sc.target_nodes:
+        queues += [tenant.cid_queue for tenant in node.target.pm.registry.tenants()]
+    return queues
+
+
 def test_ablation_zero_copy_queue_footprint(benchmark, show):
-    """CID-only queues: footprint independent of I/O size (§IV-B)."""
+    """CID-only queues: footprint independent of I/O size (§IV-B), and the
+    memory of retired CIDs the chaos-safe drain protocol adds stays bounded
+    however many CIDs a queue retires."""
 
     def measure():
-        _sc, res = _run(ratio="0:4", total_ops=300, window=64)
         # Peak queue residency equals one window per tenant; compute the
         # footprint both ways for a 64-deep window of 4 KiB requests.
         entries = 64 * 4
         cid_bytes = entries * ENTRY_BYTES
         copy_bytes = entries * (4096 + 64)  # data + SQE copy per request
-        return res, cid_bytes, copy_bytes
+        # What the live queues of a long run actually hold beside their
+        # entries: the opf-read benchmark unit (read 1:4 at 100 Gbps, 5,000
+        # ops per TC tenant), whose TC queues each retire more CIDs than
+        # they remember.
+        cfg = ScenarioConfig(protocol="nvme-opf", network_gbps=100.0, op_mix="read",
+                             total_ops=5000, window_size=32, seed=1)
+        sc = Scenario.two_sided(cfg, tenants_for_ratio("1:4", op_mix="read"))
+        sc.run()
+        return cid_bytes, copy_bytes, _cid_queues(sc)
 
-    res, cid_bytes, copy_bytes = run_once(benchmark, measure)
+    cid_bytes, copy_bytes, queues = run_once(benchmark, measure)
     assert cid_bytes * 100 < copy_bytes
+    assert len(queues) == 9  # five initiators, four TC tenants at the target
+    assert sum(q.total_drained > RETIRED_MEMORY for q in queues) == 8
+    retired = [q.retired_bytes for q in queues]
+    assert max(retired) <= RETIRED_BYTES_BOUND
     show(format_table(
         ["design", "bytes for 4x64 queued 4KiB requests"],
         [["zero-copy (CIDs only)", cid_bytes], ["request copies", copy_bytes]],
         title="Ablation: zero-copy queues (§IV-B)",
+        float_fmt="{:.0f}",
+    ))
+    show(format_table(
+        ["queues", "retired-CID bytes per queue (max)", "retired-CID bytes, all queues"],
+        [[len(queues), max(retired), sum(retired)]],
+        title="Retired-CID memory after one opf-read unit (§IV-B)",
         float_fmt="{:.0f}",
     ))

@@ -26,12 +26,16 @@ from repro import (
     format_table,
 )
 
+#: Every tenant runs the scenario's op mix (the result reports that one
+#: mix, so ``Scenario.two_sided`` refuses a tenant whose mix differs).
+OP_MIX = "rw50"
+
 TENANTS = [
-    TenantSpec("kv-store", Priority.LATENCY, queue_depth=1, op_mix="read"),
-    TenantSpec("web-analytics", Priority.LATENCY, queue_depth=1, op_mix="read"),
-    TenantSpec("etl-1", Priority.THROUGHPUT, queue_depth=128, op_mix="read"),
-    TenantSpec("etl-2", Priority.THROUGHPUT, queue_depth=128, op_mix="rw50"),
-    TenantSpec("etl-3", Priority.THROUGHPUT, queue_depth=128, op_mix="write"),
+    TenantSpec("kv-store", Priority.LATENCY, queue_depth=1, op_mix=OP_MIX),
+    TenantSpec("web-analytics", Priority.LATENCY, queue_depth=1, op_mix=OP_MIX),
+    TenantSpec("etl-1", Priority.THROUGHPUT, queue_depth=128, op_mix=OP_MIX),
+    TenantSpec("etl-2", Priority.THROUGHPUT, queue_depth=128, op_mix=OP_MIX),
+    TenantSpec("etl-3", Priority.THROUGHPUT, queue_depth=128, op_mix=OP_MIX),
 ]
 
 
@@ -39,6 +43,7 @@ def run(protocol: str):
     config = ScenarioConfig(
         protocol=protocol,
         network_gbps=100.0,
+        op_mix=OP_MIX,
         total_ops=800,
         window_size="auto",  # let the optimizer pick (§IV-D)
         seed=11,

@@ -76,10 +76,20 @@ class ScenarioSpec:
     @classmethod
     def two_sided(cls, config: ScenarioConfig, tenants: List[TenantSpec]) -> "ScenarioSpec":
         """The Figure 6/7 shape: one target node with one SSD, each tenant
-        on its own initiator node."""
+        on its own initiator node.
+
+        Each tenant runs its own ``op_mix`` while the result reports
+        ``config.op_mix``, so a tenant whose mix differs is refused.
+        """
         node_order = [("target", "target0", 1)]
         placements = []
         for i, tenant in enumerate(tenants):
+            if tenant.op_mix != config.op_mix:
+                raise ConfigError(
+                    f"tenant {tenant.name!r} runs op_mix {tenant.op_mix!r} but the "
+                    f"config's op_mix is {config.op_mix!r}; the result would report "
+                    f"{config.op_mix!r}"
+                )
             node_order.append(("initiator", f"client{i}", 0))
             placements.append(TenantPlacement(tenant, f"client{i}", "target0", 1))
         return cls(config, tuple(node_order), tuple(placements))

@@ -15,10 +15,19 @@ violation.  A CID that was never queued at all is still an error.  The
 queue also carries a drain **epoch**, bumped on every qpair reconnect, so
 the resync exchange can name which incarnation of the window state the two
 Priority Managers agree on.
+
+The retired-CID memory is as compact as the queue: one bit per 16-bit CID
+(an 8 KiB bitmap, allocated on the first retirement) answers "is this CID
+remembered", and an ``array('H')`` ring of the last ``retired_memory``
+CIDs, oldest at ``_retired_head`` once full, says which bit to clear on
+eviction.  With the default memory that is under 16.5 KiB per queue
+(:attr:`CidQueue.retired_bytes`), however many CIDs the queue retires.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
 from typing import Deque, List, Optional, Sequence, Set
 
@@ -33,6 +42,9 @@ ENTRY_BYTES = 2
 #: queue depth distinguishes "stale duplicate" from "never existed" for as
 #: long as a replayed response can plausibly stay in flight.
 RETIRED_MEMORY = 4096
+
+#: Bytes of the retired-CID bitmap: one bit for each of the 65,536 CIDs.
+_BITMAP_BYTES = 0x10000 // 8
 
 
 def cid_le(a: int, b: int) -> bool:
@@ -58,10 +70,14 @@ class CidQueue:
         self.capacity = capacity
         self._queue: Deque[int] = deque()
         self._members: Set[int] = set()
-        # Bounded memory of retired CIDs: a set for O(1) lookup plus a ring
-        # that evicts the oldest entry once the memory is full.
-        self._retired: Set[int] = set()
-        self._retired_ring: Deque[int] = deque(maxlen=retired_memory)
+        # Bounded memory of retired CIDs: bit ``cid`` of the bitmap is set
+        # while ``cid`` is remembered (None until the first retirement), and
+        # the ring holds the last ``retired_memory`` retired CIDs; once it
+        # is full, ``_retired_head`` indexes the oldest, the next evicted.
+        self._retired_bits: Optional[bytearray] = None
+        self._retired_ring = array("H")
+        self._retired_head = 0
+        self._retired_memory = retired_memory
         self.total_pushed = 0
         self.total_drained = 0
         #: CIDs abandoned by the host (retry budget exhausted) — removed
@@ -91,6 +107,12 @@ class CidQueue:
         """Memory footprint of the queued entries (zero-copy accounting)."""
         return len(self._queue) * ENTRY_BYTES
 
+    @property
+    def retired_bytes(self) -> int:
+        """Memory the retired-CID record holds: the bitmap and the ring."""
+        bits = self._retired_bits
+        return (0 if bits is None else sys.getsizeof(bits)) + sys.getsizeof(self._retired_ring)
+
     def push(self, cid: int) -> None:
         """Append a CID (Alg. 1: ``queue[tail] <- req.cid``)."""
         if not (0 <= cid <= 0xFFFF):
@@ -102,7 +124,9 @@ class CidQueue:
         # A reused CID starts a fresh life: forget the retired record so a
         # genuine drain for the new incarnation is not mistaken for a stale
         # duplicate of the old one.
-        self._retired.discard(cid)
+        bits = self._retired_bits
+        if bits is not None:
+            bits[cid >> 3] &= ~(1 << (cid & 7))
         self._queue.append(cid)
         self._members.add(cid)
         self.total_pushed += 1
@@ -114,24 +138,36 @@ class CidQueue:
 
     def was_retired(self, cid: int) -> bool:
         """Whether ``cid`` was retired recently enough to still be remembered."""
-        return cid in self._retired
+        bits = self._retired_bits
+        return bits is not None and bits[cid >> 3] & (1 << (cid & 7)) != 0
 
     def _remember_retired(self, cids: Sequence[int]) -> None:
         """Remember a non-empty run of retired CIDs, oldest first.
 
         Once the ring is full, each new CID evicts the oldest remembered
-        one, exactly as if the run were retired one CID at a time.
+        one, clearing its bit before setting the new CID's, exactly as if
+        the run were retired one CID at a time.
         """
+        bits = self._retired_bits
+        if bits is None:
+            bits = self._retired_bits = bytearray(_BITMAP_BYTES)
         ring = self._retired_ring
-        retired = self._retired
-        room = ring.maxlen - len(ring)
+        size = self._retired_memory
+        room = size - len(ring)
+        head = self._retired_head
         for cid in cids:
             if room:
                 room -= 1
+                ring.append(cid)
             else:
-                retired.discard(ring[0])
-            ring.append(cid)
-            retired.add(cid)
+                old = ring[head]
+                bits[old >> 3] &= ~(1 << (old & 7))
+                ring[head] = cid
+                head += 1
+                if head == size:
+                    head = 0
+            bits[cid >> 3] |= 1 << (cid & 7)
+        self._retired_head = head
         self.last_retired = cids[-1]
 
     def drain_through(self, cid: int) -> List[int]:
@@ -145,7 +181,7 @@ class CidQueue:
         all remains a protocol violation and raises.
         """
         if cid not in self._members:
-            if cid in self._retired:
+            if self.was_retired(cid):
                 self.duplicate_drains += 1
                 return []
             raise ProtocolError(f"drain for unknown CID {cid}")

@@ -18,26 +18,35 @@
 The paper's premise — many tenants with different priorities sharing one
 NVMe-oF fabric — is a *service* premise, and this layer is its production
 shape: multi-tenant traffic hitting an API whose backend is the simulator.
+
+Each public name is imported from its submodule on first use, so a process
+that only runs sessions (``import repro.service.session``) never loads the
+HTTP, TLS and e-mail modules the server and client need.
 """
 
-from .client import ServiceApiError, ServiceClient
-from .manager import DEFAULT_SLICE_EVENTS, SessionManager
-from .server import ServiceServer
-from .session import (
-    CHECKPOINT_FORMAT,
-    SessionNotFound,
-    SessionStateError,
-    SimSession,
-)
+from importlib import import_module
 
-__all__ = [
-    "CHECKPOINT_FORMAT",
-    "DEFAULT_SLICE_EVENTS",
-    "ServiceApiError",
-    "ServiceClient",
-    "ServiceServer",
-    "SessionManager",
-    "SessionNotFound",
-    "SessionStateError",
-    "SimSession",
-]
+#: Public name -> the submodule that defines it.
+_LAZY_EXPORTS = {
+    "CHECKPOINT_FORMAT": "session",
+    "DEFAULT_SLICE_EVENTS": "manager",
+    "ServiceApiError": "client",
+    "ServiceClient": "client",
+    "ServiceServer": "server",
+    "SessionManager": "manager",
+    "SessionNotFound": "session",
+    "SessionStateError": "session",
+    "SimSession": "session",
+}
+
+__all__ = sorted(_LAZY_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    """Import a public name from its submodule the first time it is read."""
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -16,7 +16,7 @@ from repro.cluster import (
 )
 from repro.core.flags import Priority
 from repro.errors import ConfigError
-from repro.workloads.mixes import TenantSpec
+from repro.workloads.mixes import TenantSpec, tenants_for_ratio
 
 
 # ------------------------------------------------------------- scaling ----
@@ -91,6 +91,19 @@ _CLIENT = ("initiator", "client0", 0)
 def test_scenario_spec_refuses_bad_topologies(nodes, placements, offender):
     with pytest.raises(ConfigError, match=offender):
         ScenarioSpec(ScenarioConfig(), nodes, placements)
+
+
+def test_two_sided_refuses_a_tenant_op_mix_the_result_would_not_report():
+    # tenants_for_ratio defaults to reads: this scenario would run only
+    # reads and report "write".
+    cfg = ScenarioConfig(op_mix="write", total_ops=20, warmup_us=0)
+    with pytest.raises(ConfigError, match=r"tenant 'ls0' runs op_mix 'read'.*'write'"):
+        Scenario.two_sided(cfg, tenants_for_ratio("1:2"))
+    sc = Scenario.two_sided(cfg, tenants_for_ratio("1:2", op_mix="write"))
+    assert sc.run().op_mix == "write"
+    for name in ("ls0", "tc0", "tc1"):
+        summary = sc.collector.summary(name)
+        assert summary.reads == 0 and summary.writes > 0
 
 
 #: sha256 of ``metrics_digest()`` for a 2-pair x 3-initiator scale-out

@@ -15,6 +15,7 @@ assert the hardened protocol's core invariants:
   announced high-water mark, exactly once per new epoch.
 """
 
+import random
 from collections import deque
 
 import pytest
@@ -121,11 +122,37 @@ class _PerCidMemory:
         self.retired.discard(cid)
 
     def retire(self, cid):
+        """Remember ``cid``; returns the CID it evicted, or None."""
+        evicted = None
         if len(self.ring) == self.ring.maxlen:
-            self.retired.discard(self.ring[0])
+            evicted = self.ring[0]
+            self.retired.discard(evicted)
         self.ring.append(cid)
         self.retired.add(cid)
         self.last = cid
+        return evicted
+
+
+def _ring_oldest_first(q):
+    """Decode the queue's u16 ring: oldest first from the head index."""
+    ring, head = q._retired_ring, q._retired_head
+    assert len(ring) <= q._retired_memory and (head == 0 or len(ring) == q._retired_memory)
+    return list(ring[head:]) + list(ring[:head])
+
+
+def _remembered(q):
+    """Decode the queue's bitmap: every CID whose bit is set."""
+    bits = q._retired_bits
+    if bits is None:
+        return set()
+    assert len(bits) == 0x10000 // 8
+    return {8 * i + bit for i, byte in enumerate(bits) if byte for bit in range(8) if byte >> bit & 1}
+
+
+def _assert_matches(q, ref):
+    assert _ring_oldest_first(q) == list(ref.ring)
+    assert _remembered(q) == ref.retired
+    assert q.last_retired == ref.last
 
 
 QUEUE_OPS = st.lists(
@@ -143,8 +170,8 @@ def test_retired_memory_matches_the_per_cid_reference(ops, memory):
     """A drain walk or flush remembers its CIDs exactly as one-by-one retirement.
 
     Eight CIDs and a ring of at most five make reuse and eviction common,
-    so the ring, the lookup set and the high-water mark are compared after
-    every operation.
+    so the ring (oldest first), the CIDs the bitmap remembers and the
+    high-water mark are compared after every operation.
     """
     q = CidQueue(retired_memory=memory)
     ref = _PerCidMemory(memory)
@@ -165,9 +192,62 @@ def test_retired_memory_matches_the_per_cid_reference(ops, memory):
         else:
             getattr(q, op)(cid)
             ref.retire(cid)
-        assert list(q._retired_ring) == list(ref.ring)
-        assert q._retired == ref.retired
+        _assert_matches(q, ref)
+        assert [q.was_retired(c) for c in range(8)] == [c in ref.retired for c in range(8)]
+
+
+def test_retired_memory_matches_the_reference_across_the_cid_wrap():
+    """Three and more laps of the 16-bit CID space through the default memory.
+
+    CIDs come from a wrapping counter, as an initiator allocates them, and
+    now and then a CID still in the ring is pushed again.  After
+    every operation each CID it pushed, retired or evicted is looked up in
+    both; every 509 operations, and at the end, the whole ring and bitmap
+    are compared.
+    """
+    rng = random.Random(7)
+    q = CidQueue(retired_memory=RETIRED_MEMORY)
+    ref = _PerCidMemory(RETIRED_MEMORY)
+    next_cid = 0xFF00
+    retirements = wraps = ops = 0
+    while retirements < 3 * 0x10000 + RETIRED_MEMORY:
+        touched = []
+        for _ in range(rng.randint(1, 40)):
+            cid = next_cid
+            if ref.ring and rng.random() < 0.05:
+                cid = ref.ring[rng.randrange(len(ref.ring))]  # reuse a CID still in the ring
+            else:
+                next_cid = (next_cid + 1) & 0xFFFF
+                wraps += next_cid == 0
+            if cid in q:
+                continue
+            q.push(cid)
+            ref.push(cid)
+            touched.append(cid)
+        queued = q.as_list()
+        roll = rng.random()
+        if roll < 0.8:
+            retired = q.drain_through(queued[rng.randrange(len(queued))])
+        elif roll < 0.9:
+            retired = q.drain_all()
+        else:
+            cid = queued[rng.randrange(len(queued))]
+            getattr(q, rng.choice(("evict", "remove")))(cid)
+            retired = [cid]
+        for cid in retired:
+            touched.append(cid)
+            evicted = ref.retire(cid)
+            if evicted is not None:
+                touched.append(evicted)
+        retirements += len(retired)
+        ops += 1
         assert q.last_retired == ref.last
+        for cid in touched:
+            assert q.was_retired(cid) == (cid in ref.retired)
+        if ops % 509 == 0:
+            _assert_matches(q, ref)
+    _assert_matches(q, ref)
+    assert wraps >= 3
 
 
 # -- drain watchdog -----------------------------------------------------------------

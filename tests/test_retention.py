@@ -1,19 +1,27 @@
 """What a run keeps alive per completed command: no Python object.
 
 A run's memory should be bounded by its live state (the commands in
-flight), not by its history.  These tests pin that for the three places
-that used to keep something per completed command: a TCP sender's framing
-arrays, the command PDUs those arrays held, and the metrics collector's
-records.  The scale-out runs also check their digests, so the release
-changes nothing simulated.
+flight), not by its history.  These tests pin that for the places that
+used to keep something per completed command: a TCP sender's framing
+arrays, the command PDUs those arrays held, the metrics collector's
+records, and a CID queue's memory of retired CIDs.  The scale-out runs
+also check their digests, so the release changes nothing simulated.  The
+last tests pin what merely running sessions imports: not the HTTP stack.
 """
 
 import gc
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
+
+import pytest
 
 from repro import ScenarioConfig
 from repro.cluster.scaling import build_scaleout
+from repro.core.cid_queue import RETIRED_MEMORY, CidQueue
 from repro.metrics import Collector
 from repro.simcore import Environment
 from tests.test_batched_paths import _ack, _make_socket
@@ -93,3 +101,63 @@ def test_collector_tracks_no_object_per_record():
     assert (summary.requests, summary.reads, summary.bytes_moved) == (
         MESSAGES, MESSAGES, MESSAGES * 4096)
     assert summary.latency.samples == [float(i) for i in range(MESSAGES)]
+
+
+#: What a queue's retired-CID memory may hold at the default memory: the
+#: 8 KiB bitmap and the 4,096-entry u16 ring, each with its object header.
+RETIRED_BYTES_BOUND = int(16.5 * 1024)
+
+
+def test_cid_queue_retired_memory_is_bounded_across_the_cid_wrap():
+    # An initiator's pattern: CIDs from a wrapping counter, retired a
+    # window of 32 at a time by a drain walk.
+    q = CidQueue()
+    cid = retirements = 0
+    held = set()
+    while retirements < 200_000:
+        for _ in range(32):
+            q.push(cid)
+            cid = (cid + 1) & 0xFFFF
+        retirements += len(q.drain_through(q.as_list()[-1]))
+        held.add(sys.getsizeof(q._retired_bits) + sys.getsizeof(q._retired_ring))
+    assert retirements // 0x10000 >= 3  # three laps of the CID space
+    assert len(q._retired_ring) == RETIRED_MEMORY
+    assert max(held) <= RETIRED_BYTES_BOUND
+    assert q.retired_bytes == max(held)
+
+
+HTTP_STACK = ("http.server", "http.client", "ssl", "email")
+
+
+def _in_a_fresh_interpreter(code):
+    """Run ``code`` in a new interpreter on this tree; returns its stdout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return out.stdout.strip()
+
+
+def test_running_sessions_does_not_import_the_http_stack():
+    loaded = _in_a_fresh_interpreter(
+        "import sys, repro.service.session; "
+        f"print([m for m in {HTTP_STACK!r} if m in sys.modules])"
+    )
+    assert loaded == "[]"
+
+
+def test_service_names_still_import_from_the_package():
+    defined_in = _in_a_fresh_interpreter(
+        "from repro.service import ServiceServer, ServiceClient, SessionManager, SimSession; "
+        "print([c.__module__ for c in (ServiceServer, ServiceClient, SessionManager, SimSession)])"
+    )
+    assert defined_in == str([f"repro.service.{m}" for m in ("server", "client", "manager", "session")])
+    import repro.service as service
+
+    for name in service.__all__:
+        value = getattr(service, name)
+        assert value is getattr(sys.modules[f"repro.service.{service._LAZY_EXPORTS[name]}"], name)
+    with pytest.raises(AttributeError, match="NoSuchName"):
+        service.NoSuchName

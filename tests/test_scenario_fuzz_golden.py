@@ -1,25 +1,39 @@
 """Pinned fuzz corpus: generator and replay digests are frozen per seed.
 
-``tests/data/scenario_fuzz_corpus.json`` pins, for 20 seeds, the sha256 of
-(a) the generated program's canonical JSON signature and (b) its replay
-digest (metrics digest + checkpoint lines).  A drift in either means the
-generator, the compiler, the engine, or the digest format changed behaviour
-— if the change is intentional, regenerate the corpus:
+``tests/data/scenario_fuzz_corpus.json`` pins, for each of its seeds, the
+sha256 of (a) the generated program's canonical JSON signature and (b) its
+replay digest (metrics digest + checkpoint lines).  A drift in either means
+the generator, the compiler, the engine, or the digest format changed
+behaviour.  Seeds 0-19 are the first twenty programs; the seeds after them
+were added because they inject a ``link.*`` fault whose timing a frame in
+flight between its two hops can observe (see ``LINK_FAULT_SEEDS``).
 
-    PYTHONPATH=src python - <<'PY'
-    import hashlib, json
+To re-pin (or append) only the seeds named on the command line, and leave
+every other entry as it is:
+
+    PYTHONPATH=src python - SEED [SEED ...] <<'PY'
+    import hashlib, json, sys
     from repro.scenarios import generate_program, replay
-    doc = json.load(open("tests/data/scenario_fuzz_corpus.json"))
-    for entry in doc["programs"]:
-        prog = generate_program(entry["seed"])
-        entry["signature_sha256"] = hashlib.sha256(prog.signature().encode()).hexdigest()
-        entry["digest_sha256"] = hashlib.sha256(replay(prog).digest().encode()).hexdigest()
-        entry["n_actions"] = len(prog.actions)
-        entry["tenants"] = prog.tenants()
-    json.dump(doc, open("tests/data/scenario_fuzz_corpus.json", "w"), indent=2)
+    path = "tests/data/scenario_fuzz_corpus.json"
+    doc = json.load(open(path))
+    entries = {entry["seed"]: entry for entry in doc["programs"]}
+    for seed in map(int, sys.argv[1:]):
+        if seed not in entries:
+            entries[seed] = {"seed": seed}
+            doc["programs"].append(entries[seed])
+        prog = generate_program(seed)
+        entries[seed].update(
+            name=prog.name,
+            n_actions=len(prog.actions),
+            tenants=prog.tenants(),
+            signature_sha256=hashlib.sha256(prog.signature().encode()).hexdigest(),
+            digest_sha256=hashlib.sha256(replay(prog).digest().encode()).hexdigest(),
+        )
+    json.dump(doc, open(path, "w"), indent=2)
     PY
 
-and say so in the commit message.
+Only an intentional change of behaviour may re-pin a seed; say which seeds
+and why in the commit message.
 """
 
 import hashlib
@@ -28,15 +42,41 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenarios import generate_program, replay
+from repro.scenarios import FaultInject, generate_program, replay
 
 CORPUS_PATH = Path(__file__).parent / "data" / "scenario_fuzz_corpus.json"
 CORPUS = json.loads(CORPUS_PATH.read_text())["programs"]
 
 
+#: Pinned seeds whose programs fault a link that a frame crosses between
+#: leaving its sender and reaching the switch, or between the switch and
+#: its receiver, with the faults each injects.  The switch hop must see the
+#: egress link as it is when the frame reaches the switch, and a degraded
+#: first hop must delay the second; a change that books the switch hop when
+#: the frame is sent moves these digests and none of seeds 0-19.
+LINK_FAULT_SEEDS = {
+    40: {("link.down", "sw->target0")},
+    119: {("link.degrade", "target0->sw")},
+    520: {("link.loss", "sw->client1")},
+    603: {("link.down", "client0->sw"), ("link.loss", "sw->client0")},
+    812: {("link.degrade", "target0->sw")},
+}
+
+
 def test_corpus_is_big_enough():
     assert len(CORPUS) >= 20
     assert len({entry["seed"] for entry in CORPUS}) == len(CORPUS)
+
+
+@pytest.mark.parametrize("seed", sorted(LINK_FAULT_SEEDS))
+def test_corpus_pins_link_faults_between_hops(seed):
+    assert seed in {entry["seed"] for entry in CORPUS}
+    faults = {
+        (action.kind, action.component)
+        for action in generate_program(seed).actions
+        if isinstance(action, FaultInject) and action.kind.startswith("link.")
+    }
+    assert faults == LINK_FAULT_SEEDS[seed]
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: f"seed{e['seed']}")

@@ -6,9 +6,10 @@ and class that ``src/repro`` defines and fails on any whose name appears
 nowhere in ``src``, ``benchmarks``, ``examples`` or ``layerbench`` as a
 name, an attribute, an imported name or a string constant (string
 constants cover ``getattr`` keys).  Inside ``src/repro`` a re-export is not
-a caller: an import alias and the strings of an ``__all__`` assignment do
-not count there, so a name a package only re-exports is flagged.  Imports
-in ``benchmarks``, ``examples`` and ``layerbench`` still count.  The match
+a caller: an import alias and the strings of an ``__all__`` assignment or
+of a package's ``_LAZY_EXPORTS`` table (the names it imports on first use)
+do not count there, so a name a package only re-exports is flagged.
+Imports in ``benchmarks``, ``examples`` and ``layerbench`` still count.  The match
 is by name alone, so a dead method that shares its name with a live one
 passes: the scan can miss dead code, but it never flags code that runs.
 
@@ -75,7 +76,6 @@ TEST_ONLY = {
     "tx_dropped": "NIC counter the link and fault tests assert on",
     "tx_packets": "NIC counter the link tests assert on",
     "us_to_ms": "unit conversion the units test checks",
-    "was_retired": "CID-queue retirement memory the drain-property tests assert on",
     "write_iops_ceiling": "profile ceiling the device tests compare to",
 }
 
@@ -101,13 +101,17 @@ def _defined():
     return out
 
 
+#: Assignments whose strings re-export names rather than use them.
+_EXPORT_TABLES = ("__all__", "_LAZY_EXPORTS")
+
+
 def _exports(tree):
-    """The nodes of the module's ``__all__`` assignments."""
+    """The nodes of the module's ``__all__`` and ``_LAZY_EXPORTS`` assignments."""
     return {
         part
         for node in ast.walk(tree)
         if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        and any(isinstance(t, ast.Name) and t.id in _EXPORT_TABLES for t in node.targets)
         for part in ast.walk(node.value)
     }
 
