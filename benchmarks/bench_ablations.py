@@ -1,7 +1,7 @@
 """Ablation benchmarks for the design choices DESIGN.md calls out.
 
 1. Lock-free per-tenant queues vs a single shared TC queue (§IV-A).
-2. Window-size selection: static-bad vs optimizer-chosen vs dynamic (§IV-D).
+2. Window-size selection: static-bad vs optimizer-chosen (§IV-D).
 3. Latency-sensitive bypass on/off (§III-B).
 4. Zero-copy CID queues vs request-copy queues — space accounting (§IV-B).
 """

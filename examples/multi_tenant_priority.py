@@ -24,10 +24,11 @@ from repro import (
     ScenarioConfig,
     TenantSpec,
     format_table,
+    select_window,
 )
 
-#: Every tenant runs the scenario's op mix (the result reports that one
-#: mix, so ``Scenario.two_sided`` refuses a tenant whose mix differs).
+#: Every tenant runs the scenario's op mix (the config names that one mix,
+#: so ``Scenario.two_sided`` refuses a tenant whose mix differs).
 OP_MIX = "rw50"
 
 TENANTS = [
@@ -45,7 +46,9 @@ def run(protocol: str):
         network_gbps=100.0,
         op_mix=OP_MIX,
         total_ops=800,
-        window_size="auto",  # let the optimizer pick (§IV-D)
+        # The optimizer's pick for a mixed workload, 100 Gbps, three batch
+        # tenants (§IV-D).
+        window_size=select_window("mixed", 100.0, tc_initiators=3),
         seed=11,
     )
     scenario = Scenario.two_sided(config, TENANTS)

@@ -9,14 +9,14 @@ storage shared by a growing fleet of application hosts.
 Run:  python examples/scale_out_cluster.py
 """
 
-from repro.cluster.scaling import pattern1, pattern2
+from repro.cluster.scaling import PATTERN2_PER_NODE, scale_curve
 from repro.metrics import format_table
 
 
-def scaling_study(pattern_fn, label, axis):
+def scaling_study(shapes, include_ls, label, axis):
     rows = []
-    spdk_points = pattern_fn("spdk", "write", total_ops=400)
-    opf_points = pattern_fn("nvme-opf", "write", total_ops=400)
+    spdk_points = scale_curve("spdk", "write", shapes, include_ls, total_ops=400)
+    opf_points = scale_curve("nvme-opf", "write", shapes, include_ls, total_ops=400)
     for s, o in zip(spdk_points, opf_points):
         rows.append([
             s.total_initiators,
@@ -37,13 +37,14 @@ def scaling_study(pattern_fn, label, axis):
 def main() -> None:
     print("Write workload, 100 Gbps, 4 KiB I/O, queue depth 128 per TC tenant.\n")
     scaling_study(
-        lambda proto, mix, **kw: pattern1(proto, mix, n_node_pairs=3,
-                                          initiators_per_node_range=[1, 2, 3, 4, 5], **kw),
+        [(3, per_node) for per_node in (1, 2, 3, 4, 5)],
+        True,
         "Pattern 1: 3 node pairs, growing tenants per node (1 LS + rest TC)",
         "tenants",
     )
     scaling_study(
-        lambda proto, mix, **kw: pattern2(proto, mix, node_pairs_range=[1, 2, 3, 4, 5], **kw),
+        [(pairs, PATTERN2_PER_NODE) for pairs in (1, 2, 3, 4, 5)],
+        False,
         "Pattern 2: 4 TC tenants per node, growing node pairs",
         "tenants",
     )

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Window-size tuning: static sweep, the optimizer, and dynamic adaptation.
+"""Window-size tuning: static sweep, the optimizer, and online tuning.
 
 The coalescing window is NVMe-oPF's central knob (§IV-D): too small and
 completion coalescing buys nothing; too large and drain round trips stall
@@ -9,14 +9,14 @@ example:
 1. sweeps static windows for one throughput-critical tenant,
 2. shows what :func:`repro.core.select_window` picks for several operating
    points, and
-3. demonstrates the runtime :class:`DynamicWindowController` converging
-   from a bad initial window.
+3. runs the QoS ``aimd-window`` policy, the run-time tuner, from a cold
+   window and compares where it settles with an offline sweep's best.
 
 Run:  python examples/window_tuning.py
 """
 
 from repro import Scenario, ScenarioConfig, format_table, select_window
-from repro.core import DynamicWindowController, WindowSample
+from repro.experiments.qos import run_qos_aimd
 from repro.workloads import tenants_for_ratio
 
 
@@ -48,31 +48,15 @@ def show_optimizer():
     print(format_table(["workload", "network", "TC tenants", "window"], rows))
 
 
-def show_dynamic_controller():
-    print("\n3) Dynamic adaptation from a bad initial window\n")
-    # Model drain feedback where throughput improves up to window 32 and
-    # degrades beyond it (the Figure 6(a) response curve).
-    def simulated_rate(window: int) -> float:
-        return min(window, 32) / (1.0 + 0.02 * max(0, window - 32))
-
-    controller = DynamicWindowController(initial=2, queue_depth=128)
-    trace = [controller.window]
-    for _ in range(12):
-        window = controller.window
-        # One drain round trip observed at the current window.
-        sample = WindowSample(window=window, requests=int(100 * simulated_rate(window)),
-                              elapsed_us=100.0)
-        controller.observe(sample)
-        trace.append(controller.window)
-    print("window trajectory:", " -> ".join(str(w) for w in trace))
-    print(f"adjustments: {controller.adjustments}; settled near the optimizer's "
-          f"static choice of {select_window('read', 100.0)}.")
+def show_online_tuning():
+    print("\n3) Online tuning: the aimd-window policy from a cold window\n")
+    run_qos_aimd(print_table=True)
 
 
 def main() -> None:
     sweep_static_windows()
     show_optimizer()
-    show_dynamic_controller()
+    show_online_tuning()
 
 
 if __name__ == "__main__":

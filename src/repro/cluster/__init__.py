@@ -1,7 +1,7 @@
 """Cluster assembly: nodes, scenario specs and builds, scaling patterns."""
 
 from .node import InitiatorNode, PROTOCOL_OPF, PROTOCOL_SPDK, PROTOCOLS, TargetNode
-from .scaling import ScalePoint, build_scaleout, pattern1, pattern2, tenants_for_node
+from .scaling import ScalePoint, build_scaleout, scale_curve, tenants_for_node
 from .scenario import Scenario, ScenarioConfig, ScenarioResult
 from .spec import ScenarioSpec, TenantPlacement
 
@@ -18,7 +18,6 @@ __all__ = [
     "TargetNode",
     "TenantPlacement",
     "build_scaleout",
-    "pattern1",
-    "pattern2",
+    "scale_curve",
     "tenants_for_node",
 ]

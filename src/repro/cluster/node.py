@@ -17,7 +17,6 @@ from ..cpu.core import CpuCore
 from ..cpu.costs import CpuCostModel, DEFAULT_COSTS
 from ..errors import ConfigError
 from ..net.topology import Fabric
-from ..nvmeof.discovery import DiscoveryService
 from ..nvmeof.initiator import NvmeOfInitiator
 from ..nvmeof.subsystem import Subsystem
 from ..nvmeof.target import NvmeOfTarget
@@ -51,7 +50,6 @@ class TargetNode:
         ftl_config: Optional[FtlConfig] = None,
         costs: CpuCostModel = DEFAULT_COSTS,
         conn_switch_cost: float = 0.5,
-        discovery: Optional[DiscoveryService] = None,
         target_cls: Optional[type] = None,
     ) -> None:
         if protocol not in PROTOCOLS and target_cls is None:
@@ -86,12 +84,6 @@ class TargetNode:
             costs=costs,
             conn_switch_cost=conn_switch_cost,
         )
-        if discovery is not None:
-            discovery.register(self.subsystem.nqn, name)
-
-    @property
-    def nqn(self) -> str:
-        return self.subsystem.nqn
 
     def accept(self, transport: PduTransport) -> None:
         self.target.bind(transport)
@@ -119,8 +111,7 @@ class InitiatorNode:
         queue_depth: int = 128,
         costs: CpuCostModel = DEFAULT_COSTS,
         collector: Optional["Collector"] = None,
-        window_size: "int | str" = 32,
-        workload_hint: str = "read",
+        window_size: int = 32,
         validate_pdus: bool = False,
         transport: str = "tcp",
         retry_policy=None,
@@ -152,8 +143,6 @@ class InitiatorNode:
                 tenant_id=tenant_id,
                 collector=collector,
                 window_size=window_size,
-                workload_hint=workload_hint,
-                network_gbps=self.fabric.rate_gbps,
                 retry_policy=retry_policy,
                 recovery_rng=recovery_rng,
                 events=events,

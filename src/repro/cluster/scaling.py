@@ -10,18 +10,23 @@ setup):
   and §V-D's latency curves imply).
 * **Pattern 2** — fix four throughput-critical initiators per node (LS:TC
   = 0:4), grow the number of node pairs (1..5).
+
+:func:`scale_curve` runs either: a pattern is the list of shapes it visits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Sequence, Tuple
 
 from ..core.flags import Priority
 from ..errors import ConfigError
 from ..workloads.mixes import LS_QUEUE_DEPTH, TC_QUEUE_DEPTH, TenantSpec
 from .scenario import Scenario, ScenarioConfig
 from .spec import ScenarioSpec
+
+#: Pattern 2's initiators per node (LS:TC = 0:4).
+PATTERN2_PER_NODE = 4
 
 
 def tenants_for_node(
@@ -82,67 +87,25 @@ class ScalePoint:
     tc_iops: float
 
 
-def pattern1(
+def scale_curve(
     protocol: str,
     op_mix: str,
-    n_node_pairs: int = 5,
-    initiators_per_node_range: Optional[List[int]] = None,
+    shapes: Sequence[Tuple[int, int]],
+    include_ls: bool,
     total_ops: int = 600,
-    network_gbps: float = 100.0,
     seed: int = 1,
-    window_size: int = 32,
 ) -> List[ScalePoint]:
-    """Scaling pattern 1: initiators per node grows, node count fixed."""
+    """One Figure 8 curve at 100 Gbps: a scale-out run per ``(node pairs,
+    initiators per node)`` shape.  Pattern 1 holds the pairs and grows the
+    initiators with ``include_ls=True``; pattern 2 holds
+    :data:`PATTERN2_PER_NODE` initiators and grows the pairs without LS."""
     points = []
-    for per_node in initiators_per_node_range or [1, 2, 3, 4, 5]:
-        cfg = ScenarioConfig(
-            protocol=protocol,
-            network_gbps=network_gbps,
-            op_mix=op_mix,
-            total_ops=total_ops,
-            window_size=window_size,
-            seed=seed,
-        )
-        scenario = build_scaleout(cfg, n_node_pairs, per_node, include_ls=True)
-        result = scenario.run()
+    for n_node_pairs, per_node in shapes:
+        cfg = ScenarioConfig(protocol=protocol, op_mix=op_mix, total_ops=total_ops, seed=seed)
+        result = build_scaleout(cfg, n_node_pairs, per_node, include_ls).run()
         points.append(
             ScalePoint(
                 total_initiators=n_node_pairs * per_node,
-                protocol=protocol,
-                throughput_mbps=result.tc_throughput_mbps,
-                mean_latency_us=result.mean_latency_us or 0.0,
-                tc_iops=result.tc_iops,
-            )
-        )
-    return points
-
-
-def pattern2(
-    protocol: str,
-    op_mix: str,
-    node_pairs_range: Optional[List[int]] = None,
-    initiators_per_node: int = 4,
-    total_ops: int = 600,
-    network_gbps: float = 100.0,
-    seed: int = 1,
-    window_size: int = 32,
-) -> List[ScalePoint]:
-    """Scaling pattern 2: node count grows, 0:4 LS:TC per node."""
-    points = []
-    for pairs in node_pairs_range or [1, 2, 3, 4, 5]:
-        cfg = ScenarioConfig(
-            protocol=protocol,
-            network_gbps=network_gbps,
-            op_mix=op_mix,
-            total_ops=total_ops,
-            window_size=window_size,
-            seed=seed,
-        )
-        scenario = build_scaleout(cfg, pairs, initiators_per_node, include_ls=False)
-        result = scenario.run()
-        points.append(
-            ScalePoint(
-                total_initiators=pairs * initiators_per_node,
                 protocol=protocol,
                 throughput_mbps=result.tc_throughput_mbps,
                 mean_latency_us=result.mean_latency_us or 0.0,

@@ -25,7 +25,6 @@ from ..metrics.collector import Collector
 from ..metrics.percentile import LatencyDistribution
 from ..metrics.report import jain_fairness
 from ..net.topology import Fabric
-from ..nvmeof.discovery import DiscoveryService
 from ..qos.controller import DEFAULT_INTERVAL_US, QosController, TenantHandle
 from ..qos.policy import POLICY_NAMES, POLICY_PARAMETERS, POLICY_STATIC, make_policy
 from ..qos.report import QosReport
@@ -84,7 +83,8 @@ class ScenarioConfig:
     op_mix: str = "read"  # "read" | "write" | "rw50"
     pattern: str = "seq"  # "seq" (the paper's perf runs) | "rand"
     io_size: int = BLOCK_4K
-    window_size: "int | str" = 32
+    #: oPF coalescing window (pick one with :func:`repro.core.select_window`).
+    window_size: int = 32
     total_ops: int = 600  # per throughput-critical tenant
     ls_total_ops: Optional[int] = None  # only for LS-only scenarios
     warmup_us: float = 1_000.0
@@ -126,6 +126,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown transport {self.transport!r}")
         if self.total_ops < 1:
             raise ConfigError("total_ops must be >= 1")
+        window = self.window_size
+        if isinstance(window, bool) or not isinstance(window, int) or window < 1:
+            raise ConfigError(f"window_size must be an integer >= 1 (got {window!r})")
         if self.warmup_us < 0:
             raise ConfigError("warmup must be non-negative")
         if self.chaos_epoch not in ("absolute", "workload"):
@@ -204,7 +207,6 @@ class ScenarioResult:
 
     protocol: str
     network_gbps: float
-    op_mix: str
     elapsed_us: float
     tc_throughput_mbps: float
     tc_iops: float
@@ -328,7 +330,6 @@ class Scenario:
         )
         self.tcp_config = tuning.tcp
         self.ssd_profile = config.ssd_profile if config.ssd_profile is not None else preset.ssd
-        self.discovery = DiscoveryService()
         self.collector = Collector(self.env)
         self.target_nodes: List[TargetNode] = []
         self.initiator_nodes: Dict[str, InitiatorNode] = {}
@@ -367,7 +368,6 @@ class Scenario:
             ftl_config=cfg.ftl_config,
             costs=cfg.effective_costs(),
             conn_switch_cost=cfg.conn_switch_cost,
-            discovery=self.discovery,
             target_cls=cfg.target_cls,
         )
         self.target_nodes.append(node)
@@ -527,7 +527,6 @@ class Scenario:
                 costs=cfg.effective_costs(),
                 collector=self.collector,
                 window_size=cfg.window_size,
-                workload_hint="mixed" if spec.op_mix == "rw50" else spec.op_mix,
                 validate_pdus=cfg.validate_pdus,
                 transport=cfg.transport,
                 retry_policy=cfg.retry_policy,
@@ -736,7 +735,6 @@ class Scenario:
         return ScenarioResult(
             protocol=cfg.protocol,
             network_gbps=cfg.network_gbps,
-            op_mix=cfg.op_mix,
             elapsed_us=elapsed,
             tc_throughput_mbps=tc_mbps,
             tc_iops=tc_iops,

@@ -78,8 +78,9 @@ class ScenarioSpec:
         """The Figure 6/7 shape: one target node with one SSD, each tenant
         on its own initiator node.
 
-        Each tenant runs its own ``op_mix`` while the result reports
-        ``config.op_mix``, so a tenant whose mix differs is refused.
+        Each tenant runs its own ``op_mix`` while ``config.op_mix`` names
+        the run's mix (the figures label their rows with it), so a tenant
+        whose mix differs is refused.
         """
         node_order = [("target", "target0", 1)]
         placements = []
@@ -87,8 +88,7 @@ class ScenarioSpec:
             if tenant.op_mix != config.op_mix:
                 raise ConfigError(
                     f"tenant {tenant.name!r} runs op_mix {tenant.op_mix!r} but the "
-                    f"config's op_mix is {config.op_mix!r}; the result would report "
-                    f"{config.op_mix!r}"
+                    f"config's op_mix is {config.op_mix!r}"
                 )
             node_order.append(("initiator", f"client{i}", 0))
             placements.append(TenantPlacement(tenant, f"client{i}", "target0", 1))

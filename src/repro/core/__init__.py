@@ -8,8 +8,7 @@ Public pieces:
 * :class:`~repro.core.priority_manager.InitiatorPriorityManager` /
   :class:`~repro.core.priority_manager.TargetPriorityManager` — Alg. 1-4;
 * :class:`~repro.core.cid_queue.CidQueue` — zero-copy CID-only queues;
-* :func:`~repro.core.window.select_window` and
-  :class:`~repro.core.window.DynamicWindowController` — window tuning;
+* :func:`~repro.core.window.select_window` — the window optimizer;
 * :class:`~repro.core.ablation.SharedQueueOpfTarget` — the shared-queue
   design the paper rejects, kept for ablations.
 """
@@ -31,32 +30,20 @@ from .initiator import OpfInitiator
 from .priority_manager import InitiatorPriorityManager, TargetPriorityManager
 from .target import OpfTarget
 from .tenant import TenantContext, TenantRegistry
-from .window import (
-    DEFAULT_WINDOW,
-    DrainWatchdog,
-    DynamicWindowController,
-    MAX_WINDOW,
-    MIN_WINDOW,
-    WindowSample,
-    clamp_to_queue_depth,
-    select_window,
-)
+from .window import DrainWatchdog, MIN_WINDOW, clamp_to_queue_depth, select_window
 
 __all__ = [
     "CidQueue",
     "CoalescingStats",
-    "DEFAULT_WINDOW",
     "DevicePriorityOpfTarget",
     "DrainGroup",
     "DrainWatchdog",
-    "DynamicWindowController",
     "ENTRY_BYTES",
     "RETIRED_MEMORY",
     "FLAG_DRAINING",
     "FLAG_THROUGHPUT_CRITICAL",
     "InitiatorPriorityManager",
     "MAX_TENANTS",
-    "MAX_WINDOW",
     "MIN_WINDOW",
     "OpfInitiator",
     "OpfTarget",
@@ -65,7 +52,6 @@ __all__ = [
     "TargetPriorityManager",
     "TenantContext",
     "TenantRegistry",
-    "WindowSample",
     "check_tenant_id",
     "cid_le",
     "clamp_to_queue_depth",

@@ -11,7 +11,7 @@ failure modes the paper cites as the reason for per-tenant isolation:
   queue depth, the queue can fill before any draining flag is admitted;
   every queued request waits for a drain that can never arrive.
 
-It also charges a ``lock_cost`` on every shared-queue operation, modelling
+It also charges :data:`LOCK_COST` on every shared-queue operation, modelling
 the serialisation a shared structure needs.  The lock-free ablation bench
 compares this target against :class:`~repro.core.target.OpfTarget`.
 """
@@ -31,6 +31,9 @@ from .target import OpfTarget
 #: One arrival in the shared queue: (conn, pdu, tenant id, draining).
 _Shared = Tuple[TargetConnection, CapsuleCmdPdu, int, bool]
 
+#: CPU microseconds each shared-queue operation pays for its lock.
+LOCK_COST = 0.3
+
 
 class SharedQueueOpfTarget(OpfTarget):
     """oPF target with a single shared TC queue (broken-by-design ablation)."""
@@ -41,12 +44,10 @@ class SharedQueueOpfTarget(OpfTarget):
         self,
         *args: Any,
         tc_queue_depth: int = 128,
-        lock_cost: float = 0.3,
         **kwargs: Any,
     ) -> None:
         super().__init__(*args, **kwargs)
         self.tc_queue_depth = tc_queue_depth
-        self.lock_cost = lock_cost
         #: The one shared queue, in arrival order.
         self._shared: Deque[_Shared] = deque()
         #: Arrivals rejected by a full queue (live-lock indicator).  A
@@ -63,7 +64,7 @@ class SharedQueueOpfTarget(OpfTarget):
         if priority is Priority.LATENCY:
             super()._handle_command(conn, pdu)
             return
-        cost = self.costs.pdu_rx + self.costs.retire + self.lock_cost
+        cost = self.costs.pdu_rx + self.costs.retire + LOCK_COST
         self.core.run_later(cost, self._enqueue_shared, (conn, pdu, sqe.rsvd_tenant, draining))
 
     def _enqueue_shared(self, arrival: _Shared) -> None:
@@ -109,7 +110,7 @@ class SharedQueueOpfTarget(OpfTarget):
         marker = mine.pop() if drain_pdu.sqe.opcode == OPCODE_FLUSH else None
         cost = (
             self.costs.nvme_submit * len(mine)
-            + self.lock_cost * len(batch)
+            + LOCK_COST * len(batch)
             + self._tenant_switch_cost(drain_tenant)
         )
         self.core.run_later(cost, self._execute_batch, (group, mine, marker))

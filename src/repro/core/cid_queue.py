@@ -31,7 +31,7 @@ from array import array
 from collections import deque
 from typing import Deque, List, Optional, Sequence, Set
 
-from ..errors import ProtocolError, QueueFullError
+from ..errors import ProtocolError
 
 #: Bytes one queue entry occupies (a u16 CID) — used by the space-accounting
 #: tests that verify the zero-copy claim.
@@ -60,14 +60,9 @@ def cid_le(a: int, b: int) -> bool:
 class CidQueue:
     """FIFO ring of command identifiers with drain-through semantics."""
 
-    def __init__(
-        self, capacity: Optional[int] = None, retired_memory: int = RETIRED_MEMORY
-    ) -> None:
-        if capacity is not None and capacity < 1:
-            raise ProtocolError("capacity must be >= 1")
+    def __init__(self, retired_memory: int = RETIRED_MEMORY) -> None:
         if retired_memory < 1:
             raise ProtocolError("retired_memory must be >= 1")
-        self.capacity = capacity
         self._queue: Deque[int] = deque()
         self._members: Set[int] = set()
         # Bounded memory of retired CIDs: bit ``cid`` of the bitmap is set
@@ -99,10 +94,6 @@ class CidQueue:
         return cid in self._members
 
     @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self._queue) >= self.capacity
-
-    @property
     def space_bytes(self) -> int:
         """Memory footprint of the queued entries (zero-copy accounting)."""
         return len(self._queue) * ENTRY_BYTES
@@ -119,8 +110,6 @@ class CidQueue:
             raise ProtocolError(f"CID out of 16-bit range: {cid}")
         if cid in self._members:
             raise ProtocolError(f"CID {cid} already queued")
-        if self.capacity is not None and len(self._queue) >= self.capacity:  # inlined is_full
-            raise QueueFullError(f"CID queue full (capacity {self.capacity})")
         # A reused CID starts a fresh life: forget the retired record so a
         # genuine drain for the new incarnation is not mistaken for a stale
         # duplicate of the old one.
@@ -250,4 +239,4 @@ class CidQueue:
         return list(self._queue)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<CidQueue len={len(self._queue)} cap={self.capacity} epoch={self.epoch}>"
+        return f"<CidQueue len={len(self._queue)} epoch={self.epoch}>"

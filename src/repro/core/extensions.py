@@ -24,17 +24,20 @@ from ..nvmeof.target import RequestContext, TargetConnection
 from ..ssd.latency import OP_FLUSH
 from .target import OpfTarget
 
+#: Depth of the urgent device qpair each SSD gets.
+URGENT_QPAIR_DEPTH = 256
+
 
 class DevicePriorityOpfTarget(OpfTarget):
     """NVMe-oPF target with an urgent device qpair for LS commands."""
 
     runtime_name = "nvme-opf-devprio"
 
-    def __init__(self, *args: Any, urgent_qpair_depth: int = 256, **kwargs: Any) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self._urgent_qpairs: Dict[int, Any] = {}
         for device in self.subsystem.devices:
-            qp = device.create_qpair(depth=urgent_qpair_depth, urgent=True)
+            qp = device.create_qpair(depth=URGENT_QPAIR_DEPTH, urgent=True)
             qp.on_completion = self._on_device_completion
             self._urgent_qpairs[id(device)] = qp
         self._urgent_routes = self._route_table(self._urgent_qpairs)

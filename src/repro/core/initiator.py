@@ -5,8 +5,9 @@ requests are stamped with priority/tenant flags (Alg. 1), every
 ``window_size``-th throughput-critical request carries the draining flag,
 and a coalesced response retires the whole window in submission order
 (Alg. 2).  An idle-drain timer flushes partial windows when the workload
-pauses, and an optional :class:`~repro.core.window.DynamicWindowController`
-re-tunes the window from drain round-trip feedback (§IV-D).
+pauses.  The window is chosen before the run (:func:`~repro.core.window
+.select_window`) and may be resized online through :meth:`OpfInitiator
+.apply_window`, the knob the QoS ``aimd-window`` policy turns (§IV-D).
 
 With a :class:`~repro.faults.recovery.RetryPolicy` attached, the runtime is
 chaos-safe: resends are re-stamped idempotently (flags preserved, the CID
@@ -29,13 +30,7 @@ from ..nvmeof.qpair import IoRequest
 from ..ssd.latency import OP_FLUSH
 from .flags import Priority
 from .priority_manager import InitiatorPriorityManager
-from .window import (
-    DrainWatchdog,
-    DynamicWindowController,
-    WindowSample,
-    clamp_to_queue_depth,
-    select_window,
-)
+from .window import DrainWatchdog, clamp_to_queue_depth
 
 
 class OpfInitiator(NvmeOfInitiator):
@@ -46,42 +41,18 @@ class OpfInitiator(NvmeOfInitiator):
     def __init__(
         self,
         *args: Any,
-        window_size: "int | str" = 32,
-        workload_hint: str = "read",
-        network_gbps: float = 100.0,
-        tc_initiators_hint: int = 1,
+        window_size: int = 32,
         auto_drain_idle_us: Optional[float] = 50.0,
-        dynamic_window: bool = False,
-        allow_lock: bool = False,
         **kwargs: Any,
     ) -> None:
         super().__init__(*args, **kwargs)
-        if window_size == "auto":
-            window = select_window(
-                workload_hint,
-                network_gbps,
-                tc_initiators=tc_initiators_hint,
-                queue_depth=self.qpair.queue_depth,
-            )
-        else:
-            window = int(window_size)
-        if not allow_lock:
-            # A window above half the queue depth risks exhausting the qpair
-            # before a draining flag is sent (§IV-A); clamp like the window
-            # optimizer does.  allow_lock=True keeps the raw value so the
-            # live-lock hazard can be demonstrated deliberately.
-            window = clamp_to_queue_depth(window, self.qpair.queue_depth)
+        # A window above half the queue depth risks exhausting the qpair
+        # before a draining flag is sent (§IV-A); clamp like the window
+        # optimizer does.
         self.pm = InitiatorPriorityManager(
-            window_size=window,
+            window_size=clamp_to_queue_depth(window_size, self.qpair.queue_depth),
             queue_depth=self.qpair.queue_depth,
-            allow_lock=allow_lock,
         )
-        self._window_controller = (
-            DynamicWindowController(initial=window, queue_depth=self.qpair.queue_depth)
-            if dynamic_window
-            else None
-        )
-        self._last_drain_at = self.env.now
         self._idle_timer = (
             _RestartableTimer(self.env, self._on_idle, f"{self.name}/idle-drain")
             if auto_drain_idle_us is not None
@@ -271,13 +242,6 @@ class OpfInitiator(NvmeOfInitiator):
             self._drain_watchdog.disarm(cqe.cid)
         for cid in retired:
             self._retire(cid, cqe.status)
-
-        if self._window_controller is not None:
-            elapsed = self.env.now - self._last_drain_at
-            self.pm.window_size = self._window_controller.observe(
-                WindowSample(window=self.pm.window_size, requests=len(retired), elapsed_us=elapsed)
-            )
-        self._last_drain_at = self.env.now
 
     # -- recovery overrides (active only with a RetryPolicy) ---------------------------
     def _exhaust(self, cid: int) -> None:

@@ -40,19 +40,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class InitiatorPriorityManager:
     """Initiator-side PM: Alg. 1 (before send) and Alg. 2 (on response)."""
 
-    def __init__(self, window_size: int, queue_depth: int, allow_lock: bool = False) -> None:
+    def __init__(self, window_size: int, queue_depth: int) -> None:
         if window_size < 1:
             raise ConfigError("window size must be >= 1")
-        if window_size > queue_depth and not allow_lock:
+        if window_size > queue_depth:
             # §IV-A: a window larger than the queue depth means the qpair
             # exhausts before a draining flag is ever sent -> live-lock.
             raise ConfigError(
                 f"window {window_size} > queue depth {queue_depth} would "
-                f"live-lock the initiator (pass allow_lock=True to demonstrate)"
+                f"live-lock the initiator"
             )
         self.window_size = window_size
         self.queue_depth = queue_depth
-        self.allow_lock = allow_lock
         self.cid_queue = CidQueue()
         self._since_drain = 0
         self.drains_sent = 0
@@ -147,10 +146,10 @@ class InitiatorPriorityManager:
         """
         if window_size < 1:
             raise ConfigError("window size must be >= 1")
-        if window_size > self.queue_depth and not self.allow_lock:
+        if window_size > self.queue_depth:
             raise ConfigError(
                 f"window {window_size} > queue depth {self.queue_depth} would "
-                f"live-lock the initiator (pass allow_lock=True to demonstrate)"
+                f"live-lock the initiator"
             )
         self.window_size = window_size
         return self._since_drain >= window_size
@@ -229,8 +228,8 @@ class InitiatorPriorityManager:
 class TargetPriorityManager:
     """Target-side PM: Alg. 3 (queue, or flush the window into a drain group)."""
 
-    def __init__(self, registry: Optional[TenantRegistry] = None) -> None:
-        self.registry = registry or TenantRegistry()
+    def __init__(self) -> None:
+        self.registry = TenantRegistry()
         self.stats = CoalescingStats()
         #: Latency-sensitive commands the target answered without queuing.
         self.ls_bypassed = 0

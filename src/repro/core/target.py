@@ -24,7 +24,6 @@ from ..ssd.queues import NvmeCompletion
 from .coalescing import DrainGroup
 from .flags import FLAG_DRAINING, FLAG_THROUGHPUT_CRITICAL, unpack_flags
 from .priority_manager import TargetPriorityManager
-from .tenant import TenantRegistry
 
 #: The flag byte of a throughput-critical command that drains its window.
 _TC_DRAINING = FLAG_THROUGHPUT_CRITICAL | FLAG_DRAINING
@@ -46,9 +45,9 @@ class OpfTarget(NvmeOfTarget):
 
     runtime_name = "nvme-opf"
 
-    def __init__(self, *args: Any, registry: Optional[TenantRegistry] = None, **kwargs: Any) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self.pm = TargetPriorityManager(registry=registry)
+        self.pm = TargetPriorityManager()
         # Per-tenant FIFO of in-flight drain groups: responses are emitted
         # in window-formation order (§IV-C — "completion times for each
         # request will follow in the order they were queued"), so Alg. 2's

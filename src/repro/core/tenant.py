@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from ..errors import TenantError
 from .cid_queue import CidQueue
 from .coalescing import CoalescingStats
-from .flags import MAX_TENANTS, check_tenant_id
+from .flags import check_tenant_id
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..nvmeof.pdu import CapsuleCmdPdu
@@ -61,12 +61,10 @@ class TenantContext:
 
 
 class TenantRegistry:
-    """All tenants known to one target."""
+    """All tenants known to one target: one per tenant id, so at most
+    :data:`~repro.core.flags.MAX_TENANTS` (the ids the flag byte carries)."""
 
-    def __init__(self, max_tenants: int = MAX_TENANTS) -> None:
-        if not (1 <= max_tenants <= MAX_TENANTS):
-            raise TenantError(f"max_tenants must be in [1, {MAX_TENANTS}]")
-        self.max_tenants = max_tenants
+    def __init__(self) -> None:
         self._tenants: Dict[int, TenantContext] = {}
 
     def __len__(self) -> int:
@@ -79,11 +77,6 @@ class TenantRegistry:
         check_tenant_id(tenant_id)
         ctx = self._tenants.get(tenant_id)
         if ctx is None:
-            if len(self._tenants) >= self.max_tenants:
-                raise TenantError(
-                    f"target at its tenant limit ({self.max_tenants}); "
-                    f"cannot admit tenant {tenant_id}"
-                )
             ctx = TenantContext(tenant_id)
             self._tenants[tenant_id] = ctx
         return ctx

@@ -5,11 +5,10 @@ type, network speed, and tenant concurrency.  ``select_window`` encodes the
 paper's empirical guidance (peak at 32 on 25/100 Gbps; smaller windows on a
 saturated 10 Gbps link, where large windows delay drain completions; never
 more than half the queue depth, or the initiator risks exhausting its qpair
-before a drain is ever sent).
-
-:class:`DynamicWindowController` implements the runtime adjustment the
-paper sketches: after each drain completion the initiator may grow or
-shrink the window based on observed drain round-trip throughput.
+before a drain is ever sent).  The run-time adjustment the paper sketches
+is the QoS ``aimd-window`` policy (:mod:`repro.qos.policy`), which resizes
+the window online through :meth:`OpfInitiator.apply_window
+<repro.core.initiator.OpfInitiator.apply_window>`.
 
 :class:`DrainWatchdog` is the window's liveness guarantee under chaos: a
 drain whose coalesced response is lost on the fabric would otherwise leave
@@ -21,20 +20,15 @@ a flush carrying the DRAINING flag — so the window can never wedge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict
 
 from ..errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcore.engine import Environment
 
-#: Paper-reported sweet spot on fast fabrics (Fig. 6a).
-DEFAULT_WINDOW = 32
-
-#: Windows are powers of two within this range.
+#: The smallest window: every throughput-critical request drains.
 MIN_WINDOW = 1
-MAX_WINDOW = 64
 
 READ = "read"
 WRITE = "write"
@@ -130,63 +124,3 @@ class DrainWatchdog:
         del self._armed[drain_cid]
         self.expired += 1
         self.on_lost(drain_cid)
-
-
-@dataclass
-class WindowSample:
-    """Observation from one drain round trip."""
-
-    window: int
-    requests: int
-    elapsed_us: float
-
-    @property
-    def rate(self) -> float:
-        """Requests per microsecond over the drain interval."""
-        return self.requests / self.elapsed_us if self.elapsed_us > 0 else 0.0
-
-
-class DynamicWindowController:
-    """Hill-climbing window tuner driven by drain-completion feedback.
-
-    After each drain completes, the controller compares throughput with the
-    previous interval; improvement keeps the current direction (doubling or
-    halving within [min, max]), regression reverses it.  The target flushes
-    all pending requests on every draining flag, so the initiator can change
-    its window unilaterally between drains (§IV-D).
-    """
-
-    def __init__(
-        self,
-        initial: int = DEFAULT_WINDOW,
-        min_window: int = MIN_WINDOW,
-        max_window: int = MAX_WINDOW,
-        queue_depth: int = 128,
-    ) -> None:
-        if not (MIN_WINDOW <= min_window <= max_window <= 4096):
-            raise ConfigError("invalid window bounds")
-        self.min_window = min_window
-        self.max_window = clamp_to_queue_depth(max_window, queue_depth)
-        self.window = max(min_window, min(initial, self.max_window))
-        self._direction = +1  # +1 grow, -1 shrink
-        self._last_rate: Optional[float] = None
-        self.adjustments = 0
-
-    def observe(self, sample: WindowSample) -> int:
-        """Feed one drain observation; returns the window to use next."""
-        rate = sample.rate
-        if self._last_rate is not None:
-            if rate < self._last_rate * 0.98:
-                self._direction = -self._direction
-            self._step()
-        self._last_rate = rate
-        return self.window
-
-    def _step(self) -> None:
-        if self._direction > 0:
-            new = min(self.max_window, self.window * 2)
-        else:
-            new = max(self.min_window, self.window // 2)
-        if new != self.window:
-            self.window = new
-            self.adjustments += 1

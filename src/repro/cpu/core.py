@@ -14,7 +14,7 @@ keeps the event count low enough for the large scale-out experiments.
 from __future__ import annotations
 
 from heapq import heappush as _heappush
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ..errors import SimulationError
 
@@ -86,14 +86,13 @@ class CpuCore:
         """Total microseconds of work accepted so far."""
         return self._busy_time
 
-    def utilization(self, since: Optional[float] = None) -> float:
-        """Fraction of wall time spent busy since ``since`` (or creation).
+    def utilization(self) -> float:
+        """Fraction of wall time spent busy since creation.
 
         Counts accepted work against elapsed time, clamped to 1.0 (work may
         still be queued beyond ``now``).
         """
-        t0 = self._started_at if since is None else since
-        elapsed = self.env.now - t0
+        elapsed = self.env.now - self._started_at
         if elapsed <= 0:
             return 0.0
         return min(1.0, self._busy_time / elapsed)

@@ -83,7 +83,6 @@ def run_h5bench_cluster(
                 queue_depth=bench.queue_depth,
                 collector=collector,
                 window_size=window,
-                workload_hint=bench.mode,
             )
             connect_events.append(initiator.connect())
             h5file = H5File(

@@ -27,7 +27,7 @@ from ..metrics.report import format_table
 from ..parallel.pool import check_cli_workers, run_campaign
 from ..parallel.units import KIND_FUZZ_BLOCK, WorkUnit
 from ..scenarios.compiler import replay
-from ..scenarios.generate import GeneratorConfig, generate_program
+from ..scenarios.generate import generate_program
 
 #: Sampled determinism audit: every Nth program is replayed twice and the
 #: two digests must be byte-identical.
@@ -68,7 +68,6 @@ def fuzz_units(
     n_programs: int,
     base_seed: int = 0,
     determinism_stride: int = DETERMINISM_STRIDE,
-    generator_config: Optional[GeneratorConfig] = None,
 ) -> List[WorkUnit]:
     """Contiguous seed blocks covering ``[base_seed, base_seed+n_programs)``."""
     if not isinstance(n_programs, int) or isinstance(n_programs, bool) or n_programs < 1:
@@ -90,7 +89,6 @@ def fuzz_units(
                     "count": count,
                     "base_seed": base_seed,
                     "determinism_stride": determinism_stride,
-                    "generator_config": generator_config,
                 },
             )
         )
@@ -100,7 +98,6 @@ def fuzz_units(
 def run_fuzz(
     n_programs: int = 500,
     base_seed: int = 0,
-    generator_config: Optional[GeneratorConfig] = None,
     determinism_stride: int = DETERMINISM_STRIDE,
     workers: int = 0,
     print_table: bool = False,
@@ -113,7 +110,7 @@ def run_fuzz(
     many processes; blocks merge in seed order, so the result is the same
     either way.
     """
-    units = fuzz_units(n_programs, base_seed, determinism_stride, generator_config)
+    units = fuzz_units(n_programs, base_seed, determinism_stride)
     started = time.time()
     campaign = run_campaign(units, workers)
     result = FuzzResult(base_seed=base_seed, n_programs=n_programs)
@@ -142,14 +139,14 @@ def run_fuzz(
     return result
 
 
-def repro_seed(seed: int, generator_config: Optional[GeneratorConfig] = None) -> None:
+def repro_seed(seed: int) -> None:
     """Reproduce one seed verbosely: print the program, replay, check."""
-    program = generate_program(seed, generator_config)
+    program = generate_program(seed)
     print(program.to_json())
     run = replay(program)  # raises InvariantViolation on any breach
     print()
     print(run.digest())
-    again = replay(generate_program(seed, generator_config))
+    again = replay(generate_program(seed))
     if again.digest() != run.digest():
         raise ReproError(f"seed {seed}: same-seed replay digests differ")
     print(f"\nseed {seed}: all invariants hold; replay digest is deterministic")

@@ -27,6 +27,7 @@ from ..cluster.scenario import Scenario, ScenarioConfig, ScenarioResult
 from ..core.flags import Priority
 from ..metrics.report import format_table
 from ..qos.slo import TenantSlo
+from ..scenarios.library import QOS_GUARD_BURST_AT_US, QOS_GUARD_CEILING_US
 from ..workloads.mixes import LS_QUEUE_DEPTH, TC_QUEUE_DEPTH, TenantSpec
 
 #: Reduced window grid for the offline reference sweep (Fig. 6 methodology).
@@ -37,8 +38,6 @@ QOS_WINDOW_GRID = (8, 16, 32, 64)
 class QosGuardResult:
     """Static-vs-slo-guard comparison under a TC burst."""
 
-    ceiling_us: float
-    burst_at_us: float
     static: ScenarioResult
     guarded: ScenarioResult
     #: Fraction of tracked time the LS tenant met its p99 ceiling.
@@ -75,7 +74,7 @@ class QosAimdResult:
         return distance <= 1.0
 
 
-def _guard_tenants(burst_at_us: float) -> List[TenantSpec]:
+def _guard_tenants() -> List[TenantSpec]:
     return [
         TenantSpec("ls0", Priority.LATENCY, LS_QUEUE_DEPTH, "read"),
         TenantSpec("tc0", Priority.THROUGHPUT, TC_QUEUE_DEPTH, "read"),
@@ -84,14 +83,12 @@ def _guard_tenants(burst_at_us: float) -> List[TenantSpec]:
             Priority.THROUGHPUT,
             TC_QUEUE_DEPTH,
             "read",
-            start_delay_us=burst_at_us,
+            start_delay_us=QOS_GUARD_BURST_AT_US,
         ),
     ]
 
 
 def run_qos_guard(
-    ceiling_us: float = 650.0,
-    burst_at_us: float = 10_000.0,
     network_gbps: float = 10.0,
     total_ops: int = 9_000,
     window_size: int = 16,
@@ -107,7 +104,7 @@ def run_qos_guard(
     acts) and ``slo-guard`` — and reports attainment plus the TC throughput
     cost of the defence.
     """
-    slos = (TenantSlo("ls0", p99_ceiling_us=ceiling_us),)
+    slos = (TenantSlo("ls0", p99_ceiling_us=QOS_GUARD_CEILING_US),)
 
     def build(policy: str) -> ScenarioResult:
         cfg = ScenarioConfig(
@@ -122,14 +119,12 @@ def run_qos_guard(
             qos_interval_us=interval_us,
             qos_params=qos_params if policy == "slo-guard" else None,
         )
-        return Scenario.two_sided(cfg, _guard_tenants(burst_at_us)).run()
+        return Scenario.two_sided(cfg, _guard_tenants()).run()
 
     static = build("static")
     guarded = build("slo-guard")
     assert static.qos_report is not None and guarded.qos_report is not None
     result = QosGuardResult(
-        ceiling_us=ceiling_us,
-        burst_at_us=burst_at_us,
         static=static,
         guarded=guarded,
         static_attainment=static.qos_report.attainment("ls0"),
@@ -152,8 +147,8 @@ def run_qos_guard(
                      result.guarded_attainment],
                 ],
                 title=(
-                    f"SLO defence: ls0 p99 <= {ceiling_us:g} us, "
-                    f"TC burst at t={burst_at_us / 1000:g} ms"
+                    f"SLO defence: ls0 p99 <= {QOS_GUARD_CEILING_US:g} us, "
+                    f"TC burst at t={QOS_GUARD_BURST_AT_US / 1000:g} ms"
                 ),
                 float_fmt="{:.3f}",
             )

@@ -105,14 +105,13 @@ def run_validation(total_ops: int = 500, seed: int = 1) -> List[ValidationEntry]
     ))
 
     # -- Figure 8: plateau + scale-out gain (strict plateau check) --------------
-    from ..cluster.scaling import pattern1
+    from ..cluster.scaling import scale_curve
 
-    spdk_scale = pattern1("spdk", "read", n_node_pairs=2,
-                          initiators_per_node_range=[1, 5],
-                          total_ops=max(400, total_ops), seed=seed)
-    opf_scale = pattern1("nvme-opf", "read", n_node_pairs=2,
-                         initiators_per_node_range=[1, 5],
-                         total_ops=max(400, total_ops), seed=seed)
+    scale_ops = max(400, total_ops)
+    spdk_scale = scale_curve("spdk", "read", [(2, 1), (2, 5)], include_ls=True,
+                             total_ops=scale_ops, seed=seed)
+    opf_scale = scale_curve("nvme-opf", "read", [(2, 1), (2, 5)], include_ls=True,
+                            total_ops=scale_ops, seed=seed)
     opf_wins_at_scale = (
         opf_scale[-1].throughput_mbps > spdk_scale[-1].throughput_mbps
     )
@@ -122,12 +121,10 @@ def run_validation(total_ops: int = 500, seed: int = 1) -> List[ValidationEntry]
         improvement_pct(opf_scale[-1].throughput_mbps, spdk_scale[-1].throughput_mbps),
         opf_wins_at_scale,
     ))
-    spdk_w = pattern1("spdk", "write", n_node_pairs=2,
-                      initiators_per_node_range=[5],
-                      total_ops=max(400, total_ops), seed=seed)
-    opf_w = pattern1("nvme-opf", "write", n_node_pairs=2,
-                     initiators_per_node_range=[5],
-                     total_ops=max(400, total_ops), seed=seed)
+    spdk_w = scale_curve("spdk", "write", [(2, 5)], include_ls=True,
+                         total_ops=scale_ops, seed=seed)
+    opf_w = scale_curve("nvme-opf", "write", [(2, 5)], include_ls=True,
+                        total_ops=scale_ops, seed=seed)
     gain_w = improvement_pct(opf_w[-1].throughput_mbps, spdk_w[-1].throughput_mbps)
     entries.append(ValidationEntry(
         "fig8_write_scaleout", PAPER_TARGETS["fig8_write_scaleout"], gain_w, gain_w > 0

@@ -5,19 +5,19 @@ A :class:`FaultSchedule` is an ordered list of :class:`FaultEvent` records —
 the :class:`~repro.faults.injector.ComponentRegistry`), for *how long*
 (duration; 0 = instantaneous/permanent), with kind-specific parameters.
 
-Schedules are plain data: they can be built by hand with the fluent
-helpers, generated reproducibly from a seed with :meth:`FaultSchedule.random`,
-and rendered to a canonical byte encoding (:meth:`FaultSchedule.encode`) so
-tests can assert two same-seed schedules are byte-identical.
+Schedules are plain data: they are built with the fluent helpers (or
+drawn from a seed as part of a generated scenario program, see
+:mod:`repro.scenarios.generate`) and rendered to a canonical byte encoding
+(:meth:`FaultSchedule.encode`) so tests can assert two schedules are
+byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Tuple
 
 from ..errors import FaultError
-from ..simcore.rng import RandomStreams
 
 # -- fault kinds ---------------------------------------------------------------
 KIND_LINK_DOWN = "link.down"  # flap: link loses every frame for duration
@@ -183,80 +183,3 @@ class FaultSchedule:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FaultSchedule {len(self._events)} events>"
-
-    # -- seeded generation --------------------------------------------------------
-    @classmethod
-    def random(
-        cls,
-        seed: Union[int, RandomStreams],
-        duration_us: float,
-        links: Sequence[str] = (),
-        nics: Sequence[str] = (),
-        switches: Sequence[str] = (),
-        ssds: Sequence[str] = (),
-        targets: Sequence[str] = (),
-        initiators: Sequence[str] = (),
-        mean_events: float = 6.0,
-        mean_fault_us: float = 500.0,
-        max_crash_fraction: float = 0.25,
-    ) -> "FaultSchedule":
-        """Generate a reproducible random schedule over the given components.
-
-        The same ``seed`` always yields a byte-identical schedule (pinned by
-        the property-based tests).  Event count is Poisson(``mean_events``),
-        times are uniform over ``[0, duration_us)``, and fault durations are
-        exponential(``mean_fault_us``), with target outages capped at
-        ``max_crash_fraction`` of the horizon so runs stay recoverable.
-        """
-        if duration_us <= 0:
-            raise FaultError("schedule horizon must be positive")
-        streams = seed if isinstance(seed, RandomStreams) else RandomStreams(int(seed))
-        rng = streams.stream("faults/schedule")
-
-        pools: List[Tuple[str, Sequence[str]]] = []
-        if links:
-            pools += [
-                (KIND_LINK_DOWN, links),
-                (KIND_LINK_DEGRADE, links),
-                (KIND_LINK_LOSS, links),
-            ]
-        if nics:
-            pools.append((KIND_NIC_DOWN, nics))
-        if switches:
-            pools.append((KIND_SWITCH_PRESSURE, switches))
-        if ssds:
-            pools += [(KIND_SSD_SPIKE, ssds), (KIND_SSD_ERROR, ssds)]
-        if targets:
-            pools.append((KIND_TARGET_CRASH, targets))
-        if initiators:
-            pools.append((KIND_QPAIR_DISCONNECT, initiators))
-        if not pools:
-            raise FaultError("random schedule needs at least one component pool")
-
-        schedule = cls()
-        n_events = int(rng.poisson(mean_events))
-        for _ in range(n_events):
-            kind, pool = pools[int(rng.integers(0, len(pools)))]
-            target = pool[int(rng.integers(0, len(pool)))]
-            at = float(rng.uniform(0.0, duration_us))
-            dur = float(rng.exponential(mean_fault_us))
-            if kind == KIND_TARGET_CRASH:
-                dur = min(max(dur, 1.0), duration_us * max_crash_fraction)
-                schedule.target_crash(target, at, dur)
-            elif kind == KIND_LINK_DOWN:
-                schedule.link_flap(target, at, dur)
-            elif kind == KIND_LINK_DEGRADE:
-                schedule.link_degrade(target, at, dur, scale=float(rng.uniform(0.1, 0.8)))
-            elif kind == KIND_LINK_LOSS:
-                schedule.link_loss_burst(target, at, dur, p=float(rng.uniform(0.05, 0.5)))
-            elif kind == KIND_NIC_DOWN:
-                schedule.nic_down(target, at, dur)
-            elif kind == KIND_SWITCH_PRESSURE:
-                schedule.switch_pressure(target, at, dur, scale=float(rng.uniform(0.1, 0.9)))
-            elif kind == KIND_SSD_SPIKE:
-                schedule.ssd_latency_spike(target, at, dur, scale=float(rng.uniform(2.0, 20.0)))
-            elif kind == KIND_SSD_ERROR:
-                schedule.ssd_transient_error(target, at, dur)
-            else:  # KIND_QPAIR_DISCONNECT
-                schedule.qpair_disconnect(target, at)
-        return schedule

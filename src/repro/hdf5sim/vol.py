@@ -33,8 +33,6 @@ class VolConnector:
         h5file: H5File,
         nsid: int = 1,
         io_blocks: int = 1,
-        data_priority: Priority = Priority.THROUGHPUT,
-        metadata_priority: Priority = Priority.LATENCY,
     ) -> None:
         if io_blocks < 1:
             raise Hdf5Error("io_blocks must be >= 1")
@@ -43,8 +41,6 @@ class VolConnector:
         self.h5file = h5file
         self.nsid = nsid
         self.io_blocks = io_blocks
-        self.data_priority = data_priority
-        self.metadata_priority = metadata_priority
         self.data_requests = 0
         self.metadata_requests = 0
         self.bytes_written = 0
@@ -59,7 +55,7 @@ class VolConnector:
             slba=self.h5file.superblock_lba,
             nlb=1,
             nsid=self.nsid,
-            priority=self.metadata_priority,
+            priority=Priority.LATENCY,
         )
 
     # -- bulk data -----------------------------------------------------------------
@@ -98,7 +94,7 @@ class VolConnector:
                 slba=extent.slba,
                 nlb=extent.nlb,
                 nsid=self.nsid,
-                priority=self.data_priority,
+                priority=Priority.THROUGHPUT,
             )
             self.data_requests += 1
             if op == OP_WRITE:

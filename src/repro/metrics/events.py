@@ -30,10 +30,6 @@ class EventCounter:
     def get(self, name: str) -> int:
         return self._counts.get(name, 0)
 
-    def total(self, prefix: str = "") -> int:
-        """Sum of all counters whose name starts with ``prefix``."""
-        return sum(v for k, v in self._counts.items() if k.startswith(prefix))
-
     def snapshot(self) -> Dict[str, int]:
         """Counters as a name-sorted dict (stable across runs)."""
         return dict(sorted(self._counts.items()))

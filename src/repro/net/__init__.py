@@ -1,6 +1,5 @@
 """Network fabric substrate: links, switch, NICs, TCP-lite, topologies."""
 
-from .addresses import DISCOVERY_PORT, NVME_TCP_PORT, Endpoint
 from .link import Link, LinkStats
 from .nic import Nic
 from .packet import DEFAULT_MSS, WIRE_OVERHEAD, Packet
@@ -11,13 +10,10 @@ from .topology import Fabric
 
 __all__ = [
     "DEFAULT_MSS",
-    "DISCOVERY_PORT",
-    "Endpoint",
     "Fabric",
     "Link",
     "LinkStats",
     "Nic",
-    "NVME_TCP_PORT",
     "Packet",
     "RDMA_COST_SCALE",
     "ROCE_OVERHEAD",

@@ -17,7 +17,6 @@ from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple, Union
 
 from ..errors import ConfigError
-from ..simcore.trace import NULL_TRACER, Tracer
 from ..units import gbps_to_bytes_per_us
 from .packet import Packet
 
@@ -70,7 +69,6 @@ class Link:
         "_free_at",
         "_pending",
         "_deliver_cb",
-        "tracer",
         "_up",
         "_drop_filter",
         "_sender",
@@ -87,7 +85,6 @@ class Link:
         propagation_us: float = 2.0,
         queue_packets: int = 128,
         name: str = "link",
-        tracer: Optional[Tracer] = None,
     ) -> None:
         if rate_gbps <= 0:
             raise ConfigError("link rate must be positive")
@@ -119,7 +116,6 @@ class Link:
         #: one on the heap per frame, and binding it fresh each time would
         #: allocate a method object per frame.
         self._deliver_cb = self._deliver
-        self.tracer = tracer or NULL_TRACER
         self._up = True
         self._drop_filter: Optional[Callable[[Packet], bool]] = None
         #: The NIC whose frames this link carries (a node's uplink), so that
@@ -223,8 +219,6 @@ class Link:
             pending.popleft()
         if pending and len(pending) >= self.queue_limit:
             self.stats.dropped += 1
-            if self.tracer.enabled:
-                self.tracer.emit(now, self.name, "drop", packet)
             return False
         stats = self.stats
         stats.enqueued += 1
@@ -254,8 +248,7 @@ class Link:
 
         Checked in the order a frame meets them: its NIC, the cable, then
         the loss filter, which may draw from a seeded stream and so sees
-        only frames that reach it.  Drop paths test ``tracer.enabled``
-        first, so a drop storm on a disabled tracer builds no records.
+        only frames that reach it.
         """
         sender = self._sender
         if sender is not None and sender._down:
@@ -267,14 +260,10 @@ class Link:
         if not self._up:
             stats.dropped += 1
             stats.fault_drops += 1
-            if self.tracer.enabled:
-                self.tracer.emit(self.env.now, self.name, "drop-linkdown", packet)
             return True
         if self._drop_filter is not None and self._drop_filter(packet):
             stats.dropped += 1
             stats.fault_drops += 1
-            if self.tracer.enabled:
-                self.tracer.emit(self.env.now, self.name, "drop-injected", packet)
             return True
         return False
 
@@ -378,9 +367,9 @@ class Link:
             prev_end = end
         self._free_at = prev_end
 
-    def utilization(self, elapsed: Optional[float] = None) -> float:
+    def utilization(self) -> float:
         """Fraction of time the transmitter was busy."""
-        t = elapsed if elapsed is not None else self.env.now
+        t = self.env.now
         if t <= 0:
             return 0.0
         return min(1.0, self.stats.busy_time / t)

@@ -43,11 +43,9 @@ class Fabric:
         queue_packets: int = 256,
         switch_delay_us: float = 0.5,
         name: str = "fabric",
-        tracer=None,
     ) -> None:
         self.env = env
         self.name = name
-        self.tracer = tracer
         self.rate_gbps = rate_gbps
         self.propagation_us = propagation_us
         self.queue_packets = queue_packets
@@ -76,7 +74,6 @@ class Fabric:
             propagation_us=self.propagation_us + self.switch_delay_us,
             queue_packets=self.queue_packets,
             name=f"{node}->sw",
-            tracer=self.tracer,
         )
         down = Link(
             self.env,
@@ -84,7 +81,6 @@ class Fabric:
             propagation_us=self.propagation_us,
             queue_packets=self.queue_packets,
             name=f"sw->{node}",
-            tracer=self.tracer,
         )
         nic = Nic(self.env, node, egress=up)
         # Bind both access links to the tables that consume their frames

@@ -1,8 +1,7 @@
 """Baseline NVMe-over-Fabrics runtime (SPDK-model): PDUs, capsules,
-qpairs, transport binding, initiator, target, subsystems, discovery."""
+qpairs, transport binding, initiator, target, subsystems."""
 
 from .capsule import Cqe, OPCODE_FLUSH, OPCODE_READ, OPCODE_WRITE, Sqe
-from .discovery import DiscoveryService
 from .initiator import InitiatorStats, NvmeOfInitiator
 from .pdu import (
     AnyPdu,
@@ -25,7 +24,6 @@ __all__ = [
     "CapsuleCmdPdu",
     "CapsuleRespPdu",
     "Cqe",
-    "DiscoveryService",
     "FabricQpair",
     "H2CDataPdu",
     "IcReqPdu",

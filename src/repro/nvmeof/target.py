@@ -28,6 +28,10 @@ from .transport import PduTransport
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcore.engine import Environment
 
+#: Depth of the device qpair each backing SSD gets, shared by every
+#: connection (deep enough that no workload here fills it).
+DEVICE_QPAIR_DEPTH = 4096
+
 
 class TargetStats:
     """Per-target protocol counters (Figure 6c reads these)."""
@@ -133,7 +137,6 @@ class NvmeOfTarget:
         subsystem: Subsystem,
         costs: CpuCostModel = DEFAULT_COSTS,
         conn_switch_cost: float = 0.5,
-        device_qpair_depth: int = 4096,
     ) -> None:
         self.env = env
         self.name = name
@@ -151,7 +154,7 @@ class NvmeOfTarget:
         # completion contexts route responses back to the right connection.
         self._device_qpairs: Dict[int, IoQpair] = {}
         for device in subsystem.devices:
-            qp = device.create_qpair(depth=device_qpair_depth)
+            qp = device.create_qpair(depth=DEVICE_QPAIR_DEPTH)
             qp.on_completion = self._on_device_completion
             self._device_qpairs[id(device)] = qp
         self._routes = self._route_table(self._device_qpairs)

@@ -15,7 +15,7 @@ from ..errors import ConfigError
 from ..faults.recovery import RetryPolicy
 from ..faults.schedule import FaultSchedule
 from ..scenarios.library import register_library_programs
-from ..scenarios.program import DEFAULT_REGISTRY, ProgramRegistry
+from ..scenarios.program import DEFAULT_REGISTRY
 from .units import KIND_PROGRAM, KIND_SCENARIO, WorkUnit
 
 
@@ -92,11 +92,10 @@ def fault_matrix_units(
 
 def program_units(
     names: Optional[Sequence[str]] = None,
-    registry: Optional[ProgramRegistry] = None,
     check_invariants: bool = True,
 ) -> List[WorkUnit]:
-    """One unit per registered program (default: the whole library)."""
-    registry = registry if registry is not None else register_library_programs(DEFAULT_REGISTRY)
+    """One unit per library program (default: all of them)."""
+    registry = register_library_programs(DEFAULT_REGISTRY)
     names = list(names) if names is not None else registry.names()
     units = []
     for name in names:

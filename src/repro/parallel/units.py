@@ -179,30 +179,24 @@ def _fig8_curve_executor(payload: Mapping[str, object]) -> Tuple[str, Dict[str, 
     """One Figure-8 scaling curve (one protocol of one panel)."""
     from dataclasses import asdict
 
-    from ..cluster.scaling import pattern1, pattern2
+    from ..cluster.scaling import PATTERN2_PER_NODE, scale_curve
 
     pattern = int(payload["pattern"])  # type: ignore[arg-type]
-    protocol = str(payload["protocol"])
-    op_mix = str(payload["op_mix"])
-    total_ops = int(payload.get("total_ops", 600))  # type: ignore[arg-type]
-    seed = int(payload.get("seed", 1))  # type: ignore[arg-type]
     if pattern == 1:
-        points = pattern1(
-            protocol,
-            op_mix,
-            n_node_pairs=int(payload.get("n_node_pairs", 5)),  # type: ignore[arg-type]
-            initiators_per_node_range=payload.get("per_node_range"),  # type: ignore[arg-type]
-            total_ops=total_ops,
-            seed=seed,
-        )
+        n_node_pairs = int(payload.get("n_node_pairs", 5))  # type: ignore[arg-type]
+        per_node_range = payload.get("per_node_range") or [1, 2, 3, 4, 5]
+        shapes = [(n_node_pairs, k) for k in per_node_range]  # type: ignore[union-attr]
     else:
-        points = pattern2(
-            protocol,
-            op_mix,
-            node_pairs_range=payload.get("pairs_range"),  # type: ignore[arg-type]
-            total_ops=total_ops,
-            seed=seed,
-        )
+        pairs_range = payload.get("pairs_range") or [1, 2, 3, 4, 5]
+        shapes = [(n, PATTERN2_PER_NODE) for n in pairs_range]  # type: ignore[union-attr]
+    points = scale_curve(
+        str(payload["protocol"]),
+        str(payload["op_mix"]),
+        shapes,
+        include_ls=pattern == 1,
+        total_ops=int(payload.get("total_ops", 600)),  # type: ignore[arg-type]
+        seed=int(payload.get("seed", 1)),  # type: ignore[arg-type]
+    )
     lines = [
         f"point/{i}={p.total_initiators},{p.protocol},"
         f"{p.throughput_mbps!r},{p.mean_latency_us!r},{p.tc_iops!r}"
@@ -247,7 +241,6 @@ def _fuzz_block_executor(payload: Mapping[str, object]) -> Tuple[str, Dict[str, 
     count = int(payload["count"])  # type: ignore[arg-type]
     base_seed = int(payload.get("base_seed", start))  # type: ignore[arg-type]
     stride = int(payload.get("determinism_stride", 0))  # type: ignore[arg-type]
-    generator_config = payload.get("generator_config")
 
     action_counts: Dict[str, int] = {}
     failures = []  # (seed, kind, message) in seed order
@@ -256,7 +249,7 @@ def _fuzz_block_executor(payload: Mapping[str, object]) -> Tuple[str, Dict[str, 
     lines = []
     for seed in range(start, start + count):
         try:
-            program = generate_program(seed, generator_config)
+            program = generate_program(seed)
             for action in program.actions:
                 action_counts[action.op] = action_counts.get(action.op, 0) + 1
             run = replay(program)
@@ -266,7 +259,7 @@ def _fuzz_block_executor(payload: Mapping[str, object]) -> Tuple[str, Dict[str, 
             lines.append(f"seed/{seed}=sig:{sig_sha},digest:{dig_sha}")
             if stride and (seed - base_seed) % stride == 0:
                 determinism_checks += 1
-                again = replay(generate_program(seed, generator_config))
+                again = replay(generate_program(seed))
                 if hashlib.sha256(again.digest().encode()).hexdigest() != dig_sha:
                     failures.append((seed, "nondeterminism", "same-seed digests differ"))
                     lines.append(f"seed/{seed}=FAIL:nondeterminism")

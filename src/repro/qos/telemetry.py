@@ -40,6 +40,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Samples the P² estimator needs before its tail estimate is trusted.
 MIN_TAIL_SAMPLES = 32
 
+#: Per-tenant estimator settings: the EWMA weights of the mean latency and
+#: of the per-interval peak (the breach detector), and the streaming tail.
+LATENCY_ALPHA = 0.2
+PEAK_ALPHA = 0.5
+TAIL_QUANTILE = 0.99
+
 #: Controller ticks in the sliding goodput window (``smoothed_mbps``).
 #: Coalescing retires ops in window-sized bursts, so a single interval's
 #: rate swings between 0 and several times the true rate; eight intervals
@@ -100,17 +106,11 @@ class TelemetrySample:
 class TenantTelemetry:
     """O(1) streaming statistics for one tenant."""
 
-    def __init__(
-        self,
-        name: str,
-        latency_alpha: float = 0.2,
-        peak_alpha: float = 0.5,
-        tail_quantile: float = 0.99,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.latency_ewma = Ewma(latency_alpha)
-        self.peak_ewma = Ewma(peak_alpha)
-        self.tail = P2Quantile(tail_quantile)
+        self.latency_ewma = Ewma(LATENCY_ALPHA)
+        self.peak_ewma = Ewma(PEAK_ALPHA)
+        self.tail = P2Quantile(TAIL_QUANTILE)
         self._total_ops = 0
         self._total_bytes = 0
         self._total_failed = 0

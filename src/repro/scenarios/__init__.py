@@ -30,7 +30,7 @@ from .compiler import (
     compile_program,
     replay,
 )
-from .generate import GeneratorConfig, generate_program
+from .generate import generate_program
 from .invariants import (
     INVARIANTS,
     MIDRUN_INVARIANTS,
@@ -55,7 +55,6 @@ __all__ = [
     "CompiledProgram",
     "DEFAULT_REGISTRY",
     "FaultInject",
-    "GeneratorConfig",
     "INVARIANTS",
     "MIDRUN_INVARIANTS",
     "PROGRAM_FORMAT",

@@ -1,6 +1,6 @@
 """Seed-driven generation of random-but-valid scenario programs.
 
-:func:`generate_program` maps ``(seed, GeneratorConfig)`` to one
+:func:`generate_program` maps a seed to one
 :class:`~repro.scenarios.program.ScenarioProgram` deterministically — the
 same seed always composes the same program, so a failing fuzz seed is a
 one-command repro (``python -m repro.experiments fuzz --seed N``).
@@ -17,8 +17,7 @@ Every generated program therefore validates and replays.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..faults.schedule import (
     KIND_LINK_DEGRADE,
@@ -59,34 +58,24 @@ _FAULT_KINDS = (
     KIND_QPAIR_DISCONNECT,
 )
 
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Shape knobs for the program generator (all ranges inclusive)."""
-
-    max_target_nodes: int = 2
-    max_ssds: int = 2
-    max_initial_tenants: int = 3
-    max_late_tenants: int = 2
-    min_steps: int = 4
-    max_steps: int = 10
-    #: Probability the program runs the oPF protocol (else plain spdk).
-    opf_prob: float = 0.75
-    #: Probability the program builds a QoS control plane.
-    qos_prob: float = 0.45
-    #: Probability the program injects faults at all.
-    fault_prob: float = 0.5
-    #: Per-TC-tenant op quota range (keeps fuzz replays fast).
-    tc_ops: Tuple[int, int] = (40, 120)
-    #: Per-LS-tenant op quota range (LS tenants are always bounded so every
-    #: generated program terminates).
-    ls_ops: Tuple[int, int] = (20, 60)
-
-    def __post_init__(self) -> None:
-        if self.min_steps < 1 or self.max_steps < self.min_steps:
-            raise ValueError("need 1 <= min_steps <= max_steps")
-        if self.max_initial_tenants < 1:
-            raise ValueError("need at least one initial tenant")
+# The generator's shape (all ranges inclusive).
+_MAX_TARGET_NODES = 2
+_MAX_SSDS = 2
+_MAX_INITIAL_TENANTS = 3
+_MAX_LATE_TENANTS = 2
+_MIN_STEPS = 4
+_MAX_STEPS = 10
+#: Probability the program runs the oPF protocol (else plain spdk).
+_OPF_PROB = 0.75
+#: Probability the program builds a QoS control plane.
+_QOS_PROB = 0.45
+#: Probability the program injects faults at all.
+_FAULT_PROB = 0.5
+#: Per-TC-tenant op quota range (keeps fuzz replays fast).
+_TC_OPS = (40, 120)
+#: Per-LS-tenant op quota range (LS tenants are always bounded so every
+#: generated program terminates).
+_LS_OPS = (20, 60)
 
 
 def _pick_faults_component(
@@ -136,21 +125,20 @@ def _make_fault(
 
 def _make_config(
     rng: random.Random,
-    gcfg: GeneratorConfig,
     roster: List[Tuple[str, str]],
     initial: int,
 ) -> Dict[str, object]:
     """The program's config dict (qos/faults decided by the caller)."""
     config: Dict[str, object] = {
-        "protocol": "nvme-opf" if rng.random() < gcfg.opf_prob else "spdk",
+        "protocol": "nvme-opf" if rng.random() < _OPF_PROB else "spdk",
         "network_gbps": rng.choice((10.0, 25.0, 100.0)),
         "op_mix": rng.choice(_OP_MIXES),
         "io_size": rng.choice((4096, 16384)),
         "window_size": rng.choice((4, 8, 16, 32)),
-        "total_ops": rng.randint(*gcfg.tc_ops),
+        "total_ops": rng.randint(*_TC_OPS),
         "seed": rng.randrange(1, 1_000_000),
     }
-    if rng.random() < gcfg.qos_prob:
+    if rng.random() < _QOS_PROB:
         policy = rng.choice(("aimd-window", "slo-guard"))
         config["qos_policy"] = policy
         slos: List[Dict[str, object]] = []
@@ -169,33 +157,32 @@ def _make_config(
     return config
 
 
-def generate_program(seed: int, config: Optional[GeneratorConfig] = None) -> ScenarioProgram:
+def generate_program(seed: int) -> ScenarioProgram:
     """Compose one valid scenario program from a seed (pure function)."""
-    gcfg = config or GeneratorConfig()
     rng = random.Random(seed)
 
-    n_target_nodes = rng.randint(1, gcfg.max_target_nodes)
-    n_ssds = rng.randint(1, gcfg.max_ssds)
+    n_target_nodes = rng.randint(1, _MAX_TARGET_NODES)
+    n_ssds = rng.randint(1, _MAX_SSDS)
     targets, ssds = storage_names(n_target_nodes, n_ssds)
 
-    initial = rng.randint(1, gcfg.max_initial_tenants)
-    late = rng.randint(0, gcfg.max_late_tenants)
+    initial = rng.randint(1, _MAX_INITIAL_TENANTS)
+    late = rng.randint(0, _MAX_LATE_TENANTS)
     roster: List[Tuple[str, str]] = [
         (f"t{i}", "latency" if rng.random() < 0.4 else "throughput")
         for i in range(initial + late)
     ]
 
-    program_config = _make_config(rng, gcfg, roster, initial)
+    program_config = _make_config(rng, roster, initial)
     qos_on = "qos_policy" in program_config
     opf = program_config["protocol"] == "nvme-opf"
-    faults_allowed = rng.random() < gcfg.fault_prob
+    faults_allowed = rng.random() < _FAULT_PROB
 
     def join(name: str, priority: str) -> TenantJoin:
         return TenantJoin(
             tenant=name,
             priority=priority,
             op_mix=rng.choice(_OP_MIXES),
-            total_ops=rng.randint(*gcfg.ls_ops) if priority == "latency" else None,
+            total_ops=rng.randint(*_LS_OPS) if priority == "latency" else None,
         )
 
     actions: List[Action] = [join(name, prio) for name, prio in roster[:initial]]
@@ -205,7 +192,7 @@ def generate_program(seed: int, config: Optional[GeneratorConfig] = None) -> Sce
     fault_count = 0
     checkpoint_count = 0
 
-    for _ in range(rng.randint(gcfg.min_steps, gcfg.max_steps)):
+    for _ in range(rng.randint(_MIN_STEPS, _MAX_STEPS)):
         actions.append(Advance(dt_us=round(rng.uniform(40.0, 400.0), 1)))
         options: List[str] = ["checkpoint", "assert"]
         weights: List[int] = [1, 1]

@@ -18,6 +18,9 @@ FIG7_CELL_SPDK = "fig7-spdk-1to2"
 #: The SLO-guard defence experiment: an LS p99 ceiling defended against a
 #: mid-run TC burst (``repro.experiments.qos.run_qos_guard`` guarded arm).
 QOS_GUARD = "qos-guard-burst"
+#: Its ls0 p99 ceiling and the workload time the tc1 burst joins at.
+QOS_GUARD_CEILING_US = 650.0
+QOS_GUARD_BURST_AT_US = 10_000.0
 
 
 def _fig7_cell(name: str, protocol: str) -> ScenarioProgram:
@@ -52,11 +55,7 @@ def fig7_cell_spdk_program() -> ScenarioProgram:
     return _fig7_cell(FIG7_CELL_SPDK, "spdk")
 
 
-def qos_guard_program(
-    ceiling_us: float = 650.0,
-    burst_at_us: float = 10_000.0,
-    total_ops: int = 9_000,
-) -> ScenarioProgram:
+def qos_guard_program(total_ops: int = 9_000) -> ScenarioProgram:
     """The guarded arm of ``run_qos_guard`` as a program: the TC burst is a
     staged ``tenant_join`` at the burst instant."""
     return ScenarioProgram(
@@ -73,13 +72,13 @@ def qos_guard_program(
             "window_size": 16,
             "seed": 1,
             "qos_policy": "slo-guard",
-            "slos": [{"tenant": "ls0", "p99_ceiling_us": ceiling_us}],
+            "slos": [{"tenant": "ls0", "p99_ceiling_us": QOS_GUARD_CEILING_US}],
             "qos_interval_us": 100.0,
         },
         actions=(
             TenantJoin(tenant="ls0", priority="latency"),
             TenantJoin(tenant="tc0", priority="throughput"),
-            Advance(dt_us=burst_at_us),
+            Advance(dt_us=QOS_GUARD_BURST_AT_US),
             TenantJoin(tenant="tc1", priority="throughput"),
         ),
     )

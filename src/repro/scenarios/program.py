@@ -323,8 +323,8 @@ class ProgramRegistry:
     def __init__(self) -> None:
         self._programs: Dict[str, ScenarioProgram] = {}
 
-    def register(self, program: ScenarioProgram, replace: bool = False) -> ScenarioProgram:
-        if not replace and program.name in self._programs:
+    def register(self, program: ScenarioProgram) -> ScenarioProgram:
+        if program.name in self._programs:
             raise _bad(f"program {program.name!r} already registered")
         self._programs[program.name] = program
         return program

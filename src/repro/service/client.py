@@ -18,6 +18,9 @@ from ..errors import ServiceError
 from ..scenarios.actions import Action
 from ..scenarios.program import ScenarioProgram
 
+#: How long one :meth:`ServiceClient.wait` poll blocks server-side.
+WAIT_POLL_MS = 2_000
+
 
 class ServiceApiError(ServiceError):
     """A non-2xx reply from the service, carrying the HTTP status."""
@@ -148,13 +151,10 @@ class ServiceClient:
         query = {"wait_ms": wait_ms} if wait_ms else None
         return self._request("GET", f"/sessions/{session_id}/result", query=query)
 
-    def wait(
-        self,
-        session_id: str,
-        timeout_s: float = 120.0,
-        poll_ms: int = 2_000,
-    ) -> Dict[str, object]:
-        """Block until the session seals, then return the result payload."""
+    def wait(self, session_id: str, timeout_s: float = 120.0) -> Dict[str, object]:
+        """Block until the session seals, then return the result payload.
+
+        Each poll blocks server-side for up to :data:`WAIT_POLL_MS`."""
         import time
 
         deadline = time.monotonic() + timeout_s
@@ -165,7 +165,7 @@ class ServiceClient:
                     408, f"session {session_id!r} did not finish in {timeout_s}s"
                 )
             try:
-                return self.result(session_id, wait_ms=min(poll_ms, remaining_ms))
+                return self.result(session_id, wait_ms=min(WAIT_POLL_MS, remaining_ms))
             except ServiceApiError as exc:
                 if exc.status != 409:
                     raise

@@ -17,7 +17,6 @@ from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout, NOR
 from .process import Process
 from .resources import Store
 from .rng import RandomStreams, ScopedStreams
-from .trace import NULL_TRACER, TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
@@ -28,13 +27,10 @@ __all__ = [
     "Event",
     "Infinity",
     "NORMAL",
-    "NULL_TRACER",
     "Process",
     "RandomStreams",
     "ScopedStreams",
     "Store",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "URGENT",
 ]

@@ -261,13 +261,6 @@ class NvmeController:
                 return STATUS_LBA_OUT_OF_RANGE
         return STATUS_SUCCESS
 
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Aggregate channel utilisation since t=0."""
-        t = elapsed if elapsed is not None else self.env.now
-        if t <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / (t * self.profile.channels))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<NvmeController {self.name!r} inflight={self.inflight}"

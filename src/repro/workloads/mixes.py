@@ -67,8 +67,6 @@ def tenants_for_ratio(
     ratio: str,
     op_mix: str = "read",
     tc_queue_depth: int = TC_QUEUE_DEPTH,
-    ls_queue_depth: int = LS_QUEUE_DEPTH,
-    prefix: str = "",
 ) -> List[TenantSpec]:
     """Expand a ratio string into tenant specs (LS tenants first)."""
     n_ls, n_tc = parse_ratio(ratio)
@@ -76,16 +74,16 @@ def tenants_for_ratio(
     for i in range(n_ls):
         tenants.append(
             TenantSpec(
-                name=f"{prefix}ls{i}",
+                name=f"ls{i}",
                 priority=Priority.LATENCY,
-                queue_depth=ls_queue_depth,
+                queue_depth=LS_QUEUE_DEPTH,
                 op_mix=op_mix,
             )
         )
     for i in range(n_tc):
         tenants.append(
             TenantSpec(
-                name=f"{prefix}tc{i}",
+                name=f"tc{i}",
                 priority=Priority.THROUGHPUT,
                 queue_depth=tc_queue_depth,
                 op_mix=op_mix,

@@ -27,7 +27,6 @@ class AddressPattern:
         total_blocks: int,
         blocks_per_io: int = 1,
         rng: Optional[np.random.Generator] = None,
-        start_block: int = 0,
     ) -> None:
         if kind not in _PATTERNS:
             raise WorkloadError(f"pattern must be one of {_PATTERNS}, got {kind!r}")
@@ -41,7 +40,7 @@ class AddressPattern:
         self.total_blocks = total_blocks
         self.blocks_per_io = blocks_per_io
         self.rng = rng
-        self._cursor = start_block % total_blocks
+        self._cursor = 0
 
     def next_slba(self) -> int:
         """The next I/O's starting LBA."""

@@ -1,4 +1,4 @@
-"""Tests for config presets, subsystems, discovery, and transport framing."""
+"""Tests for config presets, subsystems, and transport framing."""
 
 import pytest
 
@@ -8,9 +8,9 @@ from repro.config import (
     network_tuning,
     preset_for_network,
 )
-from repro.errors import ConfigError, DeviceError, NetworkError, ProtocolError
-from repro.net import Endpoint, Fabric, NVME_TCP_PORT
-from repro.nvmeof import DiscoveryService, PduTransport, Subsystem
+from repro.errors import ConfigError, DeviceError, ProtocolError
+from repro.net import Fabric
+from repro.nvmeof import PduTransport, Subsystem
 from repro.simcore import Environment, RandomStreams
 from repro.ssd import NvmeSsd, SsdProfile
 
@@ -55,19 +55,6 @@ def test_device_saturates_between_10g_and_100g():
     assert read_ceiling_mbps > gbps_to_bytes_per_us(10.0) * 0.8
 
 
-# ---------------------------------------------------------------- endpoint ----
-def test_endpoint_parse_and_str():
-    ep = Endpoint("node1", 4420)
-    assert str(ep) == "node1:4420"
-    assert Endpoint.parse("node1:4420") == ep
-    with pytest.raises(NetworkError):
-        Endpoint.parse("garbage")
-    with pytest.raises(NetworkError):
-        Endpoint("", 1)
-    with pytest.raises(NetworkError):
-        Endpoint("x", 70000)
-
-
 # --------------------------------------------------------------- subsystem ----
 def make_ssd(env):
     return NvmeSsd(env, profile=SsdProfile(), streams=RandomStreams(0))
@@ -98,22 +85,6 @@ def test_subsystem_validation():
         sub.resolve(9)
     with pytest.raises(DeviceError):
         sub.add_namespace(2, ssd, device_nsid=5)  # device has no nsid 5
-
-
-# --------------------------------------------------------------- discovery ----
-def test_discovery_register_and_lookup():
-    disc = DiscoveryService()
-    ep = disc.register("nqn.a", "target0")
-    assert ep.port == NVME_TCP_PORT
-    assert disc.lookup("nqn.a").node == "target0"
-    assert disc.subsystems() == ["nqn.a"]
-    assert len(disc) == 1
-    with pytest.raises(NetworkError):
-        disc.register("nqn.a", "other")
-    with pytest.raises(NetworkError):
-        disc.lookup("nqn.missing")
-    disc.clear()
-    assert len(disc) == 0
 
 
 # ---------------------------------------------------------------- transport ----

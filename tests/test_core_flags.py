@@ -12,7 +12,7 @@ from repro.core import (
     pack_flags,
     unpack_flags,
 )
-from repro.errors import ProtocolError, QueueFullError, TenantError
+from repro.errors import ProtocolError, TenantError
 
 
 # ------------------------------------------------------------------ flags ----
@@ -107,15 +107,6 @@ def test_cid_queue_duplicate_push_rejected():
     q.push(4)
     with pytest.raises(ProtocolError):
         q.push(4)
-
-
-def test_cid_queue_capacity():
-    q = CidQueue(capacity=2)
-    q.push(1)
-    q.push(2)
-    assert q.is_full
-    with pytest.raises(QueueFullError):
-        q.push(3)
 
 
 def test_cid_queue_cid_range():

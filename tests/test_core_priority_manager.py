@@ -7,7 +7,7 @@ drive an :class:`OpfTarget`.
 
 import pytest
 
-from repro.core import DrainGroup, OpfTarget, Priority, TenantRegistry
+from repro.core import MAX_TENANTS, DrainGroup, OpfTarget, Priority, TenantRegistry
 from repro.core.priority_manager import InitiatorPriorityManager, TargetPriorityManager
 from repro.errors import ConfigError, ProtocolError, TenantError
 from repro.nvmeof.capsule import OPCODE_READ, Sqe
@@ -68,9 +68,10 @@ def test_window_larger_than_queue_depth_rejected():
     """§IV-A live-lock guard."""
     with pytest.raises(ConfigError):
         InitiatorPriorityManager(window_size=129, queue_depth=128)
-    # But demonstrable when explicitly allowed.
-    pm = InitiatorPriorityManager(window_size=129, queue_depth=128, allow_lock=True)
-    assert pm.window_size == 129
+    pm = InitiatorPriorityManager(window_size=128, queue_depth=128)
+    with pytest.raises(ConfigError):
+        pm.resize(129)
+    assert pm.window_size == 128
 
 
 # -------------------------------------------------- Alg. 2: on response ----
@@ -205,13 +206,15 @@ def test_drain_group_validation():
 
 # ------------------------------------------------------- tenant registry ----
 def test_registry_creates_and_limits_tenants():
-    reg = TenantRegistry(max_tenants=2)
-    reg.get_or_create(0)
-    reg.get_or_create(1)
+    reg = TenantRegistry()
+    first = reg.get_or_create(0)
+    reg.get_or_create(MAX_TENANTS - 1)
     assert len(reg) == 2
+    assert reg.get_or_create(0) is first  # existing is fine
+    # The flag byte carries MAX_TENANTS ids; no other id is admitted.
     with pytest.raises(TenantError):
-        reg.get_or_create(2)
-    reg.get_or_create(1)  # existing is fine
+        reg.get_or_create(MAX_TENANTS)
+    assert len(reg) == 2
 
 
 def test_registry_unknown_tenant():

@@ -1,13 +1,8 @@
-"""Tests for window-size selection and the dynamic controller (§IV-D)."""
+"""Tests for window-size selection (§IV-D)."""
 
 import pytest
 
-from repro.core import (
-    DynamicWindowController,
-    WindowSample,
-    clamp_to_queue_depth,
-    select_window,
-)
+from repro.core import clamp_to_queue_depth, select_window
 from repro.errors import ConfigError
 
 
@@ -43,46 +38,3 @@ def test_select_window_validation():
         select_window("read", 100.0, tc_initiators=0)
     with pytest.raises(ConfigError):
         select_window("read", 100.0, queue_depth=0)
-
-
-def test_dynamic_controller_grows_on_improvement():
-    ctl = DynamicWindowController(initial=8, queue_depth=256)
-    w0 = ctl.window
-    ctl.observe(WindowSample(window=w0, requests=8, elapsed_us=100.0))  # baseline
-    w1 = ctl.observe(WindowSample(window=w0, requests=16, elapsed_us=100.0))  # better
-    assert w1 > w0
-
-
-def test_dynamic_controller_reverses_on_regression():
-    ctl = DynamicWindowController(initial=16, queue_depth=256)
-    ctl.observe(WindowSample(window=16, requests=32, elapsed_us=100.0))
-    w_up = ctl.observe(WindowSample(window=16, requests=32, elapsed_us=100.0))  # same-ish -> grows
-    w_down = ctl.observe(WindowSample(window=w_up, requests=4, elapsed_us=100.0))  # much worse
-    assert w_down < w_up
-
-
-def test_dynamic_controller_respects_bounds():
-    ctl = DynamicWindowController(initial=32, min_window=4, max_window=64, queue_depth=128)
-    # Feed monotonically improving samples: should cap at max.
-    rate = 1.0
-    for _ in range(10):
-        rate *= 2
-        ctl.observe(WindowSample(window=ctl.window, requests=int(rate * 100), elapsed_us=100.0))
-    assert ctl.window <= 64
-    # Monotonically regressing: floors at min.
-    for _ in range(10):
-        rate /= 2
-        ctl.observe(WindowSample(window=ctl.window, requests=max(1, int(rate * 100)), elapsed_us=100.0))
-    assert ctl.window >= 4
-
-
-def test_dynamic_controller_validation():
-    with pytest.raises(ConfigError):
-        DynamicWindowController(min_window=0)
-    with pytest.raises(ConfigError):
-        DynamicWindowController(min_window=64, max_window=8)
-
-
-def test_window_sample_rate():
-    assert WindowSample(window=4, requests=100, elapsed_us=50.0).rate == 2.0
-    assert WindowSample(window=4, requests=1, elapsed_us=0.0).rate == 0.0

@@ -257,7 +257,7 @@ def test_shared_queue_livelock_when_windows_exceed_depth():
     for spec, inode, t, nsid in sc._tenant_assignments:
         initiator = inode.add_initiator(
             spec.name, t, protocol="nvme-opf", queue_depth=spec.queue_depth,
-            collector=sc.collector, window_size=32, allow_lock=True,
+            collector=sc.collector, window_size=32,
             auto_drain_idle_us=None,  # no idle rescue: expose the hazard
         )
         connect_events.append(initiator.connect())

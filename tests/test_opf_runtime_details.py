@@ -1,5 +1,5 @@
 """Detailed tests of the oPF initiator/target runtimes: drains, windows,
-dynamic tuning, and cross-feature composition."""
+and cross-feature composition."""
 
 import pytest
 
@@ -51,38 +51,9 @@ def test_idle_timer_auto_drains():
     assert all(r.done for r in requests)
 
 
-def test_window_auto_uses_optimizer():
-    env, initiator, _ = make_rig(window_size="auto", workload_hint="read")
-    from repro.core import select_window
-
-    assert initiator.window_size == select_window("read", 100.0, queue_depth=64)
-
-
 def test_window_clamped_to_half_queue_depth():
     env, initiator, _ = make_rig(window_size=64, queue_depth=16)
     assert initiator.window_size == 8
-
-
-def test_dynamic_window_adjusts_at_runtime():
-    env, initiator, _ = make_rig(window_size=2, dynamic_window=True)
-    initial = initiator.window_size
-    state = {"submitted": 0}
-    total = 400
-
-    def refill(request):
-        if request.op == "flush":
-            return
-        if state["submitted"] < total and initiator.qpair.has_capacity:
-            initiator.read(slba=state["submitted"], priority="throughput")
-            state["submitted"] += 1
-
-    initiator.on_request_complete = refill
-    for _ in range(48):
-        initiator.read(slba=state["submitted"], priority="throughput")
-        state["submitted"] += 1
-    env.run()
-    # The controller observed drain round trips and moved the window.
-    assert initiator.pm.window_size != initial or initiator._window_controller.adjustments > 0
 
 
 # -------------------------------------------------------- composition ----

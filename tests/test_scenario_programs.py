@@ -299,7 +299,6 @@ class TestSerialization:
         assert [p.name for p in registry] == ["one"]
         with pytest.raises(ScenarioProgramError, match="already registered"):
             registry.register(_program(JOIN2, name="one"))
-        registry.register(_program(JOIN2, name="one"), replace=True)
         with pytest.raises(ScenarioProgramError, match="no program named"):
             registry.get("two")
 
@@ -340,6 +339,13 @@ class TestScenarioConfigFromDict:
         )
         assert cfg.slos[0].tenant == "a"
         assert cfg.retry_policy.timeout_us == 900.0
+
+    @pytest.mark.parametrize("window", ["abc", 0, True, -5, 2.5, "auto"])
+    def test_window_size_must_be_a_positive_int(self, window):
+        program = _program(JOIN2, config={"window_size": 8})
+        program.config["window_size"] = window
+        with pytest.raises(ConfigError, match=rf"window_size .*\(got {window!r}\)"):
+            program.validate()
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,16 @@ def test_malformed_program_error_names_the_action(client):
     assert "slo_change" in err.value.message
 
 
+@pytest.mark.parametrize("window", ["abc", 0, True, -5, 2.5, "auto"])
+def test_bad_window_size_is_a_400(client, window):
+    data = slo_program_dict()
+    data["config"]["window_size"] = window
+    with pytest.raises(ServiceApiError) as err:
+        client.submit(data)
+    assert err.value.status == 400
+    assert "window_size" in err.value.message
+
+
 def test_raw_http_unknown_route_and_bad_json(server):
     base = server.address
     request = urllib.request.Request(f"{base}/nope")
@@ -320,7 +330,7 @@ def test_client_submit_accepts_program_objects(client):
 def test_client_wait_times_out_through_409_retries(client):
     session_id = client.submit(slo_program_dict(), start=False)
     with pytest.raises(ServiceApiError) as err:
-        client.wait(session_id, timeout_s=0.5, poll_ms=100)
+        client.wait(session_id, timeout_s=0.5)
     assert err.value.status == 408
 
 

@@ -1,57 +1,9 @@
-"""Tests for tracing, RNG streams, and units."""
+"""Tests for RNG streams and units."""
 
 import pytest
 
 from repro import units
-from repro.simcore import RandomStreams, Tracer
-from repro.simcore.trace import NULL_TRACER, TraceRecord
-
-
-# ------------------------------------------------------------------ tracer ----
-def test_tracer_disabled_by_default():
-    tracer = Tracer()
-    tracer.emit(1.0, "src", "kind", "payload")
-    assert tracer.records == []
-
-
-def test_tracer_records_when_enabled():
-    tracer = Tracer(enabled=True)
-    tracer.emit(1.0, "link", "drop", {"pkt": 1})
-    tracer.emit(2.0, "link", "send")
-    tracer.emit(3.0, "ssd", "drop")
-    assert len(tracer.records) == 3
-    assert tracer.count(source="link") == 2
-    assert tracer.count(kind="drop") == 2
-    assert tracer.count(source="link", kind="drop") == 1
-    assert list(tracer.filter(source="ssd"))[0].time == 3.0
-
-
-def test_tracer_limit():
-    tracer = Tracer(enabled=True, limit=2)
-    for i in range(5):
-        tracer.emit(float(i), "s", "k")
-    assert len(tracer.records) == 2
-
-
-def test_tracer_sink_invoked():
-    tracer = Tracer(enabled=True)
-    seen = []
-    tracer.add_sink(seen.append)
-    tracer.emit(1.0, "s", "k")
-    assert len(seen) == 1
-    assert isinstance(seen[0], TraceRecord)
-
-
-def test_tracer_clear():
-    tracer = Tracer(enabled=True)
-    tracer.emit(1.0, "s", "k")
-    tracer.clear()
-    assert tracer.records == []
-
-
-def test_null_tracer_is_noop():
-    NULL_TRACER.emit(1.0, "s", "k")
-    assert NULL_TRACER.records == []
+from repro.simcore import RandomStreams
 
 
 # --------------------------------------------------------------------- rng ----

@@ -498,39 +498,3 @@ def test_batch_args_sequence_is_owned_not_copied():
     env.call_later_batch(1.0, seen.append, ("x", "y"))
     env.run()
     assert seen == ["x", "y"]
-
-
-# ---------------------------------------------------------------------------
-# Tracer lazy payloads (satellite: no payload construction when disabled)
-# ---------------------------------------------------------------------------
-
-
-def test_tracer_lazy_payload_not_built_when_disabled():
-    from repro.simcore.trace import Tracer
-
-    calls = []
-
-    def thunk():
-        calls.append(1)
-        return {"expensive": True}
-
-    t = Tracer(enabled=False)
-    t.emit(0.0, "src", "kind", thunk)
-    assert calls == []  # never invoked
-    assert t.records == []
-
-    t = Tracer(enabled=True)
-    t.emit(1.0, "src", "kind", thunk)
-    assert calls == [1]
-    assert t.records[0].payload == {"expensive": True}
-
-
-def test_tracer_lazy_payload_not_built_past_limit():
-    from repro.simcore.trace import Tracer
-
-    calls = []
-    t = Tracer(enabled=True, limit=1)
-    t.emit(0.0, "s", "k", lambda: calls.append(1) or "p1")
-    t.emit(1.0, "s", "k", lambda: calls.append(2) or "p2")
-    assert len(t.records) == 1
-    assert calls == [1]

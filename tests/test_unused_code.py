@@ -17,9 +17,25 @@ Dunder methods (the interpreter calls them) and ``do_*`` methods
 (``BaseHTTPRequestHandler`` dispatches HTTP verbs to them) are exempt by
 rule.  Every other exception is listed below with its reason, and a listed
 name that gains a caller or loses its definition must leave the list.
+
+The same scan holds every option to account: each parameter with a default
+of a function, method or ``__init__`` in ``src/repro`` must be set
+somewhere in those directories, or its default is the only value it ever
+takes.  A parameter counts as set by a keyword argument of its name (a
+same-name forward ``k=k`` of the enclosing function's own parameter ``k``
+does not count: it passes a value on without choosing one), by a string
+constant equal to its name (``**{"k": v}``, config dicts), or by a call of
+its function's name with enough positional arguments to reach it; for an
+``__init__`` that is a call of the class or of a subclass.  Parameters
+named ``_*`` (the value an event callback is handed) and ``argv`` (the
+command line fills it) are exempt by rule; an option only tests set is
+listed in ``TEST_SET`` with the test and its reason, under the same
+currency rules as ``TEST_ONLY``.
 """
 
 import ast
+import functools
+import math
 from pathlib import Path
 
 THIS_FILE = Path(__file__).resolve()
@@ -36,7 +52,6 @@ OVERRIDES = {
 #: Names only tests read: reference queries the fast paths are compared
 #: against, and state a test asserts on that no run needs to read.
 TEST_ONLY = {
-    "add_sink": "Tracer sink hook the trace tests capture records through",
     "aggregate_iops": "reference query the one-pass result aggregation is compared to",
     "aggregate_throughput_mbps": "reference query the one-pass result aggregation is compared to",
     "any_of": "condition event beside all_of; the condition tests pin its semantics",
@@ -48,7 +63,6 @@ TEST_ONLY = {
     "cwnd": "TCP congestion window the transport tests assert on",
     "DeviceErrorInjector": "test fake that fails every Nth command at the SSD controller",
     "fault_matrix_units": "fault-matrix campaign the pool differential tests run",
-    "lookup": "discovery query the subsystem tests check",
     "metadata_lbas": "H5File layout the hdf5sim tests check",
     "outstanding_drains": "drain bookkeeping the drain-property tests assert on",
     "p99_estimate": "P2 tail estimate the telemetry tests compare to exact quantiles",
@@ -64,7 +78,6 @@ TEST_ONLY = {
     "send_backlog": "socket send backlog the transport tests assert on",
     "service_time": "reference draw the controller's inlined service time is compared to",
     "spawn": "scoped RNG streams whose derivation the RNG tests pin",
-    "subsystems": "discovery listing the subsystem tests check",
     "summary_lines": "QoS report text the QoS tests check",
     "tap": "telemetry completion hook the QoS tests feed directly",
     "target_per_request_baseline": "cost-model total the CPU tests check against calibration",
@@ -79,15 +92,60 @@ TEST_ONLY = {
     "write_iops_ceiling": "profile ceiling the device tests compare to",
 }
 
+#: Options only tests set: ``owner.parameter`` -> the test that sets it and
+#: why.  The owner of an ``__init__`` parameter is its class; of a method,
+#: ``Class.method``.
+TEST_SET = {
+    "CidQueue.retired_memory": (
+        "test_opf_drain_properties shrinks the retired-CID ring (4 CIDs, and "
+        "hypothesis-drawn sizes) so a few retirements reach its wrap and eviction"
+    ),
+    "Environment.initial_time": (
+        "the engine, fast-path and batched-path tests start the clock off zero "
+        "so absolute and relative times differ"
+    ),
+    "NormalBuffer.batch": (
+        "test_ssd_array_rng draws in batches of 3 to 8 so a short run crosses "
+        "several refills"
+    ),
+    "OpfInitiator.auto_drain_idle_us": (
+        "the drain, live-lock and bypass tests turn the idle drain off (None) to "
+        "park a partial window; test_idle_timer_auto_drains shortens it"
+    ),
+    "Store.capacity": "test_simcore_resources bounds a store to pin its blocking put",
+    "Subsystem.add_namespace.device_nsid": (
+        "test_opf_command_path maps fabric namespace 2 onto device namespace 2; "
+        "test_config_and_subsystem refuses a device namespace that does not exist"
+    ),
+    "fault_matrix_units.kinds": (
+        "the pool tests run one fault kind per campaign and refuse an unknown kind"
+    ),
+    "program_units.names": "the pool differential test runs one library program",
+    "register_executor.replace": (
+        "the pool tests register fake executors when their module is imported, "
+        "and a second import must not refuse them"
+    ),
+    "run_qos_aimd.start_window": (
+        "test_qos starts the AIMD tuner at both ends of the window range (4 and 64)"
+    ),
+    "run_qos_aimd.total_ops_offline": (
+        "test_qos shortens the offline sweep to 1,200 ops to keep tier-1 fast"
+    ),
+}
+
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+@functools.lru_cache(maxsize=None)
 def _trees(dirs):
+    out = []
     for name in dirs:
         for path in sorted((ROOT / name).rglob("*.py")):
             if path == THIS_FILE:  # its lists would count as references
                 continue
-            yield path, ast.parse(path.read_text(), filename=str(path))
+            out.append((path, ast.parse(path.read_text(), filename=str(path))))
+    return tuple(out)
 
 
 def _defined():
@@ -172,3 +230,140 @@ def test_exemptions_are_current():
     assert not stale, f"listed names that are gone or now have a caller: {stale}"
     untested = sorted(name for name in TEST_ONLY if name not in read_by_tests)
     assert not untested, f"TEST_ONLY names no test reads (delete them): {untested}"
+
+
+# -- options ---------------------------------------------------------------------
+
+
+def _subclasses():
+    """Class name -> the names of it and of every class derived from it."""
+    bases = {}
+    for _path, tree in _trees((LIBRARY,)):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, set()).update(
+                    b.id if isinstance(b, ast.Name) else b.attr
+                    for b in node.bases
+                    if isinstance(b, (ast.Name, ast.Attribute))
+                )
+    out = {}
+    for name in bases:
+        family = {name}
+        grew = True
+        while grew:
+            derived = {c for c, b in bases.items() if c not in family and b & family}
+            family |= derived
+            grew = bool(derived)
+        out[name] = family
+    return out
+
+
+def _options():
+    """``(owner.parameter, path:line, positional index or None, callers)``
+    for each parameter with a default; ``callers`` are the names whose
+    calls fill it positionally (the index counts no ``self``/``cls``)."""
+    subclasses = _subclasses()
+    out = []
+
+    def visit(node, path, owner, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, f"{owner}{child.name}.", child.name)
+            elif isinstance(child, _FUNCS):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                bound = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list
+                )
+                if child.name == "__init__" and cls is not None:
+                    key, callers = owner[:-1], subclasses[cls]
+                else:
+                    key, callers = f"{owner}{child.name}", {child.name}
+                where = f"{path.relative_to(ROOT)}:{child.lineno}"
+                first = len(positional) - len(args.defaults)
+                for index, arg in enumerate(positional[first:], start=first):
+                    out.append((f"{key}.{arg.arg}", where, index - bound, callers))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out.append((f"{key}.{arg.arg}", where, None, callers))
+                visit(child, path, f"{owner}{child.name}.", None)
+            else:
+                visit(child, path, owner, cls)
+
+    for path, tree in _trees((LIBRARY,)):
+        visit(tree, path, "", None)
+    return out
+
+
+def _setters(dirs):
+    """Keyword names, string constants, and the most positional arguments
+    any call of each name passes (``inf`` for a ``*args`` call)."""
+    keywords, strings, positional = set(), set(), {}
+
+    def visit(node, params, skipped):
+        for child in ast.iter_child_nodes(node):
+            if child in skipped:
+                continue
+            if isinstance(child, (*_FUNCS, ast.Lambda)):
+                a = child.args
+                visit(child, {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}, skipped)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name is not None:
+                    starred = any(isinstance(a, ast.Starred) for a in child.args)
+                    count = math.inf if starred else len(child.args)
+                    positional[name] = max(positional.get(name, 0), count)
+                for kw in child.keywords:
+                    forward = isinstance(kw.value, ast.Name) and kw.value.id == kw.arg
+                    if kw.arg is not None and not (forward and kw.arg in params):
+                        keywords.add(kw.arg)
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                strings.add(child.value)
+            visit(child, params, skipped)
+
+    for path, tree in _trees(dirs):
+        in_library = path.is_relative_to(ROOT / LIBRARY)
+        visit(tree, set(), _exports(tree) if in_library else set())
+    return keywords, strings, positional
+
+
+def _exempt_param(name):
+    return name.startswith("_") or name == "argv"
+
+
+def _unset(dirs):
+    """``owner.parameter`` -> ``path:line`` of each option nothing in
+    ``dirs`` sets."""
+    keywords, strings, positional = _setters(dirs)
+    out = {}
+    for key, where, index, callers in _options():
+        name = key.rsplit(".", 1)[1]
+        if _exempt_param(name) or name in keywords or name in strings:
+            continue
+        if index is not None and any(positional.get(c, 0) > index for c in callers):
+            continue
+        out[key] = where
+    return out
+
+
+def test_every_option_has_a_setter():
+    unset = {key: where for key, where in sorted(_unset(CALLERS).items()) if key not in TEST_SET}
+    assert not unset, (
+        f"options nothing in {', '.join(CALLERS)} sets: {unset}; delete them "
+        "(the default becomes a constant), set them, or list them in TEST_SET "
+        "with the test that sets them and why"
+    )
+
+
+def test_test_set_is_current():
+    options = {key for key, *_rest in _options()}
+    unset = _unset(CALLERS)
+    unset_by_tests = _unset(TESTS)
+    assert all(reason.strip() for reason in TEST_SET.values())
+    stale = sorted(key for key in TEST_SET if key not in options or key not in unset)
+    assert not stale, f"TEST_SET options that are gone or now have a setter: {stale}"
+    untested = sorted(key for key in TEST_SET if key in unset_by_tests)
+    assert not untested, f"TEST_SET options no test sets (delete them): {untested}"

@@ -83,11 +83,6 @@ def test_tenants_for_ratio_composition():
     assert len({t.name for t in tenants}) == 5
 
 
-def test_tenants_for_ratio_prefix():
-    tenants = tenants_for_ratio("1:1", prefix="n3.")
-    assert tenants[0].name.startswith("n3.")
-
-
 # -------------------------------------------------------------------- perf ----
 def test_perf_config_defaults_match_paper():
     cfg = PerfConfig()
