@@ -106,10 +106,6 @@ class _RestartableTimer:
         self._deadline: Optional[float] = None
         self._wakeups = 0  # wakeup callbacks currently on the heap (0 or 1)
 
-    @property
-    def armed(self) -> bool:
-        return self._deadline is not None
-
     def restart(self, delay: float) -> None:
         self._deadline = self.env.now + delay
         if self._wakeups == 0:

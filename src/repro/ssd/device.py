@@ -32,10 +32,6 @@ class Namespace:
         self.blocks = blocks
         self.block_size = block_size
 
-    @property
-    def bytes(self) -> int:
-        return self.blocks * self.block_size
-
     def check_range(self, slba: int, nlb: int) -> None:
         if slba < 0 or nlb < 1 or slba + nlb > self.blocks:
             raise DeviceError(

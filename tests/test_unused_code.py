@@ -5,10 +5,13 @@ the code around it.  This test collects every function, method, property
 and class that ``src/repro`` defines and fails on any whose name appears
 nowhere in ``src``, ``benchmarks``, ``examples`` or ``layerbench`` as a
 name, an attribute, an imported name or a string constant (string
-constants cover ``getattr`` keys).  Inside ``src/repro`` a re-export is not
-a caller: an import alias and the strings of an ``__all__`` assignment or
-of a package's ``_LAZY_EXPORTS`` table (the names it imports on first use)
-do not count there, so a name a package only re-exports is flagged.
+constants cover ``getattr`` keys).  A name defined only inside class bodies
+(a method or a property) is reached only through an object, so for it only
+an attribute (``x.name``) or a string constant counts: a bare variable or
+an import of the same name does not.  Inside ``src/repro`` a re-export is
+not a caller: an import alias and the strings of an ``__all__`` assignment
+or of a package's ``_LAZY_EXPORTS`` table (the names it imports on first
+use) do not count there, so a name a package only re-exports is flagged.
 Imports in ``benchmarks``, ``examples`` and ``layerbench`` still count.  The match
 is by name alone, so a dead method that shares its name with a live one
 passes: the scan can miss dead code, but it never flags code that runs.
@@ -55,15 +58,18 @@ TEST_ONLY = {
     "aggregate_iops": "reference query the one-pass result aggregation is compared to",
     "aggregate_throughput_mbps": "reference query the one-pass result aggregation is compared to",
     "any_of": "condition event beside all_of; the condition tests pin its semantics",
-    "armed": "restartable-timer state the golden and QoS tests assert on",
     "buffer_level": "FTL write-buffer level the FTL drain tests assert on",
     "bytes_per_us_to_gbps": "inverse of gbps_to_bytes_per_us; the units test round-trips both",
     "cancel": "StoreGet withdrawal the resource tests pin",
     "connected": "initiator connection state the runtime and recovery tests assert on",
     "cwnd": "TCP congestion window the transport tests assert on",
+    "delivered": "link frame total the link droptail test checks",
     "DeviceErrorInjector": "test fake that fails every Nth command at the SSD controller",
+    "event": "bare untriggered event the engine and condition tests build and trigger",
     "fault_matrix_units": "fault-matrix campaign the pool differential tests run",
     "metadata_lbas": "H5File layout the hdf5sim tests check",
+    "nblocks": "dataset size in blocks the hdf5sim layout test checks",
+    "op_name": "SQE opcode mnemonic the capsule round-trip test checks",
     "outstanding_drains": "drain bookkeeping the drain-property tests assert on",
     "p99_estimate": "P2 tail estimate the telemetry tests compare to exact quantiles",
     "pdus_received": "transport counter the subsystem tests check",
@@ -88,6 +94,7 @@ TEST_ONLY = {
     "trigger": "event chaining the engine tests pin",
     "tx_dropped": "NIC counter the link and fault tests assert on",
     "tx_packets": "NIC counter the link tests assert on",
+    "up": "link administrative state the fault-adapter flap test asserts on",
     "us_to_ms": "unit conversion the units test checks",
     "write_iops_ceiling": "profile ceiling the device tests compare to",
 }
@@ -159,6 +166,23 @@ def _defined():
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _members_only():
+    """Names every library definition of which sits in a class body."""
+    members, others = set(), set()
+    for _path, tree in _trees((LIBRARY,)):
+        in_class = {
+            id(child)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for child in node.body
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, _DEFS):
+                (members if id(node) in in_class else others).add(node.name)
+    return frozenset(members - others)
+
+
 #: Assignments whose strings re-export names rather than use them.
 _EXPORT_TABLES = ("__all__", "_LAZY_EXPORTS")
 
@@ -174,8 +198,11 @@ def _exports(tree):
     }
 
 
+@functools.lru_cache(maxsize=None)
 def _referenced(dirs):
-    names = set()
+    """``(names, attributes)``: every name ``dirs`` reference, and those
+    referenced as an attribute or a string constant."""
+    names, attributes = set(), set()
     for path, tree in _trees(dirs):
         in_library = path.is_relative_to(ROOT / LIBRARY)
         skipped = _exports(tree) if in_library else set()
@@ -185,7 +212,7 @@ def _referenced(dirs):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 if in_library:
                     continue
@@ -193,8 +220,16 @@ def _referenced(dirs):
                 if node.asname:
                     names.add(node.asname)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)
-    return names
+                attributes.add(node.value)
+    return names | attributes, attributes
+
+
+def _uses(dirs):
+    """The library names ``dirs`` use, a member-only name only through an
+    object."""
+    names, attributes = _referenced(dirs)
+    members = _members_only()
+    return {name for name in names if name not in members} | attributes
 
 
 def _exempt_by_rule(name):
@@ -203,7 +238,7 @@ def _exempt_by_rule(name):
 
 def test_every_library_name_has_a_caller():
     defined = _defined()
-    used = _referenced(CALLERS)
+    used = _uses(CALLERS)
     unused = {
         name: where
         for name, where in sorted(defined.items())
@@ -221,8 +256,8 @@ def test_every_library_name_has_a_caller():
 
 def test_exemptions_are_current():
     defined = _defined()
-    used = _referenced(CALLERS)
-    read_by_tests = _referenced(TESTS)
+    used = _uses(CALLERS)
+    read_by_tests = _uses(TESTS)
     listed = {**OVERRIDES, **TEST_ONLY}
     assert not OVERRIDES.keys() & TEST_ONLY.keys()
     assert all(reason.strip() for reason in listed.values())
