@@ -328,7 +328,6 @@ class Scenario:
             queue_packets=queue_packets,
             switch_delay_us=tuning.switch_delay_us,
         )
-        self.tcp_config = tuning.tcp
         self.ssd_profile = config.ssd_profile if config.ssd_profile is not None else preset.ssd
         self.collector = Collector(self.env)
         self.target_nodes: List[TargetNode] = []

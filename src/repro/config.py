@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import ConfigError
-from .net.tcp import TcpConfig
 from .ssd.latency import CHAMELEON_SSD, CLOUDLAB_SSD, SsdProfile
 
 
@@ -75,7 +74,6 @@ class NetworkTuning:
     queue_packets: int
     propagation_us: float
     switch_delay_us: float
-    tcp: TcpConfig
 
     def __post_init__(self) -> None:
         if self.rate_gbps <= 0:
@@ -109,5 +107,4 @@ def network_tuning(gbps: float) -> NetworkTuning:
         queue_packets=queue,
         propagation_us=1.0,
         switch_delay_us=0.5,
-        tcp=TcpConfig(),
     )

@@ -226,14 +226,12 @@ class OpfInitiator(NvmeOfInitiator):
             return
 
         retired = self.pm.on_coalesced_response(cqe.cid)
-        self.stats.coalesced_responses += 1
         if not retired:
             # Stale or replayed coalesced response: its drain CID was
             # already retired by an earlier walk (counted by the PM as a
             # duplicate drain).  Nothing to retire, nothing to observe.
             self._count("opf/duplicate_drain")
             return
-        self.stats.requests_retired_by_coalescing += len(retired)
         # Alg. 2's queue walk costs a small scan per retired entry.
         self.core.charge(self.costs.coalesced_completion_scan * len(retired))
         if self._drain_watchdog is not None:

@@ -54,16 +54,13 @@ class RdmaConfig:
 class RdmaStats:
     """Per-QP counters."""
 
-    __slots__ = ("messages_sent", "messages_delivered", "bytes_sent",
-                 "bytes_delivered", "frames_sent", "stalls")
+    __slots__ = ("messages_sent", "messages_delivered", "bytes_sent", "frames_sent")
 
     def __init__(self) -> None:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.bytes_sent = 0
-        self.bytes_delivered = 0
         self.frames_sent = 0
-        self.stalls = 0
 
     # TCP-compat attribute so scenario code can sum retransmits uniformly.
     @property
@@ -161,7 +158,6 @@ class RdmaSocket:
             del self._rx_payloads[self._rx_expected_seq]
             del self._rx_partial[self._rx_expected_seq]
             self.stats.messages_delivered += 1
-            self.stats.bytes_delivered += total
             self._rx_expected_seq += 1
             if self.deliver is not None:
                 self.deliver(payload)

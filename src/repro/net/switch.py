@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Switch:
     """Store-and-forward switch with per-port output queues."""
 
-    __slots__ = ("env", "name", "forwarding_delay", "_ports", "forwarded", "unroutable")
+    __slots__ = ("env", "name", "forwarding_delay", "_ports", "forwarded")
 
     def __init__(self, env: "Environment", forwarding_delay_us: float = 0.5, name: str = "sw") -> None:
         if forwarding_delay_us < 0:
@@ -33,7 +33,6 @@ class Switch:
         self.forwarding_delay = forwarding_delay_us
         self._ports: Dict[str, Link] = {}
         self.forwarded = 0
-        self.unroutable = 0
 
     def attach(self, node: str, egress: Link) -> None:
         """Register the egress link toward ``node``."""
@@ -54,7 +53,6 @@ class Switch:
         try:
             egress = self._ports[packet.dst]
         except KeyError:
-            self.unroutable += 1
             raise NetworkError(
                 f"switch {self.name!r} has no port for destination {packet.dst!r}"
             ) from None

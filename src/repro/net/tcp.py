@@ -63,26 +63,22 @@ class TcpStats:
         "messages_sent",
         "messages_delivered",
         "bytes_sent",
-        "bytes_delivered",
         "segments_sent",
         "acks_sent",
         "retransmits",
         "fast_retransmits",
         "timeouts",
-        "dup_acks_seen",
     )
 
     def __init__(self) -> None:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.bytes_sent = 0
-        self.bytes_delivered = 0
         self.segments_sent = 0
         self.acks_sent = 0
         self.retransmits = 0
         self.fast_retransmits = 0
         self.timeouts = 0
-        self.dup_acks_seen = 0
 
 
 class _RestartableTimer:
@@ -433,7 +429,6 @@ class TcpSocket:
             if self._snd_nxt < self._buffered_end:
                 self._try_send()
         elif self._snd_nxt > self._snd_una:
-            self.stats.dup_acks_seen += 1
             self._dup_acks += 1
             if self._dup_acks == cfg.dupack_threshold and not self._in_fast_recovery:
                 # Fast retransmit + fast recovery.
@@ -510,7 +505,6 @@ class TcpSocket:
                     stats = self.stats
                     for end, payload in messages:
                         stats.messages_delivered += 1
-                        stats.bytes_delivered = end
                         if self.deliver is not None:
                             self.deliver(payload)
                 if not ooo or rcv_nxt not in ooo:

@@ -47,8 +47,6 @@ class InitiatorStats:
         "failed",
         "completion_pdus_received",
         "data_pdus_received",
-        "coalesced_responses",
-        "requests_retired_by_coalescing",
         # -- recovery-path counters (all zero when no RetryPolicy is set)
         "timeouts",
         "retries",
@@ -70,8 +68,6 @@ class InitiatorStats:
         self.failed = 0
         self.completion_pdus_received = 0
         self.data_pdus_received = 0
-        self.coalesced_responses = 0
-        self.requests_retired_by_coalescing = 0
         self.timeouts = 0
         self.retries = 0
         self.error_retries = 0

@@ -43,10 +43,6 @@ class TargetStats:
         "data_pdus_sent",
         "requests_completed",
         "tenant_switches",
-        "crashes",
-        "restarts",
-        "pdus_dropped_dead",
-        "pdus_lost_dead",
     )
 
     def __init__(self) -> None:
@@ -56,10 +52,6 @@ class TargetStats:
         self.data_pdus_sent = 0
         self.requests_completed = 0
         self.tenant_switches = 0
-        self.crashes = 0
-        self.restarts = 0
-        self.pdus_dropped_dead = 0  # inbound PDUs lost while crashed
-        self.pdus_lost_dead = 0  # outbound PDUs suppressed while crashed
 
 
 class RequestContext:
@@ -103,7 +95,6 @@ class TargetConnection:
         if not target.alive:
             # A crashed target never sees the PDU; the initiator's command
             # timeout (repro.faults recovery path) is what notices.
-            target.stats.pdus_dropped_dead += 1
             return
         if isinstance(pdu, CapsuleCmdPdu):
             target.stats.commands_received += 1
@@ -116,7 +107,6 @@ class TargetConnection:
     def send(self, pdu: Any) -> None:
         if not self.target.alive:
             # Responses racing a crash are lost with the process state.
-            self.target.stats.pdus_lost_dead += 1
             return
         self.transport.send(pdu)
 
@@ -192,17 +182,13 @@ class NvmeOfTarget:
         until :meth:`restart`.  Device-side commands already executing keep
         running (the SSD does not crash), but their completions are dropped
         at the response path."""
-        if not self.alive:
-            return
         self.alive = False
-        self.stats.crashes += 1
 
     def restart(self) -> None:
         """Bring the target back with cold per-connection state."""
         if self.alive:
             return
         self.alive = True
-        self.stats.restarts += 1
         # Cold caches after restart: the next command always pays the
         # connection-switch cost, matching a fresh process image.
         self._last_tenant = None

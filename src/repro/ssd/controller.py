@@ -110,7 +110,6 @@ class NvmeController:
         self.commands_completed = 0
         self.commands_failed = 0
         self.commands_faulted = 0
-        self.busy_time = 0.0
         #: Fault-injection hooks.  ``service_scale`` multiplies every sampled
         #: service time (latency-spike fault); ``fault_status`` — when not
         #: None — fails every command with that NVMe status (transient
@@ -210,7 +209,6 @@ class NvmeController:
                     service += self.ftl.write_penalty(nlb * self.profile.block_size, service)
             if self.service_scale != 1.0:
                 service *= self.service_scale
-        self.busy_time += service
 
         # env.call_later, inlined: the same (now + delay, NORMAL, seq) key,
         # and one tuple per channel completion instead of an Event.

@@ -64,7 +64,6 @@ class Ftl:
         self._level = 0.0  # bytes currently buffered
         self._level_at = env.now
         self._next_gc_budget = self._draw_gc_budget()
-        self.stall_time_total = 0.0
         self.gc_pauses = 0
 
     def _draw_gc_budget(self) -> float:
@@ -110,6 +109,4 @@ class Ftl:
             stall += cfg.gc_pause_us
             self.gc_pauses += 1
             self._next_gc_budget = self._draw_gc_budget()
-
-        self.stall_time_total += stall
         return stall

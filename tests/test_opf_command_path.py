@@ -302,7 +302,7 @@ PINNED_OPF_WINDOWS = [
 PINNED_OPF = {
     "pdus": 44,
     "log": "1a83b6ac3fc5d4fe42c9f98d511cb96a529280298ae88f6a2d0213350e60ef93",
-    "stats": (33, 15, 9, 25, 31, 11, 0, 0, 0, 0),
+    "stats": (33, 15, 9, 25, 31, 11),
     "pm": (6, 1, 1, 1, 1, 9, 25, 9, 0),
     "busy": 107.45000000000003,
     "entries": 150,
@@ -311,7 +311,7 @@ PINNED_OPF = {
 PINNED_SHARED = {
     "pdus": 19,
     "log": "7d8831a8b9f429669dcc02f749fe8ebe545fc01f5b925d2878fc8247a26e55f9",
-    "stats": (16, 7, 3, 9, 11, 6, 0, 0, 0, 0),
+    "stats": (16, 7, 3, 9, 11, 6),
     "pm": (2, 0, 0, 0, 0, 3, 7, 3, 0),
     "busy": 54.849999999999994,
     "entries": 66,
@@ -320,7 +320,7 @@ PINNED_SHARED = {
 PINNED_DEVPRIO = {
     "pdus": 19,
     "log": "0a842ba450000186ba46e9047e3faaba0fdddf3c16db9ca3f6b7ee07ccafdf94",
-    "stats": (12, 6, 2, 10, 12, 3, 0, 0, 0, 0),
+    "stats": (12, 6, 2, 10, 12, 3),
     "pm": (4, 0, 0, 0, 0, 2, 8, 2, 0),
     "busy": 42.75,
     "entries": 58,
