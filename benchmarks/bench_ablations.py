@@ -131,11 +131,9 @@ RETIRED_BYTES_BOUND = int(16.5 * 1024)
 
 
 def _cid_queues(sc):
-    """Every CID queue a scenario's oPF initiators and targets hold."""
-    queues = [i.pm.cid_queue for node in sc.initiator_nodes.values() for i in node.initiators]
-    for node in sc.target_nodes:
-        queues += [tenant.cid_queue for tenant in node.target.pm.registry.tenants()]
-    return queues
+    """Every CID queue a scenario holds: one per oPF initiator (a target's
+    windows are CID-keyed dicts, with no retired-CID memory)."""
+    return [i.pm.cid_queue for node in sc.initiator_nodes.values() for i in node.initiators]
 
 
 def test_ablation_zero_copy_queue_footprint(benchmark, show):
@@ -161,8 +159,8 @@ def test_ablation_zero_copy_queue_footprint(benchmark, show):
 
     cid_bytes, copy_bytes, queues = run_once(benchmark, measure)
     assert cid_bytes * 100 < copy_bytes
-    assert len(queues) == 9  # five initiators, four TC tenants at the target
-    assert sum(q.total_drained > RETIRED_MEMORY for q in queues) == 8
+    assert len(queues) == 5  # five initiators: one LS, four TC
+    assert sum(q.total_drained > RETIRED_MEMORY for q in queues) == 4
     retired = [q.retired_bytes for q in queues]
     assert max(retired) <= RETIRED_BYTES_BOUND
     show(format_table(

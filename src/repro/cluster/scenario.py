@@ -710,7 +710,6 @@ class Scenario:
                         opf.get("duplicate_drains", 0) + ipm.duplicate_drains
                     )
                     opf["forced_drains"] = opf.get("forced_drains", 0) + ipm.forced_drains
-                    opf["window_evicted"] = opf.get("window_evicted", 0) + ipm.evicted
         for target in targets:
             for conn in target.connections:
                 retransmits += conn.transport.socket.stats.retransmits

@@ -7,7 +7,8 @@ Public pieces:
   :class:`~repro.core.target.OpfTarget` — the priority-aware runtimes;
 * :class:`~repro.core.priority_manager.InitiatorPriorityManager` /
   :class:`~repro.core.priority_manager.TargetPriorityManager` — Alg. 1-4;
-* :class:`~repro.core.cid_queue.CidQueue` — zero-copy CID-only queues;
+* :class:`~repro.core.cid_queue.CidQueue` — the initiator's zero-copy
+  CID-only window queue (the target keeps one CID-keyed dict per tenant);
 * :func:`~repro.core.window.select_window` — the window optimizer;
 * :class:`~repro.core.ablation.SharedQueueOpfTarget` — the shared-queue
   design the paper rejects, kept for ablations.
@@ -16,7 +17,7 @@ Public pieces:
 from .ablation import SharedQueueOpfTarget
 from .cid_queue import CidQueue, ENTRY_BYTES, RETIRED_MEMORY, cid_le
 from .extensions import DevicePriorityOpfTarget
-from .coalescing import CoalescingStats, DrainGroup
+from .coalescing import DrainGroup
 from .flags import (
     FLAG_DRAINING,
     FLAG_THROUGHPUT_CRITICAL,
@@ -29,12 +30,10 @@ from .flags import (
 from .initiator import OpfInitiator
 from .priority_manager import InitiatorPriorityManager, TargetPriorityManager
 from .target import OpfTarget
-from .tenant import TenantContext, TenantRegistry
 from .window import DrainWatchdog, MIN_WINDOW, clamp_to_queue_depth, select_window
 
 __all__ = [
     "CidQueue",
-    "CoalescingStats",
     "DevicePriorityOpfTarget",
     "DrainGroup",
     "DrainWatchdog",
@@ -50,8 +49,6 @@ __all__ = [
     "Priority",
     "SharedQueueOpfTarget",
     "TargetPriorityManager",
-    "TenantContext",
-    "TenantRegistry",
     "check_tenant_id",
     "cid_le",
     "clamp_to_queue_depth",

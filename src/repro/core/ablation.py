@@ -103,9 +103,7 @@ class SharedQueueOpfTarget(OpfTarget):
             tenant_id=drain_tenant,
             drain_cid=drain_pdu.sqe.cid,
             cids=[p.sqe.cid for _c, p in mine],
-            formed_at=self.env.now,
         )
-        self.pm.stats.record_flush(group.size)
         self._group_fifo.setdefault(drain_tenant, []).append(group)
         marker = mine.pop() if drain_pdu.sqe.opcode == OPCODE_FLUSH else None
         cost = (

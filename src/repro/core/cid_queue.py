@@ -5,7 +5,10 @@ entry is a 16-bit command identifier.  Space complexity is therefore
 independent of I/O size and the queue survives out-of-order device
 completions: a drain response naming CID *d* retires, in submission order,
 every CID queued before *d* (Alg. 2's walk), regardless of the order the
-device completed them in.
+device completed them in.  Each initiator's Priority Manager keeps one; the
+target's windows are CID-keyed dicts
+(:class:`~repro.core.priority_manager.TargetPriorityManager`), which need
+no drain walk and no retired-CID memory.
 
 Fault tolerance (the chaos-safe drain protocol): the queue remembers
 recently retired CIDs in a bounded ring so a *replayed* drain response — a
@@ -33,8 +36,8 @@ from typing import Deque, List, Optional, Sequence, Set
 
 from ..errors import ProtocolError
 
-#: Bytes one queue entry occupies (a u16 CID) — used by the space-accounting
-#: tests that verify the zero-copy claim.
+#: Bytes one queue entry occupies (a u16 CID) — the zero-copy ablation
+#: compares it with the bytes of a copied request.
 ENTRY_BYTES = 2
 
 #: How many retired CIDs the duplicate-detection ring remembers.  CIDs are
@@ -75,9 +78,6 @@ class CidQueue:
         self._retired_memory = retired_memory
         self.total_pushed = 0
         self.total_drained = 0
-        #: CIDs abandoned by the host (retry budget exhausted) — removed
-        #: without a drain response, counted separately from drains.
-        self.total_evicted = 0
         #: Stale duplicate drain responses recognised and ignored.
         self.duplicate_drains = 0
         #: Reconnect incarnation of this queue's window state; bumped by
@@ -92,11 +92,6 @@ class CidQueue:
 
     def __contains__(self, cid: int) -> bool:
         return cid in self._members
-
-    @property
-    def space_bytes(self) -> int:
-        """Memory footprint of the queued entries (zero-copy accounting)."""
-        return len(self._queue) * ENTRY_BYTES
 
     @property
     def retired_bytes(self) -> int:
@@ -119,11 +114,6 @@ class CidQueue:
         self._queue.append(cid)
         self._members.add(cid)
         self.total_pushed += 1
-
-    def peek(self) -> int:
-        if not self._queue:
-            raise ProtocolError("CID queue is empty")
-        return self._queue[0]
 
     def was_retired(self, cid: int) -> bool:
         """Whether ``cid`` was retired recently enough to still be remembered."""
@@ -200,31 +190,6 @@ class CidQueue:
         self._remember_retired((cid,))
         self.total_drained += 1
 
-    def evict(self, cid: int) -> None:
-        """Abandon one CID without a drain response (host-side give-up).
-
-        The retry path uses this when a command exhausts its budget: the
-        qpair completes it with a synthetic status, so the window must stop
-        waiting for it.  The CID is remembered as retired — a drain response
-        that later names it (or walks past where it sat) stays consistent.
-        """
-        if cid not in self._members:
-            raise ProtocolError(f"cannot evict unknown CID {cid}")
-        self._queue.remove(cid)
-        self._members.discard(cid)
-        self._remember_retired((cid,))
-        self.total_evicted += 1
-
-    def drain_all(self) -> List[int]:
-        """Pop everything (target-side full flush)."""
-        drained = list(self._queue)
-        if drained:
-            self._queue.clear()
-            self._members.clear()
-            self._remember_retired(drained)
-            self.total_drained += len(drained)
-        return drained
-
     def advance_epoch(self) -> int:
         """Start a new drain epoch (qpair reconnect); returns the new epoch.
 
@@ -234,9 +199,6 @@ class CidQueue:
         """
         self.epoch += 1
         return self.epoch
-
-    def as_list(self) -> List[int]:
-        return list(self._queue)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CidQueue len={len(self._queue)} epoch={self.epoch}>"

@@ -10,7 +10,6 @@ completion of work still in flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Set
 
 from ..errors import ProtocolError
@@ -25,12 +24,11 @@ class DrainGroup:
         "cids",
         "_pending",
         "worst_status",
-        "formed_at",
         "ready",
         "conn",
     )
 
-    def __init__(self, tenant_id: int, drain_cid: int, cids: List[int], formed_at: float) -> None:
+    def __init__(self, tenant_id: int, drain_cid: int, cids: List[int]) -> None:
         if drain_cid not in cids:
             raise ProtocolError("the draining CID must be part of its group")
         if len(set(cids)) != len(cids):
@@ -40,7 +38,6 @@ class DrainGroup:
         self.cids = list(cids)
         self._pending: Set[int] = set(cids)
         self.worst_status = 0
-        self.formed_at = formed_at
         #: Response-ordering state (§IV-C): a group whose device work is done
         #: but whose response must wait for earlier windows of the tenant.
         self.ready = False
@@ -73,27 +70,3 @@ class DrainGroup:
             f"{self.size - self.pending}/{self.size} done>"
         )
 
-
-@dataclass
-class CoalescingStats:
-    """How much notification traffic coalescing removed."""
-
-    windows_flushed: int = 0
-    requests_coalesced: int = 0
-    notifications_sent: int = 0
-
-    @property
-    def notifications_saved(self) -> int:
-        """Responses a per-request baseline would have sent, minus ours."""
-        return self.requests_coalesced - self.notifications_sent
-
-    @property
-    def mean_window(self) -> float:
-        if not self.windows_flushed:
-            return 0.0
-        return self.requests_coalesced / self.windows_flushed
-
-    def record_flush(self, group_size: int) -> None:
-        self.windows_flushed += 1
-        self.requests_coalesced += group_size
-        self.notifications_sent += 1

@@ -3,10 +3,10 @@
 Extends the baseline target with the target-side Priority Manager:
 
 * latency-sensitive requests bypass every queue and execute immediately;
-* throughput-critical requests park in their tenant's private (lock-free)
-  CID queue until a draining flag arrives, then execute as one batch —
-  paying the tenant-switch cost once per *window* instead of once per
-  request;
+* throughput-critical requests park in their tenant's own (lock-free)
+  window, a dict from CID to the queued capsule, until a draining flag
+  arrives, then execute as one batch in arrival order — paying the
+  tenant-switch cost once per *window* instead of once per request;
 * each completed window is answered with a single coalesced response
   capsule, sent only after every member has completed on the device, so
   out-of-order device completions can never acknowledge unfinished work.
@@ -81,7 +81,6 @@ class OpfTarget(NvmeOfTarget):
         if not flags:
             # Latency-sensitive bypass: identical cost and path to the
             # baseline, and the Priority Manager never sees the command.
-            self.pm.ls_bypassed += 1
             cost = (
                 self.costs.pdu_rx + self.costs.nvme_submit + self._tenant_switch_cost(tenant_id)
             )
@@ -102,7 +101,6 @@ class OpfTarget(NvmeOfTarget):
         if flushed is None:
             return  # queued; nothing executes yet
         group, batch = flushed
-        group.formed_at = self.env.now
         self._group_fifo.setdefault(tenant_id, []).append(group)
         # The draining command -- this one, the batch's last entry -- is the
         # only one that can be an explicit drain marker (a flush carrying
@@ -162,31 +160,14 @@ class OpfTarget(NvmeOfTarget):
         while fifo and fifo[0].ready:
             head = fifo.pop(0)
             self.core.run_later(
-                self.costs.cqe_build + self.costs.pdu_tx, self._send_coalesced_group, head
+                self.costs.cqe_build + self.costs.pdu_tx, self._send_coalesced, head
             )
 
-    def _send_coalesced_group(self, group: DrainGroup) -> None:
-        self._send_coalesced(group.conn, group)
-
-    def tenant_report(self) -> dict:
-        """Per-tenant coalescing statistics (tenant id -> stats snapshot)."""
-        report = {}
-        for tenant in self.pm.registry.tenants():
-            stats = tenant.stats
-            report[tenant.tenant_id] = {
-                "windows_flushed": stats.windows_flushed,
-                "requests_coalesced": stats.requests_coalesced,
-                "notifications_sent": stats.notifications_sent,
-                "notifications_saved": stats.notifications_saved,
-                "mean_window": stats.mean_window,
-                "queued_now": tenant.queued,
-            }
-        return report
-
-    def _send_coalesced(self, conn: TargetConnection, group: DrainGroup) -> None:
+    def _send_coalesced(self, group: DrainGroup) -> None:
+        """Answer a finished window with one coalesced response on its connection."""
         self.stats.completion_notifications += 1
         self.stats.coalesced_notifications += 1
-        conn.send(
+        group.conn.send(
             CapsuleRespPdu(
                 cqe=Cqe(cid=group.drain_cid, status=group.worst_status),
                 coalesced=True,

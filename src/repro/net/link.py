@@ -36,7 +36,6 @@ class LinkStats:
         "bytes_sent",
         "data_packets",
         "ack_packets",
-        "busy_time",
     )
 
     def __init__(self) -> None:
@@ -46,7 +45,6 @@ class LinkStats:
         self.bytes_sent = 0
         self.data_packets = 0
         self.ack_packets = 0
-        self.busy_time = 0.0
 
     @property
     def delivered(self) -> int:
@@ -220,15 +218,12 @@ class Link:
         if pending and len(pending) >= self.queue_limit:
             self.stats.dropped += 1
             return False
-        stats = self.stats
-        stats.enqueued += 1
+        self.stats.enqueued += 1
         start = self._free_at
         if start < now:
             start = now
-        tx_time = packet.wire_size / self.rate
-        end = start + tx_time
+        end = start + packet.wire_size / self.rate
         self._free_at = end
-        stats.busy_time += tx_time
         deliver_at = end + self.propagation
         packet.deliver_at = deliver_at
         packet._carrier = self
@@ -350,29 +345,18 @@ class Link:
         # was booked back-to-back behind the in-flight frame), so rebooking
         # walks forward from exactly that instant.
         prev_end = pending[0][0]
-        stats = self.stats
         prop = self.propagation
         for entry in pending:
             packet = entry[1]
             old_deliver = packet.deliver_at
-            old_tx = (old_deliver - prop) - entry[0]
             entry[0] = prev_end
-            tx_time = packet.wire_size / new_rate
-            stats.busy_time += tx_time - old_tx
-            end = prev_end + tx_time
+            end = prev_end + packet.wire_size / new_rate
             deliver_at = end + prop
             packet.deliver_at = deliver_at
             if deliver_at < old_deliver:
                 env.call_at(deliver_at, self._deliver_cb, packet)
             prev_end = end
         self._free_at = prev_end
-
-    def utilization(self) -> float:
-        """Fraction of time the transmitter was busy."""
-        t = self.env.now
-        if t <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_time / t)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Link {self.name!r} {self.rate_gbps}Gbps q={self.queue_depth}/{self.queue_limit}>"

@@ -14,9 +14,9 @@ The vocabulary:
     never exceed completions, no queue pair holds more than its depth.
 
 ``cid-retirement`` (mid-run safe)
-    Exactly-once retirement for oPF windows: at any instant every pushed
-    CID is live, drained, or evicted — and exactly one of them.  Post-run
-    the live set must be empty.
+    Exactly-once retirement for oPF windows: at any instant every CID an
+    initiator pushed is either live or drained, never both.  Post-run the
+    live set must be empty.
 
 ``slo-accounting`` (mid-run safe)
     The QoS ledgers balance: violated time never exceeds tracked time,
@@ -81,13 +81,11 @@ def check_cid_retirement(
     problems: List[str] = []
     final = result is not None
     for name, queue in _opf_queues(scenario):
-        retired = queue.total_drained + queue.total_evicted
         live = len(queue)
-        if retired + live != queue.total_pushed:
+        if queue.total_drained + live != queue.total_pushed:
             problems.append(
                 f"{name}: pushed {queue.total_pushed} != drained "
-                f"{queue.total_drained} + evicted {queue.total_evicted} "
-                f"+ live {live}"
+                f"{queue.total_drained} + live {live}"
             )
         if final and live:
             problems.append(f"{name}: {live} window member(s) stranded after the run")

@@ -7,7 +7,7 @@ drive an :class:`OpfTarget`.
 
 import pytest
 
-from repro.core import MAX_TENANTS, DrainGroup, OpfTarget, Priority, TenantRegistry
+from repro.core import MAX_TENANTS, DrainGroup, OpfTarget, Priority
 from repro.core.priority_manager import InitiatorPriorityManager, TargetPriorityManager
 from repro.errors import ConfigError, ProtocolError, TenantError
 from repro.nvmeof.capsule import OPCODE_READ, Sqe
@@ -51,7 +51,6 @@ def test_alg1_every_wth_request_drains():
         sqe = Sqe(opcode=OPCODE_READ, cid=cid)
         drains.append(pm.before_send(sqe, Priority.THROUGHPUT, tenant_id=0))
     assert [i for i, d in enumerate(drains) if d] == [3, 7, 11]
-    assert pm.drains_sent == 3
     assert pm.pending_undrained == 0
 
 
@@ -83,7 +82,7 @@ def test_alg2_coalesced_response_retires_in_order():
     assert retired == [0, 1, 2, 3]
     retired = pm.on_coalesced_response(7)
     assert retired == [4, 5, 6, 7]
-    assert pm.coalesced_retired == 8
+    assert len(pm.cid_queue) == 0
 
 
 def test_alg2_individual_response_for_queued_cid_counts_premature():
@@ -117,9 +116,7 @@ def test_alg3_ls_bypasses_queues():
     env, target, _profile, wires, log = _build(OpfTarget)
     env.call_at(1.0, wires[LS_TENANT].deliver, _cmd(1, LS_TENANT, LS_FLAGS))
     env.run()
-    assert target.pm.ls_bypassed == 1
-    assert target.pm.registry.total_queued() == 0
-    assert len(target.pm.registry) == 0
+    assert target.pm.windows == {}
     assert [row[2:4] for row in log if row[2] != "icresp"] == [("data", 1), ("resp", 1)]
 
 
@@ -127,13 +124,13 @@ def test_alg3_tc_queues_until_drain():
     pm = TargetPriorityManager()
     for cid in range(3):
         assert arrive(pm, cid, tenant=4) is None
-    assert pm.registry.get(4).queued == 3
+    assert list(pm.windows[4]) == [0, 1, 2]
 
     group, batch = arrive(pm, 3, tenant=4, draining=True)
     assert group.drain_cid == 3
     assert group.cids == [0, 1, 2, 3]
     assert [p.sqe.cid for _c, p in batch] == [0, 1, 2, 3]
-    assert pm.registry.get(4).queued == 0
+    assert pm.windows[4] == {}
 
 
 def test_alg3_tenant_isolation():
@@ -143,15 +140,15 @@ def test_alg3_tenant_isolation():
     arrive(pm, 1, tenant=2)
     group, _batch = arrive(pm, 2, tenant=1, draining=True)
     assert group.cids == [0, 2]
-    assert pm.registry.get(2).queued == 1  # tenant 2 untouched
+    assert list(pm.windows[2]) == [1]  # tenant 2 untouched
 
 
 def test_alg3_same_cids_different_tenants_allowed():
     pm = TargetPriorityManager()
     arrive(pm, 7, tenant=1)
     arrive(pm, 7, tenant=2)  # same CID, distinct tenant
-    assert pm.registry.get(1).queued == 1
-    assert pm.registry.get(2).queued == 1
+    assert list(pm.windows[1]) == [7]
+    assert list(pm.windows[2]) == [7]
 
 
 # ---------------------------------------------- Alg. 4: target completion ----
@@ -164,12 +161,11 @@ def test_alg4_ls_completion_responds_immediately():
     assert [(cid, coalesced, count) for _t, _n, _k, cid, coalesced, count, _s in responses] == [
         (1, False, 1)
     ]
-    assert target.pm.stats.windows_flushed == 0
     assert target.stats.coalesced_notifications == 0
 
 
 def test_alg4_tc_group_responds_only_when_all_done():
-    group = DrainGroup(tenant_id=0, drain_cid=3, cids=[0, 1, 2, 3], formed_at=0.0)
+    group = DrainGroup(tenant_id=0, drain_cid=3, cids=[0, 1, 2, 3])
     assert not group.mark_complete(1, 0)
     assert not group.mark_complete(3, 0)  # drain done early!
     assert not group.mark_complete(0, 0)
@@ -178,14 +174,14 @@ def test_alg4_tc_group_responds_only_when_all_done():
 
 def test_drain_group_out_of_order_completion_safe():
     """Out-of-order device completions (§IV-C) never release the window early."""
-    group = DrainGroup(tenant_id=0, drain_cid=2, cids=[0, 1, 2], formed_at=0.0)
+    group = DrainGroup(tenant_id=0, drain_cid=2, cids=[0, 1, 2])
     assert not group.mark_complete(2)  # drain finishes first
     assert group.pending == 2
     assert not group.complete
 
 
 def test_drain_group_propagates_worst_status():
-    group = DrainGroup(tenant_id=0, drain_cid=1, cids=[0, 1], formed_at=0.0)
+    group = DrainGroup(tenant_id=0, drain_cid=1, cids=[0, 1])
     group.mark_complete(0, status=0x80)
     group.mark_complete(1, status=0)
     assert group.worst_status == 0x80
@@ -193,10 +189,10 @@ def test_drain_group_propagates_worst_status():
 
 def test_drain_group_validation():
     with pytest.raises(ProtocolError):
-        DrainGroup(tenant_id=0, drain_cid=9, cids=[0, 1], formed_at=0.0)
+        DrainGroup(tenant_id=0, drain_cid=9, cids=[0, 1])
     with pytest.raises(ProtocolError):
-        DrainGroup(tenant_id=0, drain_cid=1, cids=[1, 1], formed_at=0.0)
-    group = DrainGroup(tenant_id=0, drain_cid=1, cids=[0, 1], formed_at=0.0)
+        DrainGroup(tenant_id=0, drain_cid=1, cids=[1, 1])
+    group = DrainGroup(tenant_id=0, drain_cid=1, cids=[0, 1])
     with pytest.raises(ProtocolError):
         group.mark_complete(5)
     group.mark_complete(0)
@@ -204,27 +200,15 @@ def test_drain_group_validation():
         group.mark_complete(0)  # double completion
 
 
-# ------------------------------------------------------- tenant registry ----
+# -------------------------------------------------------- tenant windows ----
 def test_registry_creates_and_limits_tenants():
-    reg = TenantRegistry()
-    first = reg.get_or_create(0)
-    reg.get_or_create(MAX_TENANTS - 1)
-    assert len(reg) == 2
-    assert reg.get_or_create(0) is first  # existing is fine
-    # The flag byte carries MAX_TENANTS ids; no other id is admitted.
-    with pytest.raises(TenantError):
-        reg.get_or_create(MAX_TENANTS)
-    assert len(reg) == 2
-
-
-def test_registry_unknown_tenant():
-    reg = TenantRegistry()
-    with pytest.raises(TenantError):
-        reg.get(9)
-
-
-def test_registry_space_accounting():
+    """A tenant's window appears with its first command; the flag byte
+    carries MAX_TENANTS ids, and no other id is admitted."""
     pm = TargetPriorityManager()
-    for cid in range(10):
-        arrive(pm, cid, tenant=1)
-    assert pm.registry.total_space_bytes() == 20  # 10 CIDs x 2 bytes
+    arrive(pm, 1, tenant=0)
+    arrive(pm, 2, tenant=MAX_TENANTS - 1)
+    arrive(pm, 3, tenant=0)  # an existing window is reused
+    assert {t: list(w) for t, w in pm.windows.items()} == {0: [1, 3], MAX_TENANTS - 1: [2]}
+    with pytest.raises(TenantError):
+        pm.on_command(None, make_cmd(4), False, MAX_TENANTS)
+    assert sorted(pm.windows) == [0, MAX_TENANTS - 1]

@@ -61,7 +61,7 @@ ENTRIES_BY_LAYER = {
 #: protocol -> Python calls in (repro.nvmeof, repro.ssd, repro.cpu, repro.core).
 COMMAND_PATH = ("repro.nvmeof", "repro.ssd", "repro.cpu", "repro.core")
 COMMAND_PATH_CALLS = {
-    "nvme-opf": (8439, 5090, 3046, 10392),
+    "nvme-opf": (8439, 5090, 3046, 7530),
     "spdk": (12578, 6150, 3647, 9),
 }
 

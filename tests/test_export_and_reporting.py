@@ -77,21 +77,3 @@ def test_export_figure_points_roundtrip(tmp_path):
     back = _read_csv(path)
     assert len(back) == len(points)
     assert {row["label"] for row in back} == {p.label for p in points}
-
-
-def test_tenant_report():
-    from repro.cluster import Scenario, ScenarioConfig
-    from repro.workloads import tenants_for_ratio
-
-    cfg = ScenarioConfig(protocol="nvme-opf", total_ops=96, window_size=16,
-                         warmup_us=0, seed=3)
-    sc = Scenario.two_sided(cfg, tenants_for_ratio("0:2"))
-    sc.run()
-    report = sc.target_nodes[0].target.tenant_report()
-    assert len(report) == 2
-    for stats in report.values():
-        assert stats["windows_flushed"] >= 96 // 16
-        assert stats["requests_coalesced"] >= 96
-        assert stats["notifications_saved"] > 0
-        assert stats["queued_now"] == 0
-        assert stats["mean_window"] > 1

@@ -52,7 +52,7 @@ def _assert_windows_clean(scenario):
 
     Every initiator's qpair is empty (all commands completed or reported)
     and every window queue is fully retired — each TC CID exactly once:
-    pushed == drained + evicted, with no member left behind.
+    pushed == drained, with no member left behind.
     """
     for inode in scenario.initiator_nodes.values():
         for initiator in inode.initiators:
@@ -62,7 +62,7 @@ def _assert_windows_clean(scenario):
                 continue
             q = pm.cid_queue
             assert len(q) == 0
-            assert q.total_pushed == q.total_drained + q.total_evicted
+            assert q.total_pushed == q.total_drained
 
 
 class TestOpfChaosStorm:

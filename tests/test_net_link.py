@@ -76,15 +76,6 @@ def test_link_validation():
         Link(env, rate_gbps=10, queue_packets=0)
 
 
-def test_link_utilization_accounting():
-    env = Environment()
-    link = Link(env, rate_gbps=10, propagation_us=0.0, queue_packets=8)
-    link.connect(lambda p: None)
-    link.send(make_packet(length=1250 - WIRE_OVERHEAD))  # exactly 1 us of tx
-    env.run(until=2.0)
-    assert link.utilization() == pytest.approx(0.5)
-
-
 # ------------------------------------------------------------------ Switch ----
 def test_switch_routes_by_destination():
     env = Environment()
@@ -255,5 +246,4 @@ def test_rate_change_rebooks_waiting_frames_fifo_exactly_once():
     assert [p for _, p in arrivals] == frames
     assert [t for t, _ in arrivals] == [end + prop for end in serialised_by]
     assert link.stats.data_packets == 5
-    assert link.stats.busy_time == 1.0 + 2.0 + 2.0 + 1.0 + 1.0
     assert link.queue_depth == 0

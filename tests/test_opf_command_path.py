@@ -110,15 +110,11 @@ def _run_script(env, wires, script):
 
 def _pm_counters(pm):
     return (
-        pm.ls_bypassed,
         pm.duplicate_commands,
         pm.resyncs,
         pm.orphans_completed,
         pm.orphans_requeued,
-        pm.stats.windows_flushed,
-        pm.stats.requests_coalesced,
-        pm.stats.notifications_sent,
-        pm.registry.total_queued(),
+        sum(len(window) for window in pm.windows.values()),
     )
 
 
@@ -205,11 +201,6 @@ def test_opf_target_command_path_is_pinned():
     env, target, log = _drive_opf()
     coalesced = [(row[1], row[3], row[5], row[6]) for row in log if row[2] == "resp" and row[4]]
     assert coalesced == PINNED_OPF_WINDOWS
-    report = target.tenant_report()
-    assert {t: (r["windows_flushed"], r["requests_coalesced"]) for t, r in report.items()} == {
-        TENANT_A: (5, 16),
-        TENANT_B: (4, 9),
-    }
     assert _outcome(env, target, log) == PINNED_OPF
 
 
@@ -284,7 +275,7 @@ def test_unknown_flag_byte_is_refused_at_arrival(target_cls, flags):
         target._handle_command(conn, _cmd(100, TENANT_A, flags))
     # Refused before any work was scheduled.
     assert env._seq == seq
-    assert target.pm.registry.total_queued() == 0
+    assert target.pm.windows == {}
 
 
 #: (connection, drain CID, coalesced_count, status) of every coalesced response.
@@ -303,7 +294,7 @@ PINNED_OPF = {
     "pdus": 44,
     "log": "1a83b6ac3fc5d4fe42c9f98d511cb96a529280298ae88f6a2d0213350e60ef93",
     "stats": (33, 15, 9, 25, 31, 11),
-    "pm": (6, 1, 1, 1, 1, 9, 25, 9, 0),
+    "pm": (1, 1, 1, 1, 0),
     "busy": 107.45000000000003,
     "entries": 150,
     "now": 320.69062475144983,
@@ -312,7 +303,7 @@ PINNED_SHARED = {
     "pdus": 19,
     "log": "7d8831a8b9f429669dcc02f749fe8ebe545fc01f5b925d2878fc8247a26e55f9",
     "stats": (16, 7, 3, 9, 11, 6),
-    "pm": (2, 0, 0, 0, 0, 3, 7, 3, 0),
+    "pm": (0, 0, 0, 0, 0),
     "busy": 54.849999999999994,
     "entries": 66,
     "now": 205.75000000000003,
@@ -321,7 +312,7 @@ PINNED_DEVPRIO = {
     "pdus": 19,
     "log": "0a842ba450000186ba46e9047e3faaba0fdddf3c16db9ca3f6b7ee07ccafdf94",
     "stats": (12, 6, 2, 10, 12, 3),
-    "pm": (4, 0, 0, 0, 0, 2, 8, 2, 0),
+    "pm": (0, 0, 0, 0, 0),
     "busy": 42.75,
     "entries": 58,
     "now": 418.02283173405425,

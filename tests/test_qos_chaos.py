@@ -80,7 +80,7 @@ def _assert_windows_clean(scenario):
     """No drain wedge, no double retire: the post-run book balance.
 
     Every qpair is empty and every window queue fully retired — each TC CID
-    exactly once (pushed == drained + evicted), nothing left behind.
+    exactly once (pushed == drained), nothing left behind.
     """
     for inode in scenario.initiator_nodes.values():
         for initiator in inode.initiators:
@@ -90,7 +90,7 @@ def _assert_windows_clean(scenario):
                 continue
             q = pm.cid_queue
             assert len(q) == 0
-            assert q.total_pushed == q.total_drained + q.total_evicted
+            assert q.total_pushed == q.total_drained
 
 
 @pytest.mark.parametrize(

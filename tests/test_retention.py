@@ -118,7 +118,7 @@ def test_cid_queue_retired_memory_is_bounded_across_the_cid_wrap():
         for _ in range(32):
             q.push(cid)
             cid = (cid + 1) & 0xFFFF
-        retirements += len(q.drain_through(q.as_list()[-1]))
+        retirements += len(q.drain_through((cid - 1) & 0xFFFF))
         held.add(sys.getsizeof(q._retired_bits) + sys.getsizeof(q._retired_ring))
     assert retirements // 0x10000 >= 3  # three laps of the CID space
     assert len(q._retired_ring) == RETIRED_MEMORY

@@ -59,6 +59,7 @@ TEST_ONLY = {
     "aggregate_throughput_mbps": "reference query the one-pass result aggregation is compared to",
     "any_of": "condition event beside all_of; the condition tests pin its semantics",
     "buffer_level": "FTL write-buffer level the FTL drain tests assert on",
+    "busy_time": "CPU core busy time the CPU tests and the command-path pins read",
     "bytes_per_us_to_gbps": "inverse of gbps_to_bytes_per_us; the units test round-trips both",
     "cancel": "StoreGet withdrawal the resource tests pin",
     "connected": "initiator connection state the runtime and recovery tests assert on",
@@ -70,7 +71,6 @@ TEST_ONLY = {
     "metadata_lbas": "H5File layout the hdf5sim tests check",
     "nblocks": "dataset size in blocks the hdf5sim layout test checks",
     "op_name": "SQE opcode mnemonic the capsule round-trip test checks",
-    "outstanding_drains": "drain bookkeeping the drain-property tests assert on",
     "p99_estimate": "P2 tail estimate the telemetry tests compare to exact quantiles",
     "pdus_received": "transport counter the subsystem tests check",
     "pdus_sent": "transport counter the subsystem tests check",
@@ -88,9 +88,6 @@ TEST_ONLY = {
     "tap": "telemetry completion hook the QoS tests feed directly",
     "target_per_request_baseline": "cost-model total the CPU tests check against calibration",
     "target_per_request_coalesced": "cost-model total the CPU tests check against calibration",
-    "tenant_report": "per-tenant coalescing stats the reporting tests check",
-    "total_queued": "tenant-registry total the priority-manager tests assert on",
-    "total_space_bytes": "tenant-registry footprint the priority-manager tests assert on",
     "trigger": "event chaining the engine tests pin",
     "tx_dropped": "NIC counter the link and fault tests assert on",
     "tx_packets": "NIC counter the link tests assert on",
